@@ -66,12 +66,6 @@ class CircleModel:
         self.check_point(p)
         return MarkedPoint(p[0], p[1] + k)
 
-    def successor(self, p: MarkedPoint) -> MarkedPoint:
-        return self.step(p, 1)
-
-    def predecessor(self, p: MarkedPoint) -> MarkedPoint:
-        return self.step(p, -1)
-
     def in_open_interval(self, a: MarkedPoint, b: MarkedPoint, c: MarkedPoint) -> bool:
         """True iff ``b`` lies strictly inside the anticlockwise interval (a, c)."""
         a = self.check_point(a)

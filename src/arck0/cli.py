@@ -1,7 +1,6 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad input.
-The environment variable ARCK0_SEED is reserved and currently unused.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from .arcs import Arc
 from .tilting import InsufficientDepthError, build_standard_tilting, exchange_pair
 from .k0 import (
     InsufficientWindowError,
+    VerificationError,
     compute_k0_cn,
     euler_oracle,
     parity_class,
@@ -169,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"expected {report.expected}, oracle {report.oracle}",
     )
 
-    oracle = euler_oracle(2 * n, window)
+    oracle = report.quotient
     parity_ok = True
     for arc in oracle.arcs:
         if not arc.same_segment:
@@ -267,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, InsufficientDepthError, InsufficientWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ Only that cokernel is computed here; the localisation itself is not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
 from .snf import GroupPresentation, IntMatrix, cokernel_presentation
-from .k0 import InsufficientWindowError, euler_oracle
+from .k0 import InsufficientWindowError, OracleQuotient, euler_oracle
 
 
 class CompletionModel:
@@ -83,7 +83,11 @@ def compute_k0_completed(n: int) -> GroupPresentation:
 
 @dataclass(frozen=True)
 class CompletionReport:
-    """Comparison of the closed-form route against the brute-force oracle."""
+    """Comparison of the closed-form route against the brute-force oracle.
+
+    ``quotient`` is the host oracle the comparison was read from, kept for
+    further checks on the same window; it is left out of ``to_json``.
+    """
 
     n: int
     window: int
@@ -91,6 +95,7 @@ class CompletionReport:
     oracle: GroupPresentation
     match: bool
     generators: tuple[Arc, ...]
+    quotient: OracleQuotient = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -119,16 +124,9 @@ def verify_f_oracle(n: int, window: int) -> CompletionReport:
     oracle = euler_oracle(2 * n, window)
     generators = tuple(kernel_generator_arc(cm, i) for i in range(1, n + 1))
     classes = [oracle.class_of(g) for g in generators]
-
-    moduli = oracle.component_moduli
-    ambient = len(moduli)
-    columns: list[dict[int, int]] = [
-        {i: m} for i, m in enumerate(moduli) if m > 0
-    ]
-    columns.extend(
-        {i: v for i, v in enumerate(cls) if v} for cls in classes
+    oracle_side = cokernel_presentation(
+        oracle.num_live, [*oracle.relations.values(), *classes]
     )
-    oracle_side = cokernel_presentation(ambient, columns)
     expected = compute_k0_completed(n)
     return CompletionReport(
         n=n,
@@ -137,4 +135,5 @@ def verify_f_oracle(n: int, window: int) -> CompletionReport:
         oracle=oracle_side,
         match=expected == oracle_side,
         generators=generators,
+        quotient=oracle,
     )

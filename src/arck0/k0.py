@@ -14,7 +14,13 @@ from functools import cached_property
 
 from .circle import CircleModel, MarkedPoint, cyclic_key
 from .arcs import Arc, is_degenerate_pair
-from .snf import GroupPresentation, IntMatrix, _quotient_with_transform, cokernel_presentation
+from .snf import (
+    GroupPresentation,
+    IntMatrix,
+    _echelon_columns,
+    _hermite_reduce,
+    cokernel_presentation,
+)
 from .tilting import InsufficientDepthError, StandardTilting, build_standard_tilting, palu_relations
 
 
@@ -169,29 +175,30 @@ class _SignedUnionFind:
 class OracleQuotient:
     """Finite-window quotient group with a class vector for every window arc.
 
-    Window arcs that differ by suspension share a generator up to sign, so
-    classes live on suspension chains; the coordinates returned by
-    ``class_of`` are canonical representatives modulo ``component_moduli``
-    (modulus 0 meaning a free coordinate).
+    Window arcs that differ by suspension share a generator up to sign, and
+    unit relations identify most of the rest; ``num_live`` generators
+    survive.  ``relations`` is the Hermite (column-echelon) basis of the
+    remaining relation lattice over them, {pivot row: column}.  A class is
+    the canonical reduced vector of length ``num_live``: equal classes give
+    equal vectors.
     """
 
     model: CircleModel
     window: int
     arcs: tuple[Arc, ...]
     presentation: GroupPresentation
+    num_live: int
+    relations: dict[int, dict[int, int]]
     _chain: dict[tuple[MarkedPoint, MarkedPoint], tuple[int, int]]
     _chain_to_live: list[tuple[int, int] | None]
-    _moduli: list[int]
-    _left: list[list[int]]
-    _retained: tuple[int, ...]
-
-    @property
-    def component_moduli(self) -> tuple[int, ...]:
-        return tuple(self._moduli[i] for i in self._retained)
 
     @property
     def zero_class(self) -> tuple[int, ...]:
-        return (0,) * len(self._retained)
+        return (0,) * self.num_live
+
+    def _reduce_live_vector(self, vec: dict[int, int]) -> tuple[int, ...]:
+        reduced = _hermite_reduce(self.relations, vec)
+        return tuple(reduced.get(i, 0) for i in range(self.num_live))
 
     def _reduce_chain_vector(self, vec: dict[int, int]) -> tuple[int, ...]:
         live: dict[int, int] = {}
@@ -201,13 +208,7 @@ class OracleQuotient:
                 continue
             idx, sign = target
             live[idx] = live.get(idx, 0) + sign * coef
-        out = []
-        for i in self._retained:
-            row = self._left[i]
-            v = sum(row[c] * coef for c, coef in live.items())
-            m = self._moduli[i]
-            out.append(v % m if m else v)
-        return tuple(out)
+        return self._reduce_live_vector(live)
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         key = (arc.a, arc.b)
@@ -228,8 +229,7 @@ class OracleQuotient:
         return self._reduce_chain_vector(vec)
 
     def negate(self, cls: tuple[int, ...]) -> tuple[int, ...]:
-        mods = self.component_moduli
-        return tuple((-v) % m if m else -v for v, m in zip(cls, mods))
+        return self._reduce_live_vector({i: -v for i, v in enumerate(cls)})
 
     @cached_property
     def class_map(self) -> dict[Arc, tuple[int, ...]]:
@@ -350,7 +350,8 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     reduced_columns = [
         {live_index[c]: v for c, v in col} for col in sorted(work)
     ]
-    moduli, left, presentation = _quotient_with_transform(len(live), reduced_columns)
+    relations = _echelon_columns(reduced_columns)
+    presentation = cokernel_presentation(len(live), list(relations.values()))
     chain_to_live: list[tuple[int, int] | None] = []
     for cid in range(num_chains):
         root, sign = uf.find(cid)
@@ -358,18 +359,16 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
             chain_to_live.append(None)
         else:
             chain_to_live.append((live_index[root], sign))
-    retained = tuple(i for i, m in enumerate(moduli) if m != 1)
     arcs = tuple(Arc(p, q) for p, q in raw)
     return OracleQuotient(
         model=model,
         window=window,
         arcs=arcs,
         presentation=presentation,
+        num_live=len(live),
+        relations=relations,
         _chain=chain,
         _chain_to_live=chain_to_live,
-        _moduli=moduli,
-        _left=left,
-        _retained=retained,
     )
 
 

@@ -1,10 +1,11 @@
-"""Exact integer linear algebra: Smith normal form and cokernel presentations.
+"""Exact integer linear algebra: Smith normal form, Hermite reduction and cokernels.
 
 Everything runs over Python's arbitrary-precision integers; there are no
-modular shortcuts and no floating point anywhere.  Matrices at this scale
-(a few thousand columns at most) are handled by a sparse column-echelon
-pre-reduction followed by a dense Smith reduction with minimal-absolute-value
-pivoting, which keeps coefficient growth tame.
+modular shortcuts and no floating point anywhere.  One sparse kernel does all
+the work: a normalized column-echelon (Hermite) reduction, which keeps
+coefficient growth tame.  Alternating it with transposition reaches the Smith
+diagonal; reducing a vector against one echelon basis gives the canonical
+representative of its coset modulo the lattice.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
+def _subtract(col: dict[int, int], q: int, pivot: Mapping[int, int]) -> None:
+    """col -= q * pivot in place, dropping the entries that cancel."""
+    for r, v in pivot.items():
+        nv = col.get(r, 0) - q * v
+        if nv:
+            col[r] = nv
+        else:
+            col.pop(r, None)
+
+
 def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """Reduce sparse integer columns to normalized column-echelon form.
 
@@ -105,12 +116,7 @@ def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int
                 break
             q = col[r] // pivot[r]
             if q:
-                for rr, vv in pivot.items():
-                    nv = col.get(rr, 0) - q * vv
-                    if nv:
-                        col[rr] = nv
-                    else:
-                        col.pop(rr, None)
+                _subtract(col, q, pivot)
             if col.get(r):
                 # remainder beats the pivot; swap roles and keep reducing
                 pivots[r] = col
@@ -129,13 +135,27 @@ def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int
                 pivot = pivots[rr]
                 q = v // pivot[rr]
                 if q:
-                    for k, pv in pivot.items():
-                        nv = col.get(k, 0) - q * pv
-                        if nv:
-                            col[k] = nv
-                        else:
-                            col.pop(k, None)
+                    _subtract(col, q, pivot)
     return pivots
+
+
+def _hermite_reduce(
+    pivots: Mapping[int, Mapping[int, int]], vec: Mapping[int, int]
+) -> dict[int, int]:
+    """Canonical representative of ``vec`` modulo the lattice of an echelon basis.
+
+    ``pivots`` is a {pivot row: column} basis from ``_echelon_columns``.
+    Walking the pivot rows in increasing order and subtracting
+    (vec[r] // pivot) times the pivot column leaves every pivot-row entry in
+    [0, pivot): two vectors reduce to the same dict iff they differ by a
+    lattice element.
+    """
+    out = {i: v for i, v in vec.items() if v}
+    for r in sorted(pivots):
+        q = out.get(r, 0) // pivots[r][r]
+        if q:
+            _subtract(out, q, pivots[r])
+    return out
 
 
 def _divisibility_chain(values: list[int]) -> list[int]:
@@ -183,121 +203,6 @@ def _snf_values_sparse(rows: Iterable[Mapping[int, int]]) -> list[int]:
     raise RuntimeError("Smith reduction did not converge")
 
 
-def _snf_dense(
-    matrix: Sequence[Sequence[int]], track_left: bool = False
-) -> tuple[list[int], list[list[int]] | None]:
-    """Smith diagonal of a dense integer matrix via unimodular row/column ops.
-
-    Returns (diag, left) where diag is the full diagonal (nonnegative, each
-    entry dividing the next, zeros trailing) and left is the accumulated row
-    transform when requested: left @ input, followed by the column operations,
-    is the diagonal matrix.
-    """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    k = len(a[0]) if m else 0
-    left = [[int(i == j) for j in range(m)] for i in range(m)] if track_left else None
-
-    def add_row(dst: int, src: int, c: int) -> None:
-        rd, rs = a[dst], a[src]
-        for t in range(k):
-            v = rs[t]
-            if v:
-                rd[t] += c * v
-        if left is not None:
-            ld, ls = left[dst], left[src]
-            for t in range(m):
-                v = ls[t]
-                if v:
-                    ld[t] += c * v
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def add_col(dst: int, src: int, c: int) -> None:
-        for row in a:
-            v = row[src]
-            if v:
-                row[dst] += c * v
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    rank = min(m, k)
-    for s in range(min(m, k)):
-        # minimal-absolute-value pivot over the trailing block
-        best = 0
-        pr = pc = -1
-        for i in range(s, m):
-            row = a[i]
-            for j in range(s, k):
-                v = row[j]
-                if v:
-                    v = -v if v < 0 else v
-                    if best == 0 or v < best:
-                        best, pr, pc = v, i, j
-                        if v == 1:
-                            break
-            if best == 1:
-                break
-        if best == 0:
-            rank = s
-            break
-        if pr != s:
-            swap_rows(s, pr)
-        if pc != s:
-            swap_cols(s, pc)
-
-        while True:
-            dirty = False
-            for i in range(s + 1, m):
-                v = a[i][s]
-                if v:
-                    q = v // a[s][s]
-                    if q:
-                        add_row(i, s, -q)
-                    if a[i][s]:
-                        swap_rows(s, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(s + 1, k):
-                v = a[s][j]
-                if v:
-                    q = v // a[s][s]
-                    if q:
-                        add_col(j, s, -q)
-                    if a[s][j]:
-                        swap_cols(s, j)
-                        dirty = True
-            if dirty:
-                continue
-            # the pivot must divide every remaining entry for the chain to hold
-            d = a[s][s]
-            offender = -1
-            for i in range(s + 1, m):
-                row = a[i]
-                for j in range(s + 1, k):
-                    if row[j] % d:
-                        offender = i
-                        break
-                if offender >= 0:
-                    break
-            if offender < 0:
-                break
-            add_row(s, offender, 1)
-        if a[s][s] < 0:
-            a[s] = [-v for v in a[s]]
-            if left is not None:
-                left[s] = [-v for v in left[s]]
-
-    diag = [a[i][i] if i < rank else 0 for i in range(min(m, k))]
-    return diag, left
-
-
 def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> list[int]:
     """Full Smith diagonal d1 | d2 | ... of an integer matrix, zeros trailing."""
     rows = matrix.entries if isinstance(matrix, IntMatrix) else matrix
@@ -307,28 +212,6 @@ def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> list[int]:
         {j: v for j, v in enumerate(row) if v} for row in rows
     )
     return values + [0] * (min(m, k) - len(values))
-
-
-def _quotient_with_transform(
-    ambient: int, columns: Iterable[Mapping[int, int]]
-) -> tuple[list[int], list[list[int]], GroupPresentation]:
-    """Present Z^ambient modulo the column span, tracking the row transform.
-
-    Returns (moduli, left, presentation): ``moduli[i]`` is the order of the
-    i-th coordinate after the left transform (0 meaning free, 1 meaning
-    collapsed), so the class of x in the quotient is read off from left @ x
-    componentwise mod moduli.  The dense elimination used here is only
-    suitable for the small near-unimodular systems the quotient pipelines
-    produce; arbitrary matrices go through ``smith_normal_form`` instead.
-    """
-    pivots = _echelon_columns(columns)
-    order = sorted(pivots)
-    dense = [[pivots[r].get(i, 0) for r in order] for i in range(ambient)]
-    diag, left = _snf_dense(dense, track_left=True)
-    moduli = [diag[i] if i < len(diag) else 0 for i in range(ambient)]
-    free = sum(1 for v in moduli if v == 0)
-    factors = tuple(d for d in diag if d > 1)
-    return moduli, left, GroupPresentation(free, factors)
 
 
 def cokernel_presentation(

@@ -86,6 +86,20 @@ def test_verify_passes(capsys):
     assert out.count("PASS") >= 5
 
 
+def test_verification_error_exits_1(capsys, monkeypatch):
+    from arck0 import cli
+    from arck0.k0 import VerificationError
+
+    def broken(*args, **kwargs):
+        raise VerificationError("free rank 4 != n + frontier excess 3+0")
+
+    monkeypatch.setattr(cli, "compute_k0_cn", broken)
+    code, out, err = run(capsys, ["k0", "--n", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: free rank 4 != n + frontier excess 3+0"
+
+
 def test_bad_anchor_count(capsys):
     code, _, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
     assert code == 2 and "anchors" in err

@@ -141,21 +141,54 @@ def test_int_matrix():
         IntMatrix.from_columns(2, [(1, 2, 3)])
 
 
-def test_quotient_transform_reads_off_classes():
-    # the tracked row transform turns coordinates into quotient classes:
-    # Z^2 / <(1,1), (-1,1)> is Z/2, generated by either basis vector
-    from arck0.snf import _quotient_with_transform
+def test_hermite_reduce_reads_off_classes():
+    # the reduced vector is the class: Z^2 / <(1,1), (-1,1)> is Z/2,
+    # generated by either basis vector
+    from arck0.snf import _echelon_columns, _hermite_reduce
 
-    moduli, left, pres = _quotient_with_transform(2, [{0: 1, 1: 1}, {0: -1, 1: 1}])
-    assert pres == GroupPresentation(0, (2,))
+    columns = [{0: 1, 1: 1}, {0: -1, 1: 1}]
+    assert cokernel_presentation(2, columns) == GroupPresentation(0, (2,))
+    pivots = _echelon_columns(columns)
 
     def cls(vec):
-        out = []
-        for i, m in enumerate(moduli):
-            v = sum(left[i][j] * c for j, c in enumerate(vec))
-            if m != 1:
-                out.append(v % m if m else v)
-        return tuple(out)
+        return _hermite_reduce(pivots, dict(enumerate(vec)))
 
     assert cls((1, 1)) == cls((0, 0)) == cls((2, 0))
     assert cls((1, 0)) == cls((0, 1)) != cls((0, 0))
+
+
+def test_hermite_reduce_random_lattices():
+    # reduce(x) is constant on cosets, and two vectors reduce alike exactly
+    # when their difference lies in the lattice, i.e. appending it as a
+    # column leaves the cokernel unchanged
+    from arck0.snf import _echelon_columns, _hermite_reduce
+
+    rng = random.Random(20260)
+
+    def vector(m, span):
+        return {i: v for i in range(m) if (v := rng.randint(-span, span))}
+
+    same = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        columns = [vector(m, 4) for _ in range(rng.randint(0, 6))]
+        pivots = _echelon_columns(columns)
+        base = cokernel_presentation(m, columns)
+        x = vector(m, 9)
+        rx = _hermite_reduce(pivots, x)
+        for r, col in pivots.items():
+            assert 0 <= rx.get(r, 0) < col[r]
+        shifted = dict(x)
+        for col in columns:
+            c = rng.randint(-3, 3)
+            for i, v in col.items():
+                shifted[i] = shifted.get(i, 0) + c * v
+        assert _hermite_reduce(pivots, shifted) == rx
+        diff = {i: rx.get(i, 0) - x.get(i, 0) for i in range(m)}
+        assert cokernel_presentation(m, columns + [diff]) == base
+        y = vector(m, 2)
+        diff = {i: x.get(i, 0) - y.get(i, 0) for i in range(m)}
+        member = cokernel_presentation(m, columns + [diff]) == base
+        assert (_hermite_reduce(pivots, y) == rx) == member
+        same += member
+    assert 0 < same < 300
