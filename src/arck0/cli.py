@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad input.
+Exit codes: 0 success, 1 a verification or internal consistency check
+failed, 2 bad input.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from .arcs import Arc, is_degenerate_pair
 from .snf import (
     GroupPresentation,
     IntMatrix,
+    VerificationError,
     _echelon_columns,
     _hermite_reduce,
     cokernel_presentation,
@@ -26,10 +27,6 @@ from .tilting import InsufficientDepthError, StandardTilting, build_standard_til
 
 class InsufficientWindowError(ValueError):
     """Raised when a window does not contain the arcs a computation needs."""
-
-
-class VerificationError(RuntimeError):
-    """An internal consistency check on a computed presentation failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +40,10 @@ class K0Report:
     ``frontier`` lists the arcs that were too deep to have both flanking
     triangles; ``frontier_excess`` counts the frontier classes that the
     interior relations fail to pin down (expected 0: the presentation then
-    has free rank exactly n).
+    has free rank exactly n).  It is the free rank of the group modulo the
+    interior arc classes, computed as Z^F modulo the relations projected
+    onto the F frontier coordinates (killing the interior unit vectors is
+    exactly that projection).
     """
 
     n: int
@@ -91,21 +91,18 @@ def compute_k0_cn(
     tilting = build_standard_tilting(n, anchor_offsets, depth)
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
-    columns = [
-        {i: c for i, c in enumerate(rel.coefficients) if c} for rel in relations
-    ]
-    presentation = cokernel_presentation(num_arcs, columns)
+    presentation = cokernel_presentation(num_arcs, [rel.terms for rel in relations])
 
     interior = {rel.source for rel in relations}
-    frontier = tuple(
-        tilting.name_of(i) for i in range(num_arcs) if i not in interior
-    )
+    frontier_indices = [i for i in range(num_arcs) if i not in interior]
+    frontier = tuple(tilting.name_of(i) for i in frontier_indices)
     # quotient further by the interior classes: whatever survives is frontier
     # content that the relations failed to identify
-    residual = cokernel_presentation(
-        num_arcs, columns + [{i: 1} for i in sorted(interior)]
-    )
-    excess = residual.free_rank
+    position = {i: k for k, i in enumerate(frontier_indices)}
+    projected = [
+        {position[i]: c for i, c in rel.terms.items() if i in position} for rel in relations
+    ]
+    excess = cokernel_presentation(len(frontier_indices), projected).free_rank
 
     if presentation.invariant_factors:
         raise VerificationError(

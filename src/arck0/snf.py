@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
+class VerificationError(RuntimeError):
+    """An internal consistency check on a computed presentation failed."""
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
     """A finitely generated abelian group: free rank plus invariant factors.
@@ -187,20 +191,26 @@ def _snf_values_sparse(rows: Iterable[Mapping[int, int]]) -> list[int]:
     Alternates normalized echelon reduction with transposition until the
     matrix is diagonal; the normalization bounds entry growth, which plain
     row/column elimination does not (random 12x12 inputs already blow up
-    to thousands of digits there).
+    to thousands of digits there).  A pivot of 1 is a Smith value 1 at once:
+    normalization has cleared its row in every other column, so row
+    operations clear its column without touching the rest, and it is split
+    off before the next round.
     """
     work = [{int(i): int(v) for i, v in r.items() if v} for r in rows]
     work = [r for r in work if r]
+    units = 0
     for _ in range(256):
         pivots = _echelon_columns(work)
-        if all(set(col) == {r} for r, col in pivots.items()):
-            return _divisibility_chain([col[r] for r, col in pivots.items()])
+        rest = {r: col for r, col in pivots.items() if col[r] != 1}
+        units += len(pivots) - len(rest)
+        if all(len(col) == 1 for col in rest.values()):
+            return [1] * units + _divisibility_chain([col[r] for r, col in rest.items()])
         transposed: dict[int, dict[int, int]] = {}
-        for r, col in pivots.items():
+        for r, col in rest.items():
             for rr, v in col.items():
                 transposed.setdefault(rr, {})[r] = v
         work = list(transposed.values())
-    raise RuntimeError("Smith reduction did not converge")
+    raise VerificationError("Smith reduction did not converge in 256 rounds")
 
 
 def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> list[int]:

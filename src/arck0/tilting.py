@@ -6,6 +6,12 @@ arcs at each polygon edge, converging to the accumulation point behind it.
 Leapfrogs are truncated at a finite depth; arcs whose flanking triangles are
 both available are "interior" and contribute exchange relations, the deepest
 arcs are "frontier" and contribute none.
+
+Non-crossing is checked as bracket nesting.  Cutting the circle behind the
+last segment makes lex order on ``(segment, offset)`` the anticlockwise
+order, so every arc (stored with ``a < b``) is an interval ``[a, b]`` and two
+arcs cross exactly when their intervals overlap without nesting.  One sort
+and one stack pass decide a whole arc set.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint
-from .arcs import Arc, ext1_dim, induced_triangles, is_degenerate_pair
+from .arcs import Arc, induced_triangles, is_degenerate_pair
 
 
 class InsufficientDepthError(ValueError):
@@ -47,10 +53,17 @@ class StandardTilting:
     names: dict[str, int]
     leapfrogs: tuple[tuple[int, ...], ...]
     _index: dict[Arc, int] = field(repr=False, default_factory=dict)
+    _by_endpoint: dict[MarkedPoint, list[Arc]] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self._index:
             object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.arcs)})
+        if not self._by_endpoint:
+            by_endpoint: dict[MarkedPoint, list[Arc]] = {}
+            for arc in self.arcs:
+                by_endpoint.setdefault(arc.a, []).append(arc)
+                by_endpoint.setdefault(arc.b, []).append(arc)
+            object.__setattr__(self, "_by_endpoint", by_endpoint)
 
     def arc_index(self, arc: Arc) -> int:
         return self._index[arc]
@@ -75,10 +88,24 @@ class StandardTilting:
 
 
 def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if ext1_dim(model, arcs[i], arcs[j]):
-                raise AssertionError(f"crossing arcs in tilting set: {arcs[i]} x {arcs[j]}")
+    """Raise AssertionError naming a crossing pair if any two arcs cross.
+
+    In lex order each arc is an interval [a, b].  Sorted by (a, -b), the arcs
+    still open at a point form a stack of nested intervals, innermost on top.
+    A new arc first closes every interval ending at or before its start
+    (sharing an endpoint is not a crossing); it crosses an open interval iff
+    it ends beyond the innermost one, which then is a crossing partner.
+    """
+    for arc in arcs:
+        model.check_point(arc.a)
+        model.check_point(arc.b)
+    stack: list[Arc] = []
+    for arc in sorted(arcs, key=lambda x: (x.a, -x.b[0], -x.b[1])):
+        while stack and stack[-1].b <= arc.a:
+            stack.pop()
+        if stack and arc.b > stack[-1].b:
+            raise AssertionError(f"crossing arcs in tilting set: {stack[-1]} x {arc}")
+        stack.append(arc)
 
 
 def build_standard_tilting(
@@ -180,8 +207,8 @@ def _triangle_thirds(t: StandardTilting, m: Arc) -> list[MarkedPoint]:
     for d in (-1, 1):
         candidates.add(model.step(p, d))
         candidates.add(model.step(q, d))
-    for arc in t.arcs:
-        if p in arc.endpoints or q in arc.endpoints:
+    for x in (p, q):
+        for arc in t._by_endpoint.get(x, ()):
             candidates.update(arc.endpoints)
     candidates.discard(p)
     candidates.discard(q)
@@ -216,10 +243,22 @@ def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
 
 @dataclass(frozen=True)
 class Relation:
-    """One exchange relation: sum of b_m_star coefficients minus those of b_m."""
+    """One exchange relation: sum of b_m_star coefficients minus those of b_m.
 
-    coefficients: tuple[int, ...]
+    ``terms`` maps arc index to nonzero coefficient; ``size`` is the number of
+    arcs in the basis, the length of the dense ``coefficients`` vector.
+    """
+
+    terms: dict[int, int]
+    size: int
     source: int  # index of the arc whose exchange produced the relation
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        dense = [0] * self.size
+        for i, c in self.terms.items():
+            dense[i] = c
+        return tuple(dense)
 
 
 def palu_relations(t: StandardTilting) -> list[Relation]:
@@ -234,12 +273,12 @@ def palu_relations(t: StandardTilting) -> list[Relation]:
             pair = exchange_pair(t, i)
         except InsufficientDepthError:
             continue
-        coeffs = [0] * len(t.arcs)
-        for arc in pair.b_m_star:
-            coeffs[t.arc_index(arc)] += 1
-        for arc in pair.b_m:
-            coeffs[t.arc_index(arc)] -= 1
-        relations.append(Relation(tuple(coeffs), i))
+        terms: dict[int, int] = {}
+        for sign, side in ((1, pair.b_m_star), (-1, pair.b_m)):
+            for arc in side:
+                j = t.arc_index(arc)
+                terms[j] = terms.get(j, 0) + sign
+        relations.append(Relation({j: c for j, c in terms.items() if c}, len(t.arcs), i))
     return relations
 
 

@@ -100,6 +100,18 @@ def test_verification_error_exits_1(capsys, monkeypatch):
     assert err == "error: free rank 4 != n + frontier excess 3+0"
 
 
+def test_smith_round_cap_exits_1(capsys, monkeypatch):
+    from arck0 import k0, snf
+
+    assert k0.VerificationError is snf.VerificationError
+    # an echelon step that never reaches a diagonal runs into the round cap
+    monkeypatch.setattr(snf, "_echelon_columns", lambda columns: {0: {0: 2, 1: 1}})
+    code, out, err = run(capsys, ["k0", "--n", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: Smith reduction did not converge in 256 rounds"
+
+
 def test_bad_anchor_count(capsys):
     code, _, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
     assert code == 2 and "anchors" in err

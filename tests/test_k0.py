@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arck0 import (
@@ -5,6 +7,7 @@ from arck0 import (
     GroupPresentation,
     MarkedPoint,
     class_same_segment,
+    cokernel_presentation,
     compute_k0_cn,
     euler_oracle,
     ext1_dim,
@@ -54,6 +57,45 @@ def test_compute_k0_cn_nonuniform_anchors():
     for offsets in ([5], [-3, 0], [2, -1, 7, 0]):
         n = len(offsets)
         assert compute_k0_cn(n, offsets, 3).presentation == GroupPresentation(n)
+
+
+def test_frontier_projection_matches_full_quotient():
+    # Z^N modulo (columns + interior unit vectors) is Z^F modulo the columns
+    # projected onto the F remaining coordinates
+    rng = random.Random(4242)
+    torsion = 0
+    for _ in range(400):
+        size = rng.randint(1, 8)
+        columns = []
+        for _ in range(rng.randint(0, 8)):
+            support = rng.sample(range(size), rng.randint(1, min(3, size)))
+            columns.append({i: v for i in support if (v := rng.randint(-4, 4))})
+        interior = set(rng.sample(range(size), rng.randint(0, size)))
+        frontier = [i for i in range(size) if i not in interior]
+        position = {i: k for k, i in enumerate(frontier)}
+        projected = [
+            {position[i]: v for i, v in col.items() if i in position} for col in columns
+        ]
+        full = cokernel_presentation(size, columns + [{i: 1} for i in sorted(interior)])
+        assert cokernel_presentation(len(frontier), projected) == full
+        torsion += bool(full.invariant_factors)
+    assert torsion >= 40
+
+
+@pytest.mark.parametrize(
+    "n,depth,anchors",
+    [
+        (1, 2, None),
+        (2, 5, [3, -1]),
+        (5, 3, [0, 4, -2, 1, 0]),
+        (8, 4, None),
+        (8, 6, [1, -2, 0, 3, -5, 2, 0, 7]),
+    ],
+)
+def test_compute_k0_cn_frontier_excess_zero(n, depth, anchors):
+    report = compute_k0_cn(n, anchors, depth)
+    assert report.frontier_excess == 0
+    assert report.presentation == GroupPresentation(n)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,33 @@ def test_snf_against_reference_oracle():
             assert a >= 0 and b >= 0
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 1, 0], [0, 2, 1], [0, 0, 4]], [[1, 0, 0], [1, 2, 0], [0, 1, 4]]],
+)
+def test_snf_unit_pivots_with_fill_beside_torsion(rows):
+    # the first echelon leaves unit pivots whose columns still carry
+    # off-pivot entries next to a non-diagonal torsion block
+    assert smith_normal_form(rows) == reference_snf(rows) == [1, 1, 8]
+
+
+def test_unit_pivot_relations_take_one_echelon_pass(monkeypatch):
+    from arck0 import build_standard_tilting, palu_relations, snf
+
+    t = build_standard_tilting(6, None, 8)
+    columns = [rel.terms for rel in palu_relations(t)]
+    calls = []
+    echelon = snf._echelon_columns
+
+    def counted(cols):
+        calls.append(1)
+        return echelon(cols)
+
+    monkeypatch.setattr(snf, "_echelon_columns", counted)
+    assert cokernel_presentation(len(t.arcs), columns) == GroupPresentation(6)
+    assert len(calls) == 1
+
+
 def test_group_presentation_validation():
     with pytest.raises(ValueError):
         GroupPresentation(-1)

@@ -1,7 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
 from arck0 import (
     Arc,
+    CircleModel,
     MarkedPoint,
     build_standard_tilting,
     exchange_pair,
@@ -10,7 +14,8 @@ from arck0 import (
     mutate,
     palu_relations,
 )
-from arck0.tilting import InsufficientDepthError
+from arck0.arcs import is_degenerate_pair
+from arck0.tilting import InsufficientDepthError, _assert_non_crossing
 
 
 def P(s, o):
@@ -281,3 +286,45 @@ def test_tilting_json():
     assert data["n"] == 2 and data["depth"] == 1
     assert data["names"]["Z1"] == data["names"]["Z2"]
     assert len(data["arcs"]) == len(t.arcs)
+
+
+def test_non_crossing_check_matches_pairwise_reference():
+    # the bracket check against the pairwise ext1_dim loop, on small random
+    # arc sets: offsets in [-2, 2] make shared endpoints common, half the
+    # sets are grown greedily so that they stay non-crossing
+    rng = random.Random(1729)
+    seen = Counter()
+    for _ in range(6000):
+        n = rng.randint(1, 4)
+        model = CircleModel(n)
+        points = [P(s, o) for s in range(n) for o in range(-2, 3)]
+        greedy = rng.random() < 0.5
+        arcs: list[Arc] = []
+        for _ in range(rng.randint(1, 7)):
+            p, q = rng.sample(points, 2)
+            if is_degenerate_pair(p, q):
+                continue
+            arc = Arc(p, q)
+            if greedy and any(ext1_dim(model, arc, x) for x in arcs):
+                continue
+            arcs.append(arc)
+        crossing = any(
+            ext1_dim(model, x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]
+        )
+        if crossing:
+            with pytest.raises(AssertionError) as info:
+                _assert_non_crossing(model, tuple(arcs))
+            named = {
+                f"crossing arcs in tilting set: {x} x {y}": (x, y) for x in arcs for y in arcs
+            }
+            x, y = named[str(info.value)]
+            assert ext1_dim(model, x, y) == 1
+        else:
+            _assert_non_crossing(model, tuple(arcs))
+        seen["crossing" if crossing else "non-crossing"] += 1
+        if any(x.shares_endpoint(y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]):
+            seen["shared endpoint"] += 1
+        if n > 1 and any(a.a[0] == 0 and a.b[0] == n - 1 for a in arcs):
+            seen["wraps"] += 1
+    for kind in ("crossing", "non-crossing", "shared endpoint", "wraps"):
+        assert seen[kind] >= 1000, (kind, seen)
