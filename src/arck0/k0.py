@@ -5,6 +5,11 @@ the free group on the standard tilting arcs modulo their exchange relations.
 ``euler_oracle`` is a brute-force cross-check: it takes every arc inside a
 finite window as a generator and imposes the Euler relation of every triangle
 induced by a crossing pair, plus the suspension relations [shift A] = -[A].
+It numbers the window points in cyclic order, so the crossing partners of an
+arc are the pairs with one endpoint on each side of it, read off two index
+ranges with no crossing test.  Each triangle column is reduced as soon as it
+is produced: unit columns (+/-x, +/-x +/- y) eliminate a generator at once,
+and only the few other columns are stored for the final lattice reduction.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circle import CircleModel, MarkedPoint, cyclic_key
-from .arcs import Arc, is_degenerate_pair
+from .circle import CircleModel, MarkedPoint
+from .arcs import Arc
 from .snf import (
     GroupPresentation,
     IntMatrix,
@@ -128,44 +133,65 @@ def compute_k0_cn(
 # brute-force Euler oracle
 
 
-class _SignedUnionFind:
-    """Union-find over generators identified up to sign, with a zero sink.
+class _UnitEliminations:
+    """Generators identified up to sign, or with zero, by unit relations.
 
-    Tracks substitutions x = s * y (s = +/-1) and x = 0 arising from unit
-    relation columns; eliminating a generator through such a column leaves
-    the quotient group unchanged.
+    Generators are numbered 1..N, and the signed code +/-g stands for
+    +/-x_g.  ``rep[c]`` is the signed code that c currently stands for, and
+    0 when it was eliminated to zero; the list also holds negative codes
+    (read by Python's negative indexing), so ``rep[-c] == -rep[c]`` and one
+    lookup resolves a signed code.  ``rep[0]`` is 0, the code of a zero
+    object.  Every surviving generator g is its own representative and keeps
+    the list of generators it stands for, so an identification rewrites the
+    smaller of the two lists; eliminating a generator through a unit column
+    leaves the quotient group unchanged.
     """
 
     def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.sign = [1] * size
-        self.zero = [False] * size
+        self.rep = [*range(size + 1), *range(-size, 0)]
+        self.members = {g: [g] for g in range(1, size + 1)}
 
-    def find(self, x: int) -> tuple[int, int]:
-        root, s = x, 1
-        while self.parent[root] != root:
-            s *= self.sign[root]
-            root = self.parent[root]
-        # path compression: repoint the walked chain directly at the root
-        cur, cs = x, s
-        while self.parent[cur] != root:
-            nxt, ns = self.parent[cur], self.sign[cur]
-            self.parent[cur] = root
-            self.sign[cur] = cs
-            cs //= ns  # sign of the remaining path (ns is +/-1)
-            cur = nxt
-        return root, s
+    def absorb(self, column, store: set[tuple[tuple[int, int], ...]]) -> bool:
+        """Reduce one relation column and apply it if it is a unit relation.
 
-    def pin_zero(self, x: int) -> None:
-        root, _ = self.find(x)
-        self.zero[root] = True
-
-    def union(self, a: int, b: int, s: int) -> None:
-        """Record x_a = s * x_b for roots a != b."""
-        self.parent[a] = b
-        self.sign[a] = s
-        if self.zero[a]:
-            self.zero[b] = True
+        ``column`` holds (signed code, coefficient) terms.  After resolving
+        every code, a zero column is dropped, a unit column (+/-x or
+        +/-x +/- y) is applied at once as a Tietze move, and anything else
+        goes into ``store`` over generator numbers with its leading
+        coefficient made positive.  Returns True iff a unit move was applied.
+        """
+        rep = self.rep
+        acc: dict[int, int] = {}
+        for code, coef in column:
+            r = rep[code]
+            if r > 0:
+                acc[r] = acc.get(r, 0) + coef
+            elif r < 0:
+                acc[-r] = acc.get(-r, 0) - coef
+        items = sorted((g, v) for g, v in acc.items() if v)
+        if not items:
+            return False
+        if len(items) == 1 and abs(items[0][1]) == 1:
+            for m in self.members.pop(items[0][0]):
+                rep[m] = rep[-m] = 0
+            return True
+        if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
+            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a
+            (a, va), (b, vb) = items
+            s = -va * vb
+            if len(self.members[a]) > len(self.members[b]):
+                a, b = b, a
+            into = self.members[b]
+            for m in self.members.pop(a):
+                v = s * b if rep[m] > 0 else -s * b
+                rep[m] = v
+                rep[-m] = -v
+                into.append(m)
+            return True
+        if items[0][1] < 0:
+            items = [(g, -v) for g, v in items]
+        store.add(tuple(items))
+        return False
 
 
 @dataclass
@@ -177,7 +203,9 @@ class OracleQuotient:
     survive.  ``relations`` is the Hermite (column-echelon) basis of the
     remaining relation lattice over them, {pivot row: column}.  A class is
     the canonical reduced vector of length ``num_live``: equal classes give
-    equal vectors.
+    equal vectors.  Which generators survive depends on the order in which
+    unit relations are eliminated, so the coordinates are canonical within
+    one oracle only.
     """
 
     model: CircleModel
@@ -186,44 +214,41 @@ class OracleQuotient:
     presentation: GroupPresentation
     num_live: int
     relations: dict[int, dict[int, int]]
-    _chain: dict[tuple[MarkedPoint, MarkedPoint], tuple[int, int]]
-    _chain_to_live: list[tuple[int, int] | None]
+    # signed chain code of the arc between window points i and j at
+    # i * P + j (P window points; 0 for a zero object), and the signed live
+    # generator code (index + 1; 0 for zero) of every signed chain code
+    _chain: list[int]
+    _live: list[int]
 
     @property
     def zero_class(self) -> tuple[int, ...]:
         return (0,) * self.num_live
 
+    def _live_code(self, arc: Arc) -> int:
+        w = self.window
+        width = 2 * w + 1
+        n = self.model.num_segments
+        (s0, o0), (s1, o1) = arc.a, arc.b
+        if not (0 <= s0 < n and 0 <= s1 < n and -w <= o0 <= w and -w <= o1 <= w):
+            raise InsufficientWindowError(f"arc {arc} outside window {w}")
+        return self._live[self._chain[(s0 * width + o0 + w) * n * width + s1 * width + o1 + w]]
+
     def _reduce_live_vector(self, vec: dict[int, int]) -> tuple[int, ...]:
         reduced = _hermite_reduce(self.relations, vec)
         return tuple(reduced.get(i, 0) for i in range(self.num_live))
 
-    def _reduce_chain_vector(self, vec: dict[int, int]) -> tuple[int, ...]:
-        live: dict[int, int] = {}
-        for cid, coef in vec.items():
-            target = self._chain_to_live[cid]
-            if target is None:
-                continue
-            idx, sign = target
-            live[idx] = live.get(idx, 0) + sign * coef
-        return self._reduce_live_vector(live)
-
     def class_of(self, arc: Arc) -> tuple[int, ...]:
-        key = (arc.a, arc.b)
-        if key not in self._chain:
-            raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
-        cid, sign = self._chain[key]
-        return self._reduce_chain_vector({cid: sign})
+        return self.reduce({arc: 1})
 
     def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
         """Class of an integer combination of window arcs."""
         vec: dict[int, int] = {}
         for arc, coef in combination.items():
-            key = (arc.a, arc.b)
-            if key not in self._chain:
-                raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
-            cid, sign = self._chain[key]
-            vec[cid] = vec.get(cid, 0) + sign * coef
-        return self._reduce_chain_vector(vec)
+            code = self._live_code(arc)
+            if code:
+                idx = abs(code) - 1
+                vec[idx] = vec.get(idx, 0) + (coef if code > 0 else -coef)
+        return self._reduce_live_vector(vec)
 
     def negate(self, cls: tuple[int, ...]) -> tuple[int, ...]:
         return self._reduce_live_vector({i: -v for i, v in enumerate(cls)})
@@ -242,130 +267,109 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     The suspension relations are absorbed by working on suspension chains;
     crossing pairs are enumerated up to simultaneous suspension, which spans
     the same relation lattice because shifting a pair negates its columns.
+
+    Number the P window points 0..P-1 in anticlockwise order, cut at
+    (0, -window); every arc is then an index pair i < j.  Two arcs with four
+    distinct endpoints cross iff exactly one endpoint of the second lies
+    strictly between i and j, so the partners of (i, j) are the pairs with
+    k in i+1..j-1 and l in j+1..P-1 or 0..i-1.  Such a pair is never
+    degenerate (k and l are at least two points apart on the line), so the
+    crossing partners come from index ranges with no test.
+
+    Each triangle column is reduced as soon as it is produced: a zero
+    column is dropped and a unit column applied at once, so only the few
+    non-unit columns are ever stored.  A column met before in the same
+    reduced form is skipped, since its relation is already accounted for.
     """
     if window < 2:
         raise ValueError(f"euler_oracle needs window >= 2, got {window}")
     model = CircleModel(n)
     points = list(model.points_in_window(window))
-
-    raw: list[tuple[MarkedPoint, MarkedPoint]] = []
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            if not is_degenerate_pair(p, q):
-                raw.append((p, q))
+    size = len(points)
 
     # suspension chains: slide each arc anticlockwise until it touches the
     # window's upper edge; the slid copy is the chain representative and the
-    # parity of the slide is the sign of the arc against it
-    chain_ids: dict[tuple[MarkedPoint, MarkedPoint], int] = {}
-    chain: dict[tuple[MarkedPoint, MarkedPoint], tuple[int, int]] = {}
-    for pair in raw:
-        (s0, o0), (s1, o1) = pair
-        k = window - max(o0, o1)
-        rep = (MarkedPoint(s0, o0 + k), MarkedPoint(s1, o1 + k))
-        cid = chain_ids.setdefault(rep, len(chain_ids))
-        chain[pair] = (cid, -1 if k % 2 else 1)
+    # parity of the slide is the sign of the arc against it.  Sliding keeps
+    # both endpoints in their segments, so it adds the slide to both indices.
+    chain = [0] * (size * size)
+    chain_ids: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for i, (s0, o0) in enumerate(points):
+        for j in range(i + 1, size):
+            s1, o1 = points[j]
+            if s0 == s1 and o1 - o0 <= 1:
+                continue  # equal or adjacent points: a zero object
+            k = window - max(o0, o1)
+            cid = chain_ids.setdefault((i + k) * size + j + k, len(chain_ids) + 1)
+            chain[i * size + j] = chain[j * size + i] = -cid if k % 2 else cid
+            pairs.append((i, j))
 
+    elim = _UnitEliminations(len(chain_ids))
+    rep, absorb = elim.rep, elim.absorb
     columns: set[tuple[tuple[int, int], ...]] = set()
-
-    def add_triangle(first, third, mids) -> None:
-        vec: dict[int, int] = {}
-        for key in (first, third):
-            cid, sign = chain[key]
-            vec[cid] = vec.get(cid, 0) + sign
-        for x, y in mids:
-            if x[0] == y[0] and abs(x[1] - y[1]) == 1:
-                continue  # boundary side, a zero object
-            key = (x, y) if x < y else (y, x)
-            cid, sign = chain[key]
-            vec[cid] = vec.get(cid, 0) - sign
-        items = sorted((c, v) for c, v in vec.items() if v)
-        if not items:
-            return
-        if items[0][1] < 0:
-            items = [(c, -v) for c, v in items]
-        columns.add(tuple(items))
-
-    top = [pair for pair in raw if max(pair[0][1], pair[1][1]) == window]
-    top_set = set(top)
-    for a_pair in top:
-        a0, a1 = a_pair
-        end = cyclic_key(a0, a1, n)
-        for b_pair in raw:
-            if b_pair in top_set and b_pair <= a_pair:
-                continue
-            b0, b1 = b_pair
-            if b0 == a0 or b0 == a1 or b1 == a0 or b1 == a1:
-                continue
-            in0 = cyclic_key(a0, b0, n) < end
-            in1 = cyclic_key(a0, b1, n) < end
-            if in0 == in1:
-                continue
-            v1, v3 = (b0, b1) if in0 else (b1, b0)
-            add_triangle(a_pair, b_pair, ((v1, a1), (v3, a0)))
-            add_triangle(b_pair, a_pair, ((a0, v1), (a1, v3)))
-
-    # Most columns are unit identifications x = +/-y or x = 0; eliminating
-    # those generators first (a Tietze move, so the group is unchanged) keeps
-    # the remaining lattice reduction tiny.
-    num_chains = len(chain_ids)
-    uf = _SignedUnionFind(num_chains)
-    work: set[tuple[tuple[int, int], ...]] = columns
-    while True:
-        changed = False
-        remaining: set[tuple[tuple[int, int], ...]] = set()
-        for col in work:
-            acc: dict[int, int] = {}
-            for cid, coef in col:
-                root, sign = uf.find(cid)
-                if uf.zero[root]:
+    seen: set[tuple[int, int, int, int]] = set()
+    top = [o == window for _, o in points]
+    for i, j in pairs:
+        if not (top[i] or top[j]):
+            continue
+        # every pair with a top endpoint, each crossing partner once: a
+        # partner (l, k) with l < i that is itself top was met as the top
+        # arc (l, k) already
+        a = chain[i * size + j]
+        for k in range(i + 1, j):
+            row_k = k * size
+            kj = chain[row_k + j]
+            ik = chain[i * size + k]
+            outside = range(j + 1, size) if top[k] else (*range(j + 1, size), *range(i))
+            for l in outside:
+                if l < i and top[l]:
                     continue
-                acc[root] = acc.get(root, 0) + sign * coef
-            items = sorted((c, v) for c, v in acc.items() if v)
-            if not items:
-                continue
-            if len(items) == 1 and abs(items[0][1]) == 1:
-                uf.pin_zero(items[0][0])
-                changed = True
-                continue
-            if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
-                (a, va), (b, vb) = items
-                uf.union(a, b, -va * vb)  # va*x_a + vb*x_b = 0
-                changed = True
-                continue
-            if items[0][1] < 0:
-                items = [(c, -v) for c, v in items]
-            remaining.add(tuple(items))
-        work = remaining
+                b = chain[row_k + l]
+                # triangle a -> (+)({k,j}, {l,i}) -> b: [a] + [b] - [kj] - [li]
+                key = (rep[a], rep[b], rep[kj], rep[chain[l * size + i]])
+                if key not in seen:
+                    seen.add(key)
+                    x, y, u, v = key
+                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns)
+                # triangle b -> (+)({i,k}, {j,l}) -> a: [a] + [b] - [ik] - [jl]
+                key = (rep[a], rep[b], rep[ik], rep[chain[j * size + l]])
+                if key not in seen:
+                    seen.add(key)
+                    x, y, u, v = key
+                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns)
+
+    # columns stored early were reduced against fewer unit moves: repeat
+    # until no column is a unit relation any more
+    while True:
+        work: set[tuple[tuple[int, int], ...]] = set()
+        changed = False
+        for col in columns:
+            changed |= absorb(col, work)
+        columns = work
         if not changed:
             break
 
-    live: list[int] = sorted(
-        r for r in range(num_chains) if uf.parent[r] == r and not uf.zero[r]
-    )
-    live_index = {r: i for i, r in enumerate(live)}
+    live_index = {g: i for i, g in enumerate(sorted(elim.members))}
     reduced_columns = [
-        {live_index[c]: v for c, v in col} for col in sorted(work)
+        {live_index[g]: v for g, v in col} for col in sorted(columns)
     ]
     relations = _echelon_columns(reduced_columns)
-    presentation = cokernel_presentation(len(live), list(relations.values()))
-    chain_to_live: list[tuple[int, int] | None] = []
-    for cid in range(num_chains):
-        root, sign = uf.find(cid)
-        if uf.zero[root]:
-            chain_to_live.append(None)
-        else:
-            chain_to_live.append((live_index[root], sign))
-    arcs = tuple(Arc(p, q) for p, q in raw)
+    presentation = cokernel_presentation(len(live_index), list(relations.values()))
+    live = [0] * len(rep)
+    for code, r in enumerate(rep):
+        if r:
+            idx = live_index[abs(r)] + 1
+            live[code] = idx if r > 0 else -idx
+    arcs = tuple(Arc(points[i], points[j]) for i, j in pairs)
     return OracleQuotient(
         model=model,
         window=window,
         arcs=arcs,
         presentation=presentation,
-        num_live=len(live),
+        num_live=len(live_index),
         relations=relations,
         _chain=chain,
-        _chain_to_live=chain_to_live,
+        _live=live,
     )
 
 

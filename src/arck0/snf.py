@@ -11,6 +11,7 @@ representative of its coset modulo the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 
@@ -126,20 +127,30 @@ def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int
                 pivots[r] = col
                 col = pivot
     # normalization pass, deepest pivot first: flip signs and take every
-    # entry below a pivot row modulo that pivot
-    order = sorted(pivots)
-    for idx in range(len(order) - 1, -1, -1):
-        r = order[idx]
+    # entry below a pivot row modulo that pivot.  Only the column's own
+    # entries at deeper pivot rows are visited, in increasing row order; a
+    # subtraction fills in rows deeper than the one it clears, so the heap
+    # still hands them out in order.
+    for r in sorted(pivots, reverse=True):
         col = pivots[r]
         if col[r] < 0:
             pivots[r] = col = {k: -v for k, v in col.items()}
-        for rr in order[idx + 1 :]:
+        rows = [rr for rr in col if rr > r and rr in pivots]
+        heapify(rows)
+        queued = set(rows)
+        while rows:
+            rr = heappop(rows)
             v = col.get(rr)
-            if v:
-                pivot = pivots[rr]
-                q = v // pivot[rr]
-                if q:
-                    _subtract(col, q, pivot)
+            if not v:
+                continue
+            pivot = pivots[rr]
+            q = v // pivot[rr]
+            if q:
+                _subtract(col, q, pivot)
+                for x in pivot:
+                    if x not in queued and x > rr and x in pivots:
+                        queued.add(x)
+                        heappush(rows, x)
     return pivots
 
 

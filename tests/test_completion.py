@@ -136,6 +136,12 @@ def test_verify_f_oracle_n2():
     assert report.expected == report.oracle == GroupPresentation(2, (2,))
 
 
+def test_verify_f_oracle_n3():
+    report = verify_f_oracle(3, 4)
+    assert report.match
+    assert report.expected == report.oracle == GroupPresentation(3, (2, 2))
+
+
 def test_verify_generators_nonzero_in_oracle():
     from arck0 import euler_oracle
 

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from arck0 import (
     Arc,
+    CircleModel,
     GroupPresentation,
     MarkedPoint,
     class_same_segment,
@@ -12,6 +14,7 @@ from arck0 import (
     euler_oracle,
     ext1_dim,
     induced_triangles,
+    maybe_arc,
     parity_class,
     standard_basis_arcs,
     suspend,
@@ -172,6 +175,39 @@ def test_oracle_classes_satisfy_euler_relations(oracle_c2_w6):
     assert checked > 50
 
 
+@pytest.mark.parametrize("n,window", [(1, 5), (2, 3), (3, 3)])
+def test_oracle_matches_reference_lattice(n, window):
+    # the oracle's group is Z^arcs modulo every relation it stands for: both
+    # triangles of every crossing pair (found by the pairwise ext1_dim loop)
+    # and [shift A] + [A] wherever the shift stays in the window.  Every
+    # relation reduces to zero, so the reference group maps onto the
+    # oracle's (whose generators are window-arc classes); both are finitely
+    # generated with equal presentations, and a finitely generated abelian
+    # group is Hopfian, so the map is an isomorphism
+    model = CircleModel(n)
+    points = [P(s, o) for s in range(n) for o in range(-window, window + 1)]
+    arcs = [arc for p, q in combinations(points, 2) if (arc := maybe_arc(p, q))]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    relations = []
+    for x, y in combinations(arcs, 2):
+        if ext1_dim(model, x, y) != 1:
+            continue
+        for tri in induced_triangles(model, x, y):
+            rel = {tri.first: 1, tri.third: 1}
+            for mid in tri.middle:
+                rel[mid] = rel.get(mid, 0) - 1
+            relations.append(rel)
+    for arc in arcs:
+        if min(arc.a[1], arc.b[1]) > -window:
+            relations.append({suspend(arc, 1): 1, arc: 1})
+    oracle = euler_oracle(n, window)
+    assert set(oracle.arcs) == set(arcs)
+    for rel in relations:
+        assert oracle.reduce(rel) == oracle.zero_class, rel
+    columns = [{index[arc]: c for arc, c in rel.items() if c} for rel in relations]
+    assert cokernel_presentation(len(arcs), columns) == oracle.presentation
+
+
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
     with pytest.raises(InsufficientWindowError):
         oracle_c1_w6.class_of(A((0, 0), (0, 40)))
@@ -238,6 +274,27 @@ def test_class_same_segment_matches_oracle(oracle_c2_w6):
                     continue
                 arc = A((s, lo), (s, lo + gap))
                 cls = class_same_segment(2, arc)
+                combo = {}
+                for basis_arc, c in zip(basis, cls.coefficients):
+                    if c:
+                        combo[basis_arc] = combo.get(basis_arc, 0) + c
+                expected = o.reduce(combo) if combo else o.zero_class
+                assert o.class_of(arc) == expected, arc
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_class_same_segment_matches_oracle_larger_n(n):
+    # the same expansion as for n = 2, on every segment at window 4
+    window = 4
+    o = euler_oracle(n, window)
+    basis = standard_basis_arcs(n)
+    for s in range(n):
+        for lo in range(-window, window - 1):
+            for gap in (2, 3, 4, 5):
+                if lo + gap > window:
+                    continue
+                arc = A((s, lo), (s, lo + gap))
+                cls = class_same_segment(n, arc)
                 combo = {}
                 for basis_arc, c in zip(basis, cls.coefficients):
                     if c:

@@ -219,3 +219,27 @@ def test_hermite_reduce_random_lattices():
         assert (_hermite_reduce(pivots, y) == rx) == member
         same += member
     assert 0 < same < 300
+
+
+def test_echelon_columns_normalized_form_random_sparse():
+    # every pivot is positive and leads its column, every entry of a pivot
+    # column at a deeper pivot row lies in [0, that pivot), and the lattice
+    # is unchanged
+    from arck0.snf import _echelon_columns
+
+    rng = random.Random(8086)
+    for _ in range(400):
+        m = rng.randint(1, 12)
+        columns = []
+        for _ in range(rng.randint(0, 14)):
+            support = rng.sample(range(m), rng.randint(1, min(4, m)))
+            columns.append({i: v for i in support if (v := rng.randint(-6, 6))})
+        pivots = _echelon_columns(columns)
+        for r, col in pivots.items():
+            assert min(col) == r and col[r] > 0
+            for rr, v in col.items():
+                if rr != r and rr in pivots:
+                    assert 0 <= v < pivots[rr][rr], (columns, r, rr)
+        assert cokernel_presentation(m, list(pivots.values())) == cokernel_presentation(
+            m, columns
+        )
