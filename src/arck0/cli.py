@@ -7,6 +7,7 @@ failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -260,9 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parsing leaves it unchanged, and the handlers
+    # it dispatches to look module globals up when they run.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, InsufficientDepthError, InsufficientWindowError) as exc:

@@ -12,6 +12,14 @@ last segment makes lex order on ``(segment, offset)`` the anticlockwise
 order, so every arc (stored with ``a < b``) is an interval ``[a, b]`` and two
 arcs cross exactly when their intervals overlap without nesting.  One sort
 and one stack pass decide a whole arc set.
+
+Exchange relations are read off a point-neighbour index: each endpoint maps
+to the other endpoint of every incident arc, and that to the arc's index.
+The triangles flanking an arc {p, q} have their third vertices among the
+points joined to both p and q, by an arc or by a boundary edge, and the same
+lex order tells the two sides of the arc apart: a third vertex lies on the
+anticlockwise side from p to q exactly when it sits strictly between p and q
+in lex order.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint
-from .arcs import Arc, induced_triangles, is_degenerate_pair
+from .arcs import Arc, maybe_arc
 
 
 class InsufficientDepthError(ValueError):
@@ -52,24 +60,21 @@ class StandardTilting:
     arcs: tuple[Arc, ...]
     names: dict[str, int]
     leapfrogs: tuple[tuple[int, ...], ...]
-    _index: dict[Arc, int] = field(repr=False, default_factory=dict)
-    _by_endpoint: dict[MarkedPoint, list[Arc]] = field(repr=False, default_factory=dict)
+    # endpoint -> {other endpoint of an incident arc: that arc's index}
+    _neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._index:
-            object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.arcs)})
-        if not self._by_endpoint:
-            by_endpoint: dict[MarkedPoint, list[Arc]] = {}
-            for arc in self.arcs:
-                by_endpoint.setdefault(arc.a, []).append(arc)
-                by_endpoint.setdefault(arc.b, []).append(arc)
-            object.__setattr__(self, "_by_endpoint", by_endpoint)
+        neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = {}
+        for i, arc in enumerate(self.arcs):
+            neighbours.setdefault(arc.a, {})[arc.b] = i
+            neighbours.setdefault(arc.b, {})[arc.a] = i
+        object.__setattr__(self, "_neighbours", neighbours)
 
     def arc_index(self, arc: Arc) -> int:
-        return self._index[arc]
+        return self._neighbours[arc.a][arc.b]
 
     def __contains__(self, arc: Arc) -> bool:
-        return arc in self._index
+        return arc.b in self._neighbours.get(arc.a, ())
 
     def name_of(self, index: int) -> str:
         for name, i in self.names.items():
@@ -193,57 +198,72 @@ class ExchangePair:
     b_m_star: tuple[Arc, ...]
 
 
-def _triangle_thirds(t: StandardTilting, m: Arc) -> list[MarkedPoint]:
-    """Vertices r completing a triangle (m.a, m.b, r) inside the arc set.
+def _flank(t: StandardTilting, i: int) -> tuple[MarkedPoint, ...]:
+    """Third vertices of the triangles flanking arc ``i``, read off the neighbour index.
 
-    A side qualifies when it is a tilting arc or a boundary pair of adjacent
-    points.  At most one such vertex exists on either side of m, so the
-    result has length <= 2; fewer than 2 means the truncation cut off a
-    flanking triangle.
+    For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
+    tilting arc or a boundary edge (adjacent points); equal points do not.
+    So the thirds are the neighbours of p, together with p's two adjacent
+    points, that are also such neighbours of q.  Neither p nor q is its own
+    neighbour, so neither can appear.  Endpoints are not re-validated: the
+    non-crossing check validated them when the tilting was built.
+
+    Returns ``(v1, v3)``, with v1 strictly between m.a and m.b in lex order,
+    so that ``(m.a, v1, m.b, v3)`` is the quadrilateral in anticlockwise
+    order.  Fewer than two thirds (the truncation cut off a flanking
+    triangle) are returned as found.  Two thirds on one side of m, where m
+    and the other diagonal do not cross, raise ValueError; more than two
+    raise AssertionError.  Neither happens in a non-crossing set.
     """
-    p, q = m.a, m.b
-    model = t.model
-    candidates: set[MarkedPoint] = set()
-    for d in (-1, 1):
-        candidates.add(model.step(p, d))
-        candidates.add(model.step(q, d))
-    for x in (p, q):
-        for arc in t._by_endpoint.get(x, ()):
-            candidates.update(arc.endpoints)
-    candidates.discard(p)
-    candidates.discard(q)
-
-    def side_present(x: MarkedPoint, y: MarkedPoint) -> bool:
-        if is_degenerate_pair(x, y):
-            return x != y
-        return Arc(x, y) in t
-
-    thirds = sorted(r for r in candidates if side_present(p, r) and side_present(q, r))
+    p, q = t.arcs[i].a, t.arcs[i].b
+    around = t._neighbours
+    near_p = around[p].keys() | {MarkedPoint(p[0], p[1] - 1), MarkedPoint(p[0], p[1] + 1)}
+    near_q = around[q].keys() | {MarkedPoint(q[0], q[1] - 1), MarkedPoint(q[0], q[1] + 1)}
+    thirds = near_p & near_q
+    if len(thirds) < 2:
+        return tuple(thirds)
     if len(thirds) > 2:
-        raise AssertionError(f"more than two triangles flank {m}")
-    return thirds
+        raise AssertionError(f"more than two triangles flank {t.arcs[i]}")
+    r, s = thirds
+    r_inside = p < r < q
+    if r_inside == (p < s < q):
+        raise ValueError(
+            f"arcs do not cross: both triangles flanking {t.arcs[i]} lie on one side"
+        )
+    return (r, s) if r_inside else (s, r)
 
 
 def is_interior(t: StandardTilting, m_index: int) -> bool:
     """Whether both triangles flanking the arc survive the truncation."""
-    return len(_triangle_thirds(t, t.arcs[m_index])) == 2
+    return len(_flank(t, m_index)) == 2
 
 
 def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
     m = t.arcs[m_index]
-    thirds = _triangle_thirds(t, m)
+    thirds = _flank(t, m_index)
     if len(thirds) < 2:
         raise InsufficientDepthError(
             f"insufficient depth: arc {m} has only {len(thirds)} flanking triangle(s)"
         )
-    m_star = Arc(thirds[0], thirds[1])
-    tri_to_star, tri_to_m = induced_triangles(t.model, m, m_star)
-    return ExchangePair(m=m, m_star=m_star, b_m=tri_to_m.middle, b_m_star=tri_to_star.middle)
+    v0, v2 = m.a, m.b
+    v1, v3 = thirds
+    b_m_star = (maybe_arc(v1, v2), maybe_arc(v3, v0))
+    b_m = (maybe_arc(v0, v1), maybe_arc(v2, v3))
+    return ExchangePair(
+        m=m,
+        m_star=Arc(v1, v3),
+        b_m=tuple(a for a in b_m if a is not None),
+        b_m_star=tuple(a for a in b_m_star if a is not None),
+    )
 
 
 @dataclass(frozen=True)
 class Relation:
     """One exchange relation: sum of b_m_star coefficients minus those of b_m.
+
+    With the quadrilateral (v0, v1, v2, v3) of the exchange, the ``+`` side
+    is b_m_star = {v1, v2}, {v3, v0} and the ``-`` side is b_m = {v0, v1},
+    {v2, v3}; boundary edges are zero and drop out.
 
     ``terms`` maps arc index to nonzero coefficient; ``size`` is the number of
     arcs in the basis, the length of the dense ``coefficients`` vector.
@@ -264,21 +284,32 @@ class Relation:
 def palu_relations(t: StandardTilting) -> list[Relation]:
     """Exchange relations of every interior arc, as vectors over the arc basis.
 
-    Frontier arcs contribute nothing.  Each vector has support inside the two
-    flanking triangles, so the sum of absolute coefficients is at most 4.
+    Frontier arcs contribute nothing.  For an interior arc (v0, v2) with
+    thirds (v1, v3) from ``_flank``, the relation is +{v1,v2} +{v3,v0}
+    -{v0,v1} -{v2,v3}.  Each side has v0 or v2 as an endpoint, so its index
+    is one neighbour-index lookup, and a side missing from the index is a
+    boundary edge and drops out.  The four sides are distinct arcs, so every
+    coefficient is +1 or -1 and at most four are nonzero.
     """
+    around = t._neighbours
+    size = len(t.arcs)
     relations = []
-    for i in range(len(t.arcs)):
-        try:
-            pair = exchange_pair(t, i)
-        except InsufficientDepthError:
+    for i, m in enumerate(t.arcs):
+        thirds = _flank(t, i)
+        if len(thirds) < 2:
             continue
+        v1, v3 = thirds
+        at_v0, at_v2 = around[m.a], around[m.b]
         terms: dict[int, int] = {}
-        for sign, side in ((1, pair.b_m_star), (-1, pair.b_m)):
-            for arc in side:
-                j = t.arc_index(arc)
-                terms[j] = terms.get(j, 0) + sign
-        relations.append(Relation({j: c for j, c in terms.items() if c}, len(t.arcs), i))
+        for sign, j in (
+            (1, at_v2.get(v1)),
+            (1, at_v0.get(v3)),
+            (-1, at_v0.get(v1)),
+            (-1, at_v2.get(v3)),
+        ):
+            if j is not None:
+                terms[j] = sign
+        relations.append(Relation(terms, size, i))
     return relations
 
 

@@ -135,3 +135,33 @@ def test_render_cli(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("<?xml")
     assert text.count('class="accumulation"') == 4
+
+
+def test_main_reuses_parser_across_calls(capsys):
+    from arck0 import cli
+
+    calls = [
+        ["k0", "--n", "3", "--depth", "3"],
+        ["verify", "--n", "1", "--window", "4"],
+        ["k0", "--n", "0"],
+        ["k0", "--n", "x"],
+        ["k0", "--n", "3", "--depth", "3"],
+    ]
+
+    def call(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    separate = []
+    for args in calls:
+        cli._parser.cache_clear()
+        separate.append(call(args))
+    cli._parser.cache_clear()
+    together = [call(args) for args in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 0, 2, 2, 0]

@@ -7,6 +7,7 @@ from arck0 import (
     Arc,
     CircleModel,
     MarkedPoint,
+    StandardTilting,
     build_standard_tilting,
     exchange_pair,
     ext1_dim,
@@ -14,7 +15,7 @@ from arck0 import (
     mutate,
     palu_relations,
 )
-from arck0.arcs import is_degenerate_pair
+from arck0.arcs import induced_triangles, is_degenerate_pair
 from arck0.tilting import InsufficientDepthError, _assert_non_crossing
 
 
@@ -328,3 +329,86 @@ def test_non_crossing_check_matches_pairwise_reference():
             seen["wraps"] += 1
     for kind in ("crossing", "non-crossing", "shared endpoint", "wraps"):
         assert seen[kind] >= 1000, (kind, seen)
+
+
+def scan_thirds(t):
+    """Third vertices of the triangles flanking each arc, by a neighbour scan of the arc set."""
+    present = {frozenset(a.endpoints) for a in t.arcs}
+    joined = {}
+    for a in t.arcs:
+        joined.setdefault(a.a, set()).add(a.b)
+        joined.setdefault(a.b, set()).add(a.a)
+
+    def side(x, y):
+        return x != y and (is_degenerate_pair(x, y) or frozenset((x, y)) in present)
+
+    result = []
+    for m in t.arcs:
+        candidates = joined[m.a] | joined[m.b]
+        candidates |= {P(x[0], x[1] + d) for x in m.endpoints for d in (-1, 1)}
+        result.append(
+            sorted(r for r in candidates if r not in m.endpoints and side(m.a, r) and side(m.b, r))
+        )
+    return result
+
+
+def test_palu_relations_match_induced_triangles():
+    # palu_relations against the exchange triangles derived arc by arc: thirds
+    # from a scan, the quadrilateral and its sides from induced_triangles, on
+    # standard tiltings and on the tiltings along random mutation chains
+    rng = random.Random(4099)
+    sizes = Counter()
+    for n in range(1, 9):
+        for depth in range(1, 9):
+            t = build_standard_tilting(n, [rng.randint(-8, 8) for _ in range(n)], depth)
+            for step in range(5):
+                index = {a: i for i, a in enumerate(t.arcs)}
+                expected = {}
+                for i, (m, thirds) in enumerate(zip(t.arcs, scan_thirds(t))):
+                    assert len(thirds) <= 2
+                    if len(thirds) < 2:
+                        continue
+                    to_star, to_m = induced_triangles(t.model, m, Arc(*thirds))
+                    terms = {index[a]: 1 for a in to_star.middle}
+                    terms.update({index[a]: -1 for a in to_m.middle})
+                    expected[i] = terms
+                relations = palu_relations(t)
+                assert [r.source for r in relations] == sorted(expected)
+                assert {r.source: r.terms for r in relations} == expected
+                assert all(r.size == len(t.arcs) for r in relations)
+                sizes.update(len(r.terms) for r in relations)
+                sizes["frontier"] += len(t.arcs) - len(relations)
+                if step < 4:
+                    t = mutate(t, rng.choice(sorted(expected)))
+    for kind in (1, 2, 3, 4, "frontier"):
+        assert sizes[kind] >= 20, sizes
+
+
+def unchecked_tilting(pairs):
+    # a StandardTilting built directly, skipping the non-crossing check
+    arcs = tuple(A(p, q) for p, q in pairs)
+    return StandardTilting(CircleModel(1), (P(0, 0),), 1, arcs, {}, ())
+
+
+def test_flank_checks_on_crossing_sets():
+    # both thirds of the first arc lie on one side of it, so it and the other
+    # diagonal do not cross: there is no exchange, and no relation is returned
+    for pairs in (
+        [((0, 0), (0, 3)), ((0, 1), (0, 3)), ((0, 0), (0, 2))],
+        [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3))],
+    ):
+        t = unchecked_tilting(pairs)
+        with pytest.raises(AssertionError):
+            _assert_non_crossing(t.model, t.arcs)
+        with pytest.raises(ValueError, match="do not cross"):
+            palu_relations(t)
+        with pytest.raises(ValueError, match="do not cross"):
+            exchange_pair(t, 0)
+    # (0,1), (0,2) and (0,3) each complete a triangle on (0,0)-(0,4)
+    t = unchecked_tilting(
+        [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3)), ((0, 0), (0, 2)), ((0, 2), (0, 4))]
+    )
+    with pytest.raises(AssertionError, match="more than two triangles flank"):
+        palu_relations(t)
+    with pytest.raises(AssertionError, match="more than two triangles flank"):
+        exchange_pair(t, 0)
