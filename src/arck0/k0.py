@@ -7,9 +7,9 @@ finite window as a generator and imposes the Euler relation of every triangle
 induced by a crossing pair, plus the suspension relations [shift A] = -[A].
 It numbers the window points in cyclic order, so the crossing partners of an
 arc are the pairs with one endpoint on each side of it, read off two index
-ranges with no crossing test.  Each triangle column is reduced as soon as it
-is produced: unit columns (+/-x, +/-x +/- y) eliminate a generator at once,
-and only the few other columns are stored for the final lattice reduction.
+ranges with no crossing test.  Each triangle column goes through
+``snf._UnitEliminations`` as soon as it is produced: unit columns (+/-x,
++/-x +/- y) eliminate a generator at once, and only the few others are stored.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
 from .snf import (
     GroupPresentation,
-    IntMatrix,
     VerificationError,
     _echelon_columns,
     _hermite_reduce,
+    _UnitEliminations,
     cokernel_presentation,
 )
-from .tilting import InsufficientDepthError, StandardTilting, build_standard_tilting, palu_relations
+from .tilting import InsufficientDepthError, build_standard_tilting, palu_relations
 
 
 class InsufficientWindowError(ValueError):
@@ -71,15 +71,6 @@ class K0Report:
             "frontier": list(self.frontier),
             "frontier_excess": self.frontier_excess,
         }
-
-
-def relation_matrix(tilting: StandardTilting) -> IntMatrix:
-    """Exchange relations as matrix columns over the tilting arc basis.
-
-    JSON-exportable (``.to_json()``) for cross-checking with an external CAS.
-    """
-    relations = palu_relations(tilting)
-    return IntMatrix.from_columns(len(tilting.arcs), [r.coefficients for r in relations])
 
 
 def compute_k0_cn(
@@ -131,67 +122,6 @@ def compute_k0_cn(
 
 # ---------------------------------------------------------------------------
 # brute-force Euler oracle
-
-
-class _UnitEliminations:
-    """Generators identified up to sign, or with zero, by unit relations.
-
-    Generators are numbered 1..N, and the signed code +/-g stands for
-    +/-x_g.  ``rep[c]`` is the signed code that c currently stands for, and
-    0 when it was eliminated to zero; the list also holds negative codes
-    (read by Python's negative indexing), so ``rep[-c] == -rep[c]`` and one
-    lookup resolves a signed code.  ``rep[0]`` is 0, the code of a zero
-    object.  Every surviving generator g is its own representative and keeps
-    the list of generators it stands for, so an identification rewrites the
-    smaller of the two lists; eliminating a generator through a unit column
-    leaves the quotient group unchanged.
-    """
-
-    def __init__(self, size: int):
-        self.rep = [*range(size + 1), *range(-size, 0)]
-        self.members = {g: [g] for g in range(1, size + 1)}
-
-    def absorb(self, column, store: set[tuple[tuple[int, int], ...]]) -> bool:
-        """Reduce one relation column and apply it if it is a unit relation.
-
-        ``column`` holds (signed code, coefficient) terms.  After resolving
-        every code, a zero column is dropped, a unit column (+/-x or
-        +/-x +/- y) is applied at once as a Tietze move, and anything else
-        goes into ``store`` over generator numbers with its leading
-        coefficient made positive.  Returns True iff a unit move was applied.
-        """
-        rep = self.rep
-        acc: dict[int, int] = {}
-        for code, coef in column:
-            r = rep[code]
-            if r > 0:
-                acc[r] = acc.get(r, 0) + coef
-            elif r < 0:
-                acc[-r] = acc.get(-r, 0) - coef
-        items = sorted((g, v) for g, v in acc.items() if v)
-        if not items:
-            return False
-        if len(items) == 1 and abs(items[0][1]) == 1:
-            for m in self.members.pop(items[0][0]):
-                rep[m] = rep[-m] = 0
-            return True
-        if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
-            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a
-            (a, va), (b, vb) = items
-            s = -va * vb
-            if len(self.members[a]) > len(self.members[b]):
-                a, b = b, a
-            into = self.members[b]
-            for m in self.members.pop(a):
-                v = s * b if rep[m] > 0 else -s * b
-                rep[m] = v
-                rep[-m] = -v
-                into.append(m)
-            return True
-        if items[0][1] < 0:
-            items = [(g, -v) for g, v in items]
-        store.add(tuple(items))
-        return False
 
 
 @dataclass
@@ -276,10 +206,10 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     degenerate (k and l are at least two points apart on the line), so the
     crossing partners come from index ranges with no test.
 
-    Each triangle column is reduced as soon as it is produced: a zero
-    column is dropped and a unit column applied at once, so only the few
-    non-unit columns are ever stored.  A column met before in the same
-    reduced form is skipped, since its relation is already accounted for.
+    Each triangle column goes through ``snf._UnitEliminations.absorb`` as
+    soon as it is produced, so only the few non-unit columns are stored.  A
+    column met before in the same reduced form is skipped, since its
+    relation is already accounted for.
     """
     if window < 2:
         raise ValueError(f"euler_oracle needs window >= 2, got {window}")
@@ -338,27 +268,13 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                     x, y, u, v = key
                     absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns)
 
-    # columns stored early were reduced against fewer unit moves: repeat
-    # until no column is a unit relation any more
-    while True:
-        work: set[tuple[tuple[int, int], ...]] = set()
-        changed = False
-        for col in columns:
-            changed |= absorb(col, work)
-        columns = work
-        if not changed:
-            break
-
-    live_index = {g: i for i, g in enumerate(sorted(elim.members))}
-    reduced_columns = [
-        {live_index[g]: v for g, v in col} for col in sorted(columns)
-    ]
-    relations = _echelon_columns(reduced_columns)
-    presentation = cokernel_presentation(len(live_index), list(relations.values()))
+    position, core = elim.residual(columns)
+    relations = _echelon_columns(core)
+    presentation = cokernel_presentation(len(position), list(relations.values()))
     live = [0] * len(rep)
     for code, r in enumerate(rep):
         if r:
-            idx = live_index[abs(r)] + 1
+            idx = position[abs(r)] + 1
             live[code] = idx if r > 0 else -idx
     arcs = tuple(Arc(points[i], points[j]) for i, j in pairs)
     return OracleQuotient(
@@ -366,7 +282,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
         window=window,
         arcs=arcs,
         presentation=presentation,
-        num_live=len(live_index),
+        num_live=len(position),
         relations=relations,
         _chain=chain,
         _live=live,

@@ -1,17 +1,19 @@
 """Exact integer linear algebra: Smith normal form, Hermite reduction and cokernels.
 
 Everything runs over Python's arbitrary-precision integers; there are no
-modular shortcuts and no floating point anywhere.  One sparse kernel does all
-the work: a normalized column-echelon (Hermite) reduction, which keeps
-coefficient growth tame.  Alternating it with transposition reaches the Smith
-diagonal; reducing a vector against one echelon basis gives the canonical
-representative of its coset modulo the lattice.
+modular shortcuts and no floating point anywhere.  Every Smith computation
+starts with unit elimination (``_UnitEliminations``): a relation +/-x or
++/-x +/- y removes one generator as a Tietze move and counts as one Smith
+value 1.  Only the residual core reaches the sparse kernel, a normalized
+column-echelon (Hermite) reduction, which keeps coefficient growth tame.
+Alternating it with transposition reaches the Smith diagonal; reducing a
+vector against one echelon basis gives the canonical representative of its
+coset modulo the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 
@@ -127,30 +129,20 @@ def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int
                 pivots[r] = col
                 col = pivot
     # normalization pass, deepest pivot first: flip signs and take every
-    # entry below a pivot row modulo that pivot.  Only the column's own
-    # entries at deeper pivot rows are visited, in increasing row order; a
-    # subtraction fills in rows deeper than the one it clears, so the heap
-    # still hands them out in order.
-    for r in sorted(pivots, reverse=True):
+    # entry below a pivot row modulo that pivot
+    order = sorted(pivots)
+    for idx in range(len(order) - 1, -1, -1):
+        r = order[idx]
         col = pivots[r]
         if col[r] < 0:
             pivots[r] = col = {k: -v for k, v in col.items()}
-        rows = [rr for rr in col if rr > r and rr in pivots]
-        heapify(rows)
-        queued = set(rows)
-        while rows:
-            rr = heappop(rows)
+        for rr in order[idx + 1 :]:
             v = col.get(rr)
-            if not v:
-                continue
-            pivot = pivots[rr]
-            q = v // pivot[rr]
-            if q:
-                _subtract(col, q, pivot)
-                for x in pivot:
-                    if x not in queued and x > rr and x in pivots:
-                        queued.add(x)
-                        heappush(rows, x)
+            if v:
+                pivot = pivots[rr]
+                q = v // pivot[rr]
+                if q:
+                    _subtract(col, q, pivot)
     return pivots
 
 
@@ -196,20 +188,105 @@ def _divisibility_chain(values: list[int]) -> list[int]:
     return chain
 
 
-def _snf_values_sparse(rows: Iterable[Mapping[int, int]]) -> list[int]:
+class _UnitEliminations:
+    """Generators identified up to sign, or with zero, by unit relations.
+
+    Generators are numbered 1..N, and the signed code +/-g stands for
+    +/-x_g.  ``rep[c]`` is the signed code that c currently stands for, and
+    0 when it was eliminated to zero; the list also holds negative codes
+    (read by Python's negative indexing), so ``rep[-c] == -rep[c]`` and one
+    lookup resolves a signed code.  ``rep[0]`` is 0, the code of a zero
+    object.  Every surviving generator g is its own representative and keeps
+    the list of generators it stands for, so an identification rewrites the
+    smaller of the two lists; eliminating a generator through a unit column
+    leaves the quotient group unchanged.
+    """
+
+    def __init__(self, size: int):
+        self.rep = [*range(size + 1), *range(-size, 0)]
+        self.members = {g: [g] for g in range(1, size + 1)}
+
+    def absorb(self, column, store: set[tuple[tuple[int, int], ...]]) -> bool:
+        """Reduce one relation column and apply it if it is a unit relation.
+
+        ``column`` holds (signed code, coefficient) terms.  After resolving
+        every code, a zero column is dropped, a unit column (+/-x or
+        +/-x +/- y) is applied at once as a Tietze move, and anything else
+        goes into ``store`` over generator numbers with its leading
+        coefficient made positive.  Returns True iff a unit move was applied.
+        """
+        rep = self.rep
+        acc: dict[int, int] = {}
+        for code, coef in column:
+            r = rep[code]
+            if r > 0:
+                acc[r] = acc.get(r, 0) + coef
+            elif r < 0:
+                acc[-r] = acc.get(-r, 0) - coef
+        items = sorted((g, v) for g, v in acc.items() if v)
+        if not items:
+            return False
+        if len(items) == 1 and abs(items[0][1]) == 1:
+            for m in self.members.pop(items[0][0]):
+                rep[m] = rep[-m] = 0
+            return True
+        if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
+            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a
+            (a, va), (b, vb) = items
+            s = -va * vb
+            if len(self.members[a]) > len(self.members[b]):
+                a, b = b, a
+            into = self.members[b]
+            for m in self.members.pop(a):
+                v = s * b if rep[m] > 0 else -s * b
+                rep[m] = v
+                rep[-m] = -v
+                into.append(m)
+            return True
+        if items[0][1] < 0:
+            items = [(g, -v) for g, v in items]
+        store.add(tuple(items))
+        return False
+
+    def residual(self, store: set) -> tuple[dict[int, int], list[dict[int, int]]]:
+        """Re-absorb stored columns until no unit move applies; return the core.
+
+        Columns stored early were reduced against fewer unit moves.  Returns
+        {generator: live position}, numbering the survivors in increasing
+        order, and the remaining columns over those positions, sorted.
+        """
+        while True:
+            work: set = set()
+            changed = False
+            for col in store:
+                changed |= self.absorb(col, work)
+            store = work
+            if not changed:
+                break
+        live = {g: i for i, g in enumerate(sorted(self.members))}
+        return live, [{live[g]: v for g, v in col} for col in sorted(store)]
+
+
+def _snf_values_sparse(rows: Sequence[Mapping[int, int]]) -> list[int]:
     """Nonzero Smith diagonal of the lattice spanned by sparse rows.
 
-    Alternates normalized echelon reduction with transposition until the
-    matrix is diagonal; the normalization bounds entry growth, which plain
-    row/column elimination does not (random 12x12 inputs already blow up
-    to thousands of digits there).  A pivot of 1 is a Smith value 1 at once:
-    normalization has cleared its row in every other column, so row
+    Unit elimination runs first: a unit move deletes one generator and one
+    relation without changing the quotient, so it is one Smith value 1.  The
+    residual core alternates normalized echelon reduction with transposition
+    until the matrix is diagonal; the normalization bounds entry growth,
+    which plain row/column elimination does not (random 12x12 inputs already
+    blow up to thousands of digits there).  A pivot of 1 is a Smith value 1
+    at once: normalization has cleared its row in every other column, so row
     operations clear its column without touching the rest, and it is split
     off before the next round.
     """
-    work = [{int(i): int(v) for i, v in r.items() if v} for r in rows]
-    work = [r for r in work if r]
-    units = 0
+    size = max((max(r) for r in rows if r), default=-1) + 1
+    elim = _UnitEliminations(size)
+    store: set = set()
+    for r in rows:
+        elim.absorb([(i + 1, v) for i, v in r.items()], store)
+    live, work = elim.residual(store)
+    units = size - len(live)
     for _ in range(256):
         pivots = _echelon_columns(work)
         rest = {r: col for r, col in pivots.items() if col[r] != 1}
@@ -230,7 +307,7 @@ def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> list[int]:
     m = len(rows)
     k = len(rows[0]) if m else 0
     values = _snf_values_sparse(
-        {j: v for j, v in enumerate(row) if v} for row in rows
+        [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
     )
     return values + [0] * (min(m, k) - len(values))
 
@@ -250,7 +327,7 @@ def cokernel_presentation(
     for c in columns:
         if isinstance(c, Mapping):
             col = {int(i): int(v) for i, v in c.items() if v}
-            if col and not all(0 <= i < ambient_rank for i in col):
+            if col and (min(col) < 0 or max(col) >= ambient_rank):
                 raise ValueError("column index out of range")
         else:
             if len(c) != ambient_rank:

@@ -62,6 +62,8 @@ class StandardTilting:
     leapfrogs: tuple[tuple[int, ...], ...]
     # endpoint -> {other endpoint of an incident arc: that arc's index}
     _neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = field(init=False, repr=False)
+    # arc index -> its first label in ``names``
+    _label: dict[int, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = {}
@@ -69,6 +71,10 @@ class StandardTilting:
             neighbours.setdefault(arc.a, {})[arc.b] = i
             neighbours.setdefault(arc.b, {})[arc.a] = i
         object.__setattr__(self, "_neighbours", neighbours)
+        label: dict[int, str] = {}
+        for name, i in self.names.items():
+            label.setdefault(i, name)
+        object.__setattr__(self, "_label", label)
 
     def arc_index(self, arc: Arc) -> int:
         return self._neighbours[arc.a][arc.b]
@@ -77,10 +83,7 @@ class StandardTilting:
         return arc.b in self._neighbours.get(arc.a, ())
 
     def name_of(self, index: int) -> str:
-        for name, i in self.names.items():
-            if i == index:
-                return name
-        return f"arc{index}"
+        return self._label.get(index, f"arc{index}")
 
     def to_json(self) -> dict:
         return {

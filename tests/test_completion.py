@@ -136,10 +136,12 @@ def test_verify_f_oracle_n2():
     assert report.expected == report.oracle == GroupPresentation(2, (2,))
 
 
-def test_verify_f_oracle_n3():
-    report = verify_f_oracle(3, 4)
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_f_oracle_window4(n):
+    # n = 4 runs the oracle on the 8-segment host
+    report = verify_f_oracle(n, 4)
     assert report.match
-    assert report.expected == report.oracle == GroupPresentation(3, (2, 2))
+    assert report.expected == report.oracle == GroupPresentation(n, (2,) * (n - 1))
 
 
 def test_verify_generators_nonzero_in_oracle():

@@ -54,6 +54,9 @@ def test_compute_k0_cn_frontier_report():
     assert report.num_relations == 12
     data = report.to_json()
     assert data["presentation"] == {"free_rank": 3, "invariant_factors": []}
+    for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
+        frontier = compute_k0_cn(n, None, depth).frontier
+        assert sorted(frontier) == sorted(f"L{b}[{2 * depth}]" for b in range(1, n + 1))
 
 
 def test_compute_k0_cn_nonuniform_anchors():
@@ -310,15 +313,3 @@ def test_standard_basis_arcs():
     assert x3 == A((0, 0), (2, 0))
     with pytest.raises(ValueError):
         standard_basis_arcs(1)
-
-
-def test_relation_matrix_export():
-    from arck0 import build_standard_tilting, relation_matrix
-
-    t = build_standard_tilting(3, None, 2)
-    mat = relation_matrix(t)
-    assert mat.rows == len(t.arcs) == 15
-    assert mat.cols == 12
-    data = mat.to_json()
-    assert len(data) == 15 and all(len(row) == 12 for row in data)
-    assert all(isinstance(v, int) for row in data for v in row)

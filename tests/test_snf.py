@@ -95,20 +95,85 @@ def test_snf_unit_pivots_with_fill_beside_torsion(rows):
 
 
 def test_unit_pivot_relations_take_one_echelon_pass(monkeypatch):
+    # unit elimination leaves a core of at most 2n columns whatever the depth
     from arck0 import build_standard_tilting, palu_relations, snf
 
-    t = build_standard_tilting(6, None, 8)
-    columns = [rel.terms for rel in palu_relations(t)]
-    calls = []
     echelon = snf._echelon_columns
+    for depth in (8, 32):
+        t = build_standard_tilting(6, None, depth)
+        columns = [rel.terms for rel in palu_relations(t)]
+        calls = []
 
-    def counted(cols):
-        calls.append(1)
-        return echelon(cols)
+        def counted(cols):
+            cols = list(cols)
+            calls.append(len(cols))
+            return echelon(cols)
 
-    monkeypatch.setattr(snf, "_echelon_columns", counted)
-    assert cokernel_presentation(len(t.arcs), columns) == GroupPresentation(6)
-    assert len(calls) == 1
+        monkeypatch.setattr(snf, "_echelon_columns", counted)
+        assert cokernel_presentation(len(t.arcs), columns) == GroupPresentation(6)
+        assert len(calls) == 1
+        assert calls[0] <= 2 * 6, (depth, calls)
+
+
+def _unit_heavy_lattice(rng):
+    """Sparse columns over m generators, mostly +/-x or +/-x +/- y.
+
+    A few general columns carry torsion.  Identifications close cycles, so
+    the sign of each one decides whether a cycle gives Z/2 or nothing.
+    """
+    m = rng.randint(1, 14)
+    columns = []
+    for _ in range(rng.randint(0, 2 * m)):
+        roll = rng.random()
+        if roll < 0.15:
+            columns.append({rng.randrange(m): rng.choice((1, -1))})
+        elif roll < 0.85 and m > 1:
+            a, b = rng.sample(range(m), 2)
+            columns.append({a: rng.choice((1, -1)), b: rng.choice((1, -1))})
+        else:
+            support = rng.sample(range(m), rng.randint(1, min(4, m)))
+            columns.append({i: v for i in support if (v := rng.randint(-4, 4))})
+    return m, columns
+
+
+def _reference_cokernel(m, columns):
+    dense = [[col.get(i, 0) for col in columns] for i in range(m)]
+    values = [d for d in reference_snf(dense) if d]
+    return GroupPresentation(m - len(values), tuple(d for d in values if d > 1))
+
+
+@pytest.mark.parametrize(
+    "m, columns, expected",
+    [
+        # x = y and x = -y: 2x = 0
+        (2, [{0: 1, 1: -1}, {0: 1, 1: 1}], GroupPresentation(0, (2,))),
+        # x = -y twice over is one relation
+        (2, [{0: 1, 1: 1}, {0: -1, 1: -1}], GroupPresentation(1)),
+        # a cycle x0 = x1 = x2 = -x0 with one odd sign
+        (3, [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}], GroupPresentation(0, (2,))),
+        # the same cycle with an even number of odd signs
+        (3, [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 0: -1}], GroupPresentation(1)),
+        # a stored column turns into a unit relation once x2 = 0
+        (3, [{0: 2, 1: 1, 2: 1}, {0: 1, 1: -1, 2: 3}, {2: 1}], GroupPresentation(0, (3,))),
+    ],
+    ids=["opposite-signs", "repeated", "odd-cycle", "even-cycle", "late-unit"],
+)
+def test_unit_heavy_examples(m, columns, expected):
+    assert _reference_cokernel(m, columns) == expected
+    assert cokernel_presentation(m, columns) == expected
+
+
+def test_unit_heavy_sparse_lattices_against_reference():
+    rng = random.Random(271828)
+    torsion = 0
+    for _ in range(400):
+        m, columns = _unit_heavy_lattice(rng)
+        expected = _reference_cokernel(m, columns)
+        assert cokernel_presentation(m, columns) == expected, (m, columns)
+        rows = [[col.get(i, 0) for i in range(m)] for col in columns]
+        assert smith_normal_form(rows) == reference_snf(rows), rows
+        torsion += bool(expected.invariant_factors)
+    assert torsion >= 40
 
 
 def test_group_presentation_validation():

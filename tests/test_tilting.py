@@ -113,6 +113,10 @@ def test_fan_identifications():
     assert t.names["X2"] == t.names["Z1"]
     assert t.names["X5"] == t.names["Z5"]
     assert t.arcs[t.names["X3"]] == A((0, 0), (2, 0))
+    # a shared index is named by its first label
+    assert t.name_of(t.names["X2"]) == "Z1"
+    assert t.name_of(t.names["X5"]) == "Z5"
+    assert t.name_of(len(t.arcs)) == f"arc{len(t.arcs)}"
 
 
 def test_leapfrog_endpoints_monotone():
