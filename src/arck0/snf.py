@@ -14,7 +14,7 @@ coset modulo the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class VerificationError(RuntimeError):
@@ -223,7 +223,7 @@ class _UnitEliminations:
                 acc[r] = acc.get(r, 0) + coef
             elif r < 0:
                 acc[-r] = acc.get(-r, 0) - coef
-        items = sorted((g, v) for g, v in acc.items() if v)
+        items = [(g, v) for g, v in acc.items() if v]
         if not items:
             return False
         if len(items) == 1 and abs(items[0][1]) == 1:
@@ -231,9 +231,12 @@ class _UnitEliminations:
                 rep[m] = rep[-m] = 0
             return True
         if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
-            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a
+            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a; on a
+            # tie in size the larger generator survives
             (a, va), (b, vb) = items
             s = -va * vb
+            if a > b:
+                a, b = b, a
             if len(self.members[a]) > len(self.members[b]):
                 a, b = b, a
             into = self.members[b]
@@ -243,6 +246,7 @@ class _UnitEliminations:
                 rep[-m] = -v
                 into.append(m)
             return True
+        items.sort()
         if items[0][1] < 0:
             items = [(g, -v) for g, v in items]
         store.add(tuple(items))

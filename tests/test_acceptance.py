@@ -120,9 +120,9 @@ def test_criterion_4_parity():
 
 
 def test_criterion_5_formula_vs_oracle():
-    reports = [verify_f_oracle(n, 6) for n in (1, 2)]
+    reports = [verify_f_oracle(n, 6) for n in (1, 2)] + [verify_f_oracle(n, 4) for n in (5, 6)]
     ok = all(r.match for r in reports)
-    detail = "; ".join(f"n={r.n}: {r.oracle}" for r in reports)
+    detail = "; ".join(f"n={r.n} window {r.window}: {r.oracle}" for r in reports)
     report("5 (generator formula vs oracle)", ok, detail)
 
 

@@ -8,6 +8,7 @@ from arck0 import (
     CircleModel,
     GroupPresentation,
     MarkedPoint,
+    build_standard_tilting,
     class_same_segment,
     cokernel_presentation,
     compute_k0_cn,
@@ -15,6 +16,7 @@ from arck0 import (
     ext1_dim,
     induced_triangles,
     maybe_arc,
+    palu_relations,
     parity_class,
     standard_basis_arcs,
     suspend,
@@ -209,6 +211,48 @@ def test_oracle_matches_reference_lattice(n, window):
         assert oracle.reduce(rel) == oracle.zero_class, rel
     columns = [{index[arc]: c for arc, c in rel.items() if c} for rel in relations]
     assert cokernel_presentation(len(arcs), columns) == oracle.presentation
+
+
+def _basis_quotient(o, n):
+    # the oracle group modulo the classes of Y1, X2, ..., Xn
+    classes = [o.class_of(arc) for arc in standard_basis_arcs(n)]
+    return cokernel_presentation(o.num_live, [*o.relations.values(), *classes])
+
+
+@pytest.mark.parametrize(
+    "n,depth,window", [(1, 2, 6), (2, 2, 6), (3, 2, 6), (4, 2, 6), (5, 2, 5)]
+)
+def test_exchange_relations_hold_in_oracle(n, depth, window):
+    # class-level bridge between the two routes: every exchange relation of
+    # the standard tilting is zero in the oracle group, and for n >= 2 the
+    # classes of Y1, X2, ..., Xn generate it; with free rank n they are then
+    # a free basis.  Neither check depends on which generators the unit
+    # eliminations keep
+    tilting = build_standard_tilting(n, None, depth)
+    o = euler_oracle(n, window)
+    for rel in palu_relations(tilting):
+        combo = {tilting.arcs[i]: c for i, c in rel.terms.items()}
+        assert o.reduce(combo) == o.zero_class, rel.source
+    assert o.presentation == GroupPresentation(n)
+    if n >= 2:
+        assert _basis_quotient(o, n) == GroupPresentation(0)
+
+
+@pytest.mark.parametrize("n,window", [(2, 4), (3, 4)])
+def test_oracle_window_stability(n, window):
+    # every relation at window w is one at w + 1, so sending each window-w
+    # arc to its class at w + 1 is a homomorphism; equal presentations and a
+    # basis that generates both groups make it an isomorphism, so a
+    # truncation artefact at either window shows here
+    small, large = euler_oracle(n, window), euler_oracle(n, window + 1)
+    assert small.presentation == large.presentation == GroupPresentation(n)
+    assert _basis_quotient(small, n) == _basis_quotient(large, n) == GroupPresentation(0)
+
+    def partition(o):
+        first = {o.zero_class: 0}
+        return [first.setdefault(o.class_of(arc), len(first)) for arc in small.arcs]
+
+    assert partition(small) == partition(large)
 
 
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
