@@ -1,15 +1,7 @@
 """Exact combinatorics of arcs on a marked circle and their Grothendieck groups."""
 
-from .circle import INFINITE, CircleModel, MarkedPoint
-from .arcs import (
-    Arc,
-    InducedTriangle,
-    ext1_dim,
-    induced_triangles,
-    maybe_arc,
-    quadrilateral_sides,
-    suspend,
-)
+from .circle import CircleModel, MarkedPoint
+from .arcs import Arc, maybe_arc, suspend
 from .tilting import (
     ExchangePair,
     InsufficientDepthError,
@@ -21,10 +13,9 @@ from .tilting import (
     mutate,
     palu_relations,
 )
-from .snf import GroupPresentation, IntMatrix, cokernel_presentation, smith_normal_form
+from .snf import GroupPresentation, cokernel_presentation, smith_normal_form
 from .k0 import (
     InsufficientWindowError,
-    K0Class,
     K0Report,
     OracleQuotient,
     VerificationError,
@@ -35,26 +26,19 @@ from .k0 import (
     standard_basis_arcs,
 )
 from .completion import (
-    CompletionModel,
     CompletionReport,
     compute_k0_completed,
     f_matrix,
-    is_kernel_object,
     kernel_generator_arc,
     verify_f_oracle,
 )
 from .render import render_svg
 
 __all__ = [
-    "INFINITE",
     "CircleModel",
     "MarkedPoint",
     "Arc",
-    "InducedTriangle",
-    "ext1_dim",
-    "induced_triangles",
     "maybe_arc",
-    "quadrilateral_sides",
     "suspend",
     "ExchangePair",
     "InsufficientDepthError",
@@ -66,11 +50,9 @@ __all__ = [
     "mutate",
     "palu_relations",
     "GroupPresentation",
-    "IntMatrix",
     "cokernel_presentation",
     "smith_normal_form",
     "InsufficientWindowError",
-    "K0Class",
     "K0Report",
     "OracleQuotient",
     "VerificationError",
@@ -79,11 +61,9 @@ __all__ = [
     "euler_oracle",
     "parity_class",
     "standard_basis_arcs",
-    "CompletionModel",
     "CompletionReport",
     "compute_k0_completed",
     "f_matrix",
-    "is_kernel_object",
     "kernel_generator_arc",
     "verify_f_oracle",
     "render_svg",

@@ -1,9 +1,9 @@
-"""Arcs between marked points: validity, crossing, suspension, induced triangles.
+"""Arcs between marked points: validity and suspension.
 
 An arc joins two marked points that are neither equal nor neighbours; pairs
-of adjacent points are boundary segments and count as zero objects.  Two arcs
-cross when their endpoints strictly interleave in the cyclic order, and a
-crossing pair spans a quadrilateral whose sides assemble into two triangles.
+of adjacent points are boundary segments and count as zero objects.  Which
+arcs cross, and the triangles a crossing pair induces, are read off index
+structures where they are needed (``tilting``, ``k0.euler_oracle``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circle import CircleModel, MarkedPoint, cyclic_key
+from .circle import MarkedPoint
 
 
 def is_degenerate_pair(p: MarkedPoint, q: MarkedPoint) -> bool:
@@ -44,9 +44,6 @@ class Arc:
     def same_segment(self) -> bool:
         return self.a[0] == self.b[0]
 
-    def shares_endpoint(self, other: "Arc") -> bool:
-        return bool({self.a, self.b} & {other.a, other.b})
-
     def to_json(self) -> list[list[int]]:
         return [self.a.to_json(), self.b.to_json()]
 
@@ -71,76 +68,4 @@ def suspend(arc: Arc, k: int = 1) -> Arc:
     return Arc(
         MarkedPoint(arc.a[0], arc.a[1] - k),
         MarkedPoint(arc.b[0], arc.b[1] - k),
-    )
-
-
-def ext1_dim(model: CircleModel, x: Arc, y: Arc) -> int:
-    """1 if the arcs cross (endpoints strictly interleave), else 0.
-
-    Arcs sharing an endpoint never cross.
-    """
-    model.check_point(x.a)
-    model.check_point(x.b)
-    model.check_point(y.a)
-    model.check_point(y.b)
-    if x.shares_endpoint(y):
-        return 0
-    n = model.num_segments
-    end = cyclic_key(x.a, x.b, n)
-    inside_a = cyclic_key(x.a, y.a, n) < end
-    inside_b = cyclic_key(x.a, y.b, n) < end
-    return 1 if inside_a != inside_b else 0
-
-
-def quadrilateral_vertices(
-    model: CircleModel, m: Arc, other: Arc
-) -> tuple[MarkedPoint, MarkedPoint, MarkedPoint, MarkedPoint]:
-    """The four endpoints of a crossing pair in anticlockwise order.
-
-    The walk starts at the lexicographically smaller endpoint of ``m``, so
-    the result (v0, v1, v2, v3) has m = {v0, v2} and other = {v1, v3}.
-    """
-    if ext1_dim(model, m, other) != 1:
-        raise ValueError("arcs do not cross")
-    v0, v2 = m.a, m.b
-    if model.in_open_interval(v0, other.a, v2):
-        v1, v3 = other.a, other.b
-    else:
-        v1, v3 = other.b, other.a
-    return v0, v1, v2, v3
-
-
-def quadrilateral_sides(model: CircleModel, m: Arc, other: Arc) -> list[Optional[Arc]]:
-    """Sides [{v0,v1}, {v1,v2}, {v2,v3}, {v3,v0}] of the crossing quadrilateral.
-
-    Degenerate sides (adjacent endpoints) are returned as None.
-    """
-    v0, v1, v2, v3 = quadrilateral_vertices(model, m, other)
-    return [maybe_arc(v0, v1), maybe_arc(v1, v2), maybe_arc(v2, v3), maybe_arc(v3, v0)]
-
-
-@dataclass(frozen=True)
-class InducedTriangle:
-    """Distinguished triangle first -> (+)middle -> third -> shift(first)."""
-
-    first: Arc
-    middle: tuple[Arc, ...]
-    third: Arc
-
-
-def induced_triangles(
-    model: CircleModel, m: Arc, other: Arc
-) -> tuple[InducedTriangle, InducedTriangle]:
-    """The two triangles induced by a crossing pair.
-
-    The first runs m -> (+)mids -> other, with mids the opposite side pair
-    ({v1,v2}, {v3,v0}); the second runs other -> (+)mids -> m with the
-    remaining pair.  Zero sides are dropped from the middles.
-    """
-    sides = quadrilateral_sides(model, m, other)
-    first_mid = tuple(s for s in (sides[1], sides[3]) if s is not None)
-    second_mid = tuple(s for s in (sides[0], sides[2]) if s is not None)
-    return (
-        InducedTriangle(m, first_mid, other),
-        InducedTriangle(other, second_mid, m),
     )

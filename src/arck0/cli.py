@@ -37,10 +37,25 @@ def _parse_anchors(text: str | None, n: int) -> list[int] | None:
     return offsets
 
 
+def _parse_arc(data) -> Arc:
+    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]``.
+
+    Every malformed input raises ValueError: Arc's own errors keep their
+    message and a wrong shape or type is reported as a malformed arc.
+    """
+    try:
+        return Arc.from_json(data)
+    except TypeError as exc:
+        raise ValueError(f"malformed arc {json.dumps(data)}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -101,8 +116,8 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         index = tilting.names[name]
     else:
         try:
-            arc = Arc.from_json(json.loads(name))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
+            arc = _parse_arc(json.loads(name))
+        except ValueError as exc:
             raise ValueError(f"unknown arc {name!r}") from exc
         if arc not in tilting:
             raise ValueError(f"arc {name!r} is not in the tilting set")
@@ -199,7 +214,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         tilting = build_standard_tilting(n, _parse_anchors(args.anchors, n), args.depth)
         arcs = list(tilting.arcs)
     elif args.arcs:
-        arcs = [Arc.from_json(item) for item in json.loads(args.arcs)]
+        items = json.loads(args.arcs)
+        if not isinstance(items, list):
+            raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
+        arcs = [_parse_arc(item) for item in items]
         for arc in arcs:
             model.check_point(arc.a)
             model.check_point(arc.b)

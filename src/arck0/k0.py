@@ -327,10 +327,6 @@ def parity_class(anchor: MarkedPoint, i: int) -> int:
     return coef
 
 
-def basis_labels(n: int) -> tuple[str, ...]:
-    return ("Y1",) + tuple(f"X{i}" for i in range(2, n + 1))
-
-
 def standard_basis_arcs(
     n: int, anchor_offsets: list[int] | None = None
 ) -> tuple[Arc, ...]:
@@ -345,27 +341,10 @@ def standard_basis_arcs(
     return (y1,) + xs
 
 
-@dataclass(frozen=True)
-class K0Class:
-    """Integer vector over a labelled basis of group generators."""
-
-    labels: tuple[str, ...]
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.coefficients):
-            raise ValueError("labels and coefficients disagree in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate basis labels")
-
-    def to_json(self) -> dict:
-        return {label: c for label, c in zip(self.labels, self.coefficients)}
-
-
 def class_same_segment(
     n: int, arc: Arc, anchor_offsets: list[int] | None = None
-) -> K0Class:
-    """Class of a same-segment arc over the basis (Y1, X2, ..., Xn).
+) -> tuple[int, ...]:
+    """Coefficients of a same-segment arc's class over the basis (Y1, X2, ..., Xn).
 
     Zero when the arc has an even number of interior points.  Otherwise the
     class is +/-([X2] + [Y1]) on the anchor z1's segment and
@@ -380,11 +359,10 @@ def class_same_segment(
         raise ValueError(f"cross-segment arc {arc} has no same-segment class")
     if anchor_offsets is None:
         anchor_offsets = [0] * n
-    labels = basis_labels(n)
     coeffs = [0] * n
     interior = arc.b[1] - arc.a[1] - 1
     if interior % 2 == 0:
-        return K0Class(labels, tuple(coeffs))
+        return tuple(coeffs)
     segment = arc.a[0]
     shift = arc.b[1] - int(anchor_offsets[segment])
     sign = -1 if shift % 2 else 1
@@ -395,4 +373,4 @@ def class_same_segment(
         coeffs[segment] += 2 * sign  # X(segment+1) sits at basis index segment
         coeffs[0] -= sign
         coeffs[1] -= sign
-    return K0Class(labels, tuple(coeffs))
+    return tuple(coeffs)

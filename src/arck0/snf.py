@@ -55,44 +55,6 @@ class GroupPresentation:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A dense integer matrix stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(entries), len(entries[0]) if entries else 0, entries)
-
-    @classmethod
-    def from_columns(cls, ambient: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        for c in columns:
-            if len(c) != ambient:
-                raise ValueError(f"column of length {len(c)}, expected {ambient}")
-        entries = tuple(tuple(int(c[i]) for c in columns) for i in range(ambient))
-        return cls(ambient, len(columns), entries)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-
 def _subtract(col: dict[int, int], q: int, pivot: Mapping[int, int]) -> None:
     """col -= q * pivot in place, dropping the entries that cancel."""
     for r, v in pivot.items():
@@ -305,11 +267,15 @@ def _snf_values_sparse(rows: Sequence[Mapping[int, int]]) -> list[int]:
     raise VerificationError("Smith reduction did not converge in 256 rounds")
 
 
-def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> list[int]:
-    """Full Smith diagonal d1 | d2 | ... of an integer matrix, zeros trailing."""
-    rows = matrix.entries if isinstance(matrix, IntMatrix) else matrix
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Full Smith diagonal d1 | d2 | ... of an integer matrix, zeros trailing.
+
+    ``rows`` are the matrix rows; rows of unequal length raise ValueError.
+    """
     m = len(rows)
     k = len(rows[0]) if m else 0
+    if any(len(row) != k for row in rows):
+        raise ValueError("rows of unequal length")
     values = _snf_values_sparse(
         [{j: int(v) for j, v in enumerate(row) if v} for row in rows]
     )

@@ -1,0 +1,100 @@
+"""Pairwise arc geometry, the slow and obviously correct reference for the tests.
+
+The package reads crossings and triangles off index structures (the bracket
+pass and ``tilting._flank``, the oracle's index ranges).  This module decides
+them one pair at a time from the cyclic order of the endpoints, so the tests
+can check the fast paths against it.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+from arck0 import Arc, CircleModel, MarkedPoint, maybe_arc
+
+
+def cyclic_key(origin: MarkedPoint, p: MarkedPoint, num_segments: int) -> tuple[int, int]:
+    """Sort key for the linear order obtained by cutting the circle at ``origin``.
+
+    Smaller keys come first when walking anticlockwise from ``origin``.
+    ``p`` must differ from ``origin``.
+    """
+    d = (p[0] - origin[0]) % num_segments
+    if d == 0 and p[1] < origin[1]:
+        # same segment but clockwise of the origin: reached last, after the wrap
+        d = num_segments
+    return (d, p[1])
+
+
+def shares_endpoint(x: Arc, y: Arc) -> bool:
+    return bool({x.a, x.b} & {y.a, y.b})
+
+
+def ext1_dim(model: CircleModel, x: Arc, y: Arc) -> int:
+    """1 if the arcs cross (endpoints strictly interleave), else 0.
+
+    Arcs sharing an endpoint never cross.
+    """
+    for p in (x.a, x.b, y.a, y.b):
+        model.check_point(p)
+    if shares_endpoint(x, y):
+        return 0
+    n = model.num_segments
+    end = cyclic_key(x.a, x.b, n)
+    inside_a = cyclic_key(x.a, y.a, n) < end
+    inside_b = cyclic_key(x.a, y.b, n) < end
+    return 1 if inside_a != inside_b else 0
+
+
+def quadrilateral_vertices(
+    model: CircleModel, m: Arc, other: Arc
+) -> tuple[MarkedPoint, MarkedPoint, MarkedPoint, MarkedPoint]:
+    """The four endpoints of a crossing pair in anticlockwise order.
+
+    The walk starts at the lexicographically smaller endpoint of ``m``, so
+    the result (v0, v1, v2, v3) has m = {v0, v2} and other = {v1, v3}.
+    """
+    if ext1_dim(model, m, other) != 1:
+        raise ValueError("arcs do not cross")
+    n = model.num_segments
+    v0, v2 = m.a, m.b
+    if cyclic_key(v0, other.a, n) < cyclic_key(v0, v2, n):
+        v1, v3 = other.a, other.b
+    else:
+        v1, v3 = other.b, other.a
+    return v0, v1, v2, v3
+
+
+def quadrilateral_sides(model: CircleModel, m: Arc, other: Arc) -> list[Optional[Arc]]:
+    """Sides [{v0,v1}, {v1,v2}, {v2,v3}, {v3,v0}] of the crossing quadrilateral.
+
+    Degenerate sides (adjacent endpoints) are returned as None.
+    """
+    v0, v1, v2, v3 = quadrilateral_vertices(model, m, other)
+    return [maybe_arc(v0, v1), maybe_arc(v1, v2), maybe_arc(v2, v3), maybe_arc(v3, v0)]
+
+
+@dataclass(frozen=True)
+class InducedTriangle:
+    """Distinguished triangle first -> (+)middle -> third -> shift(first)."""
+
+    first: Arc
+    middle: tuple[Arc, ...]
+    third: Arc
+
+
+def induced_triangles(
+    model: CircleModel, m: Arc, other: Arc
+) -> tuple[InducedTriangle, InducedTriangle]:
+    """The two triangles induced by a crossing pair.
+
+    The first runs m -> (+)mids -> other, with mids the opposite side pair
+    ({v1,v2}, {v3,v0}); the second runs other -> (+)mids -> m with the
+    remaining pair.  Zero sides are dropped from the middles.
+    """
+    sides = quadrilateral_sides(model, m, other)
+    first_mid = tuple(s for s in (sides[1], sides[3]) if s is not None)
+    second_mid = tuple(s for s in (sides[0], sides[2]) if s is not None)
+    return (
+        InducedTriangle(m, first_mid, other),
+        InducedTriangle(other, second_mid, m),
+    )

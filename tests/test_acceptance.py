@@ -19,7 +19,6 @@ from arck0 import (
     compute_k0_cn,
     compute_k0_completed,
     euler_oracle,
-    ext1_dim,
     maybe_arc,
     mutate,
     palu_relations,
@@ -29,6 +28,7 @@ from arck0 import (
     verify_f_oracle,
 )
 from arck0.tilting import InsufficientDepthError
+from geometry_reference import ext1_dim
 from snf_reference import reference_snf
 
 

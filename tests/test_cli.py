@@ -137,6 +137,60 @@ def test_render_cli(tmp_path, capsys):
     assert text.count('class="accumulation"') == 4
 
 
+def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["k0", "--n", "2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "arcs,message",
+    [
+        ("[5]", "malformed arc 5"),
+        ("7", "--arcs must be a JSON list of arcs, got 7"),
+        ('[[["a",0],[0,2]]]', 'malformed arc [["a", 0], [0, 2]]'),
+        ("{}", "--arcs must be a JSON list of arcs, got {}"),
+        ('[[["a",0],["b",1]]]', "marked point ['a', 0] needs integer coordinates"),
+    ],
+)
+def test_render_rejects_malformed_arcs(capsys, arcs, message):
+    code, out, err = run(capsys, ["render", "--n", "2", "--arcs", arcs])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "arcs,message",
+    [
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+        ("[[[0,0]]]", "not enough values to unpack (expected 2, got 1)"),
+        ("[[[5,0],[0,3]]]", "segment 5 out of range [0, 2)"),
+        (
+            "[[[0,0],[0,1]]]",
+            "degenerate arc between MarkedPoint(segment=0, offset=0) "
+            "and MarkedPoint(segment=0, offset=1)",
+        ),
+    ],
+)
+def test_render_arc_errors_keep_their_message(capsys, arcs, message):
+    code, out, err = run(capsys, ["render", "--n", "2", "--arcs", arcs])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}"
+
+
+@pytest.mark.parametrize("arc", ["[5]", "7", '[[["a",0],[0,2]]]', "{}", "[[0,0],[0,1]]"])
+def test_exchange_malformed_arc_is_unknown(capsys, arc):
+    code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown arc {arc!r}"
+
+
 def test_main_reuses_parser_across_calls(capsys):
     from arck0 import cli
 

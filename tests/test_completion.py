@@ -2,18 +2,17 @@ import pytest
 
 from arck0 import (
     Arc,
-    CompletionModel,
+    CircleModel,
     GroupPresentation,
     MarkedPoint,
     class_same_segment,
     compute_k0_completed,
-    ext1_dim,
     f_matrix,
-    is_kernel_object,
     kernel_generator_arc,
     verify_f_oracle,
 )
 from arck0.k0 import InsufficientWindowError
+from geometry_reference import ext1_dim
 
 
 def P(s, o):
@@ -25,48 +24,39 @@ def A(p, q):
 
 
 def test_completion_model_layout():
-    cm = CompletionModel(3)
-    assert cm.host.num_segments == 6
-    assert cm.kernel_segments == (0, 2, 4)
-    assert cm.kernel_anchors == (P(0, 0), P(2, 0), P(4, 0))
-    # alternating: no two kernel segments are cyclically adjacent
-    for s in cm.kernel_segments:
-        assert (s + 1) % 6 not in cm.kernel_segments
-        assert (s - 1) % 6 not in cm.kernel_segments
+    # the host has 2n segments and the kernel generators sit on alternating
+    # host segments, no two of them cyclically adjacent
+    assert verify_f_oracle(1, 2).quotient.model.num_segments == 2
+    n = 3
+    segments = {kernel_generator_arc(n, i).a[0] for i in range(1, n + 1)}
+    assert len(segments) == n
+    for s in segments:
+        assert (s + 1) % (2 * n) not in segments
+        assert (s - 1) % (2 * n) not in segments
 
 
 def test_completion_model_validation():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        verify_f_oracle(0, 4)
     with pytest.raises(ValueError):
-        CompletionModel(0)
-    with pytest.raises(ValueError):
-        CompletionModel(2, [0])
+        kernel_generator_arc(0, 1)
 
 
 def test_kernel_generator_arc():
-    cm = CompletionModel(1)
-    assert kernel_generator_arc(cm, 1) == A((0, -2), (0, 0))
-    cm3 = CompletionModel(3)
+    assert kernel_generator_arc(1, 1) == A((0, -2), (0, 0))
     for i in (1, 2, 3):
-        g = kernel_generator_arc(cm3, i)
-        assert cm3.host.interior_count(g.a, g.b) == 1
-        assert is_kernel_object(cm3, g)
+        g = kernel_generator_arc(3, i)
+        # one interior point, on the even host segment of the i-th copy
+        assert g.b[1] - g.a[1] - 1 == 1
+        assert g.a[0] == g.b[0] == 2 * (i - 1)
     with pytest.raises(ValueError):
-        kernel_generator_arc(cm3, 4)
+        kernel_generator_arc(3, 4)
     with pytest.raises(ValueError):
-        kernel_generator_arc(cm3, 0)
-
-
-def test_is_kernel_object():
-    cm = CompletionModel(2)
-    assert is_kernel_object(cm, A((0, 0), (0, 5)))
-    assert is_kernel_object(cm, A((2, -1), (2, 4)))
-    assert not is_kernel_object(cm, A((1, 0), (1, 5)))
-    assert not is_kernel_object(cm, A((0, 0), (2, 0)))
+        kernel_generator_arc(3, 0)
 
 
 def test_kernel_segments_never_cross():
-    cm = CompletionModel(2)
-    host = cm.host
+    host = CircleModel(4)
     arcs0 = [A((0, a), (0, a + g)) for a in (-2, 0) for g in (2, 3)]
     arcs2 = [A((2, a), (2, a + g)) for a in (-2, 0) for g in (2, 3)]
     for x in arcs0:
@@ -75,14 +65,11 @@ def test_kernel_segments_never_cross():
 
 
 def test_f_matrix_examples():
-    m1 = f_matrix(1)
-    assert m1.rows == 2 and m1.cols == 1
-    assert m1.column(0) == (1, 1)
-    m2 = f_matrix(2)
-    assert m2.column(0) == (1, 1, 0, 0)
-    assert m2.column(1) == (-1, -1, 2, 0)
+    assert f_matrix(1) == ((1, 1),)
+    assert f_matrix(2) == ((1, 1, 0, 0), (-1, -1, 2, 0))
     for n in (1, 2, 3, 5):
-        cols = f_matrix(n).columns()
+        cols = f_matrix(n)
+        assert len(cols) == n and all(len(col) == 2 * n for col in cols)
         assert sum(cols[0]) == 2
         for col in cols[1:]:
             assert sum(col) == 0
@@ -90,11 +77,9 @@ def test_f_matrix_examples():
 
 def test_f_columns_are_kernel_generator_classes():
     for n in (1, 2, 3, 4):
-        cm = CompletionModel(n)
         mat = f_matrix(n)
         for i in range(1, n + 1):
-            cls = class_same_segment(2 * n, kernel_generator_arc(cm, i))
-            assert cls.coefficients == mat.column(i - 1)
+            assert class_same_segment(2 * n, kernel_generator_arc(n, i)) == mat[i - 1]
 
 
 @pytest.mark.parametrize(
@@ -148,10 +133,9 @@ def test_verify_generators_nonzero_in_oracle():
     from arck0 import euler_oracle
 
     for n in (1, 2):
-        cm = CompletionModel(n)
         oracle = euler_oracle(2 * n, 4)
         for i in range(1, n + 1):
-            assert oracle.class_of(kernel_generator_arc(cm, i)) != oracle.zero_class
+            assert oracle.class_of(kernel_generator_arc(n, i)) != oracle.zero_class
 
 
 def test_verify_rejects_small_window():
@@ -164,7 +148,7 @@ def test_completed_cokernel_invariant_under_column_changes():
 
     for n in (2, 3, 4):
         base = compute_k0_completed(n)
-        cols = [list(c) for c in f_matrix(n).columns()]
+        cols = [list(c) for c in f_matrix(n)]
         cols[0] = [-v for v in cols[0]]
         cols.reverse()
         assert cokernel_presentation(2 * n, cols) == base

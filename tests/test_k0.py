@@ -13,8 +13,6 @@ from arck0 import (
     cokernel_presentation,
     compute_k0_cn,
     euler_oracle,
-    ext1_dim,
-    induced_triangles,
     maybe_arc,
     palu_relations,
     parity_class,
@@ -23,6 +21,7 @@ from arck0 import (
 )
 from arck0.tilting import InsufficientDepthError
 from arck0.k0 import InsufficientWindowError
+from geometry_reference import ext1_dim, induced_triangles
 
 
 def P(s, o):
@@ -286,19 +285,17 @@ def test_parity_class_closed_form():
 
 def test_class_same_segment_examples():
     # anchor segment: one interior point gives [X2] + [Y1]
-    cls = class_same_segment(4, A((0, -2), (0, 0)))
-    assert cls.labels == ("Y1", "X2", "X3", "X4")
-    assert cls.coefficients == (1, 1, 0, 0)
+    assert class_same_segment(4, A((0, -2), (0, 0))) == (1, 1, 0, 0)
     # even interior count vanishes
-    assert class_same_segment(4, A((1, 0), (1, 3))).coefficients == (0, 0, 0, 0)
+    assert class_same_segment(4, A((1, 0), (1, 3))) == (0, 0, 0, 0)
     # other segments: 2[Xi] - [X2] - [Y1]
-    assert class_same_segment(4, A((2, -2), (2, 0))).coefficients == (-1, -1, 2, 0)
+    assert class_same_segment(4, A((2, -2), (2, 0))) == (-1, -1, 2, 0)
 
 
 def test_class_same_segment_sign_convention():
     # shifting by one marked point negates the class
-    base = class_same_segment(3, A((2, -2), (2, 0))).coefficients
-    shifted = class_same_segment(3, A((2, -3), (2, -1))).coefficients
+    base = class_same_segment(3, A((2, -2), (2, 0)))
+    shifted = class_same_segment(3, A((2, -3), (2, -1)))
     assert shifted == tuple(-v for v in base)
 
 
@@ -322,7 +319,7 @@ def test_class_same_segment_matches_oracle(oracle_c2_w6):
                 arc = A((s, lo), (s, lo + gap))
                 cls = class_same_segment(2, arc)
                 combo = {}
-                for basis_arc, c in zip(basis, cls.coefficients):
+                for basis_arc, c in zip(basis, cls):
                     if c:
                         combo[basis_arc] = combo.get(basis_arc, 0) + c
                 expected = o.reduce(combo) if combo else o.zero_class
@@ -343,7 +340,7 @@ def test_class_same_segment_matches_oracle_larger_n(n):
                 arc = A((s, lo), (s, lo + gap))
                 cls = class_same_segment(n, arc)
                 combo = {}
-                for basis_arc, c in zip(basis, cls.coefficients):
+                for basis_arc, c in zip(basis, cls):
                     if c:
                         combo[basis_arc] = combo.get(basis_arc, 0) + c
                 expected = o.reduce(combo) if combo else o.zero_class

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from arck0 import GroupPresentation, IntMatrix, cokernel_presentation, smith_normal_form
+from arck0 import GroupPresentation, cokernel_presentation, smith_normal_form
 from snf_reference import reference_snf
 
 
@@ -223,14 +223,11 @@ def test_cokernel_invariance_under_column_signs_and_order():
         assert cokernel_presentation(ambient, flipped) == base
 
 
-def test_int_matrix():
-    m = IntMatrix.from_columns(3, [(1, 2, 3), (0, -1, 0)])
-    assert m.rows == 3 and m.cols == 2
-    assert m.column(0) == (1, 2, 3)
-    assert m.to_json() == [[1, 0], [2, -1], [3, 0]]
-    assert IntMatrix.from_rows(m.to_json()) == m
-    with pytest.raises(ValueError):
-        IntMatrix.from_columns(2, [(1, 2, 3)])
+def test_smith_normal_form_rejects_ragged_rows():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [0]]):
+        with pytest.raises(ValueError, match="unequal length"):
+            smith_normal_form(rows)
+    assert smith_normal_form([[], []]) == []
 
 
 def test_hermite_reduce_reads_off_classes():

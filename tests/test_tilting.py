@@ -10,13 +10,13 @@ from arck0 import (
     StandardTilting,
     build_standard_tilting,
     exchange_pair,
-    ext1_dim,
     is_interior,
     mutate,
     palu_relations,
 )
-from arck0.arcs import induced_triangles, is_degenerate_pair
+from arck0.arcs import is_degenerate_pair
 from arck0.tilting import InsufficientDepthError, _assert_non_crossing
+from geometry_reference import ext1_dim, induced_triangles, shares_endpoint
 
 
 def P(s, o):
@@ -144,7 +144,7 @@ def test_leapfrog_endpoints_monotone():
             assert lows[-1] - lows[0] == t.depth
             # neighbours share an endpoint
             for prev, cur in zip(arcs, arcs[1:]):
-                assert prev.shares_endpoint(cur)
+                assert shares_endpoint(prev, cur)
 
 
 def test_exchange_pair_n3():
@@ -327,7 +327,7 @@ def test_non_crossing_check_matches_pairwise_reference():
         else:
             _assert_non_crossing(model, tuple(arcs))
         seen["crossing" if crossing else "non-crossing"] += 1
-        if any(x.shares_endpoint(y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]):
+        if any(shares_endpoint(x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]):
             seen["shared endpoint"] += 1
         if n > 1 and any(a.a[0] == 0 and a.b[0] == n - 1 for a in arcs):
             seen["wraps"] += 1
