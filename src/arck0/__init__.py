@@ -5,11 +5,9 @@ from .arcs import Arc, maybe_arc, suspend
 from .tilting import (
     ExchangePair,
     InsufficientDepthError,
-    Relation,
     StandardTilting,
     build_standard_tilting,
     exchange_pair,
-    is_interior,
     mutate,
     palu_relations,
 )
@@ -42,11 +40,9 @@ __all__ = [
     "suspend",
     "ExchangePair",
     "InsufficientDepthError",
-    "Relation",
     "StandardTilting",
     "build_standard_tilting",
     "exchange_pair",
-    "is_interior",
     "mutate",
     "palu_relations",
     "GroupPresentation",

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from .circle import MarkedPoint
 from .arcs import Arc
 from .snf import GroupPresentation, cokernel_presentation
-from .k0 import InsufficientWindowError, OracleQuotient, euler_oracle
+from .k0 import (
+    InsufficientWindowError,
+    OracleQuotient,
+    class_same_segment,
+    euler_oracle,
+)
 
 
 def kernel_generator_arc(n: int, i: int) -> Arc:
@@ -32,23 +37,15 @@ def kernel_generator_arc(n: int, i: int) -> Arc:
 def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Classes of the kernel generators over the host basis (Y1, X2, ..., X2n).
 
-    Returns the n columns, each of length 2n.  Column 1 is [X2] + [Y1];
+    Returns the n columns, each of length 2n: the same-segment class of each
+    kernel generator arc on the 2n-segment host.  Column 1 is [X2] + [Y1];
     column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    columns = []
-    for i in range(1, n + 1):
-        col = [0] * (2 * n)
-        if i == 1:
-            col[0] = 1  # Y1
-            col[1] = 1  # X2
-        else:
-            col[2 * i - 2] = 2  # X(2i-1) sits at basis index 2i-2
-            col[0] = -1
-            col[1] = -1
-        columns.append(tuple(col))
-    return tuple(columns)
+    return tuple(
+        class_same_segment(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1)
+    )
 
 
 def compute_k0_completed(n: int) -> GroupPresentation:

@@ -18,7 +18,6 @@ long arcs then mostly collapse before they would be stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
@@ -30,7 +29,12 @@ from .snf import (
     _UnitEliminations,
     cokernel_presentation,
 )
-from .tilting import InsufficientDepthError, build_standard_tilting, palu_relations
+from .tilting import (
+    InsufficientDepthError,
+    _anchor_offsets,
+    build_standard_tilting,
+    palu_relations,
+)
 
 
 class InsufficientWindowError(ValueError):
@@ -90,10 +94,9 @@ def compute_k0_cn(
     tilting = build_standard_tilting(n, anchor_offsets, depth)
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
-    presentation = cokernel_presentation(num_arcs, [rel.terms for rel in relations])
+    presentation = cokernel_presentation(num_arcs, relations.values())
 
-    interior = {rel.source for rel in relations}
-    frontier_indices = [i for i in range(num_arcs) if i not in interior]
+    frontier_indices = [i for i in range(num_arcs) if i not in relations]
     frontier = tuple(tilting.name_of(i) for i in frontier_indices)
     # quotient further by the interior classes: whatever survives is frontier
     # content that the relations failed to identify; a relation without a
@@ -101,8 +104,8 @@ def compute_k0_cn(
     position = {i: k for k, i in enumerate(frontier_indices)}
     projected = [
         proj
-        for rel in relations
-        if (proj := {position[i]: c for i, c in rel.terms.items() if i in position})
+        for terms in relations.values()
+        if (proj := {position[i]: c for i, c in terms.items() if i in position})
     ]
     excess = cokernel_presentation(len(frontier_indices), projected).free_rank
 
@@ -169,10 +172,6 @@ class OracleQuotient:
             raise InsufficientWindowError(f"arc {arc} outside window {w}")
         return self._live[self._chain[(s0 * width + o0 + w) * n * width + s1 * width + o1 + w]]
 
-    def _reduce_live_vector(self, vec: dict[int, int]) -> tuple[int, ...]:
-        reduced = _hermite_reduce(self.relations, vec)
-        return tuple(reduced.get(i, 0) for i in range(self.num_live))
-
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         return self.reduce({arc: 1})
 
@@ -184,14 +183,8 @@ class OracleQuotient:
             if code:
                 idx = abs(code) - 1
                 vec[idx] = vec.get(idx, 0) + (coef if code > 0 else -coef)
-        return self._reduce_live_vector(vec)
-
-    def negate(self, cls: tuple[int, ...]) -> tuple[int, ...]:
-        return self._reduce_live_vector({i: -v for i, v in enumerate(cls)})
-
-    @cached_property
-    def class_map(self) -> dict[Arc, tuple[int, ...]]:
-        return {arc: self.class_of(arc) for arc in self.arcs}
+        reduced = _hermite_reduce(self.relations, vec)
+        return tuple(reduced.get(i, 0) for i in range(self.num_live))
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:
@@ -313,8 +306,8 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 # closed-form class computations for same-segment arcs
 
 
-def parity_class(anchor: MarkedPoint, i: int) -> int:
-    """Class of the arc with i interior points in a one-sided fountain at ``anchor``.
+def parity_class(i: int) -> int:
+    """Class of the arc with i interior points in a one-sided fountain.
 
     Iterates [W(i+1)] = [W(i)] + (-1)^i [W(1)] from [W(1)] = w and returns the
     coefficient of w: 0 for even i, +1 for odd i.
@@ -333,9 +326,8 @@ def standard_basis_arcs(
     """The arcs whose classes freely generate the group: Y1, X2, ..., Xn."""
     if n < 2:
         raise ValueError("the Y1/X basis needs n >= 2")
-    if anchor_offsets is None:
-        anchor_offsets = [0] * n
-    z = [MarkedPoint(s, int(anchor_offsets[s])) for s in range(n)]
+    offsets = _anchor_offsets(n, anchor_offsets)
+    z = [MarkedPoint(s, int(o)) for s, o in enumerate(offsets)]
     y1 = Arc(z[0], MarkedPoint(1, z[1][1] - 1))
     xs = tuple(Arc(z[0], z[i]) for i in range(1, n))
     return (y1,) + xs
@@ -355,10 +347,12 @@ def class_same_segment(
     """
     if n < 2:
         raise ValueError("class_same_segment needs n >= 2 (the basis includes X2)")
+    model = CircleModel(n)
+    model.check_point(arc.a)
+    model.check_point(arc.b)
     if arc.a[0] != arc.b[0]:
         raise ValueError(f"cross-segment arc {arc} has no same-segment class")
-    if anchor_offsets is None:
-        anchor_offsets = [0] * n
+    anchor_offsets = _anchor_offsets(n, anchor_offsets)
     coeffs = [0] * n
     interior = arc.b[1] - arc.a[1] - 1
     if interior % 2 == 0:

@@ -116,6 +116,15 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
         stack.append(arc)
 
 
+def _anchor_offsets(n: int, anchor_offsets: list[int] | None) -> list[int]:
+    """One offset per segment: all zero by default, else exactly n given."""
+    if anchor_offsets is None:
+        return [0] * n
+    if len(anchor_offsets) != n:
+        raise ValueError(f"expected {n} anchor offsets, got {len(anchor_offsets)}")
+    return anchor_offsets
+
+
 def build_standard_tilting(
     n: int, anchor_offsets: list[int] | None = None, depth: int = 2
 ) -> StandardTilting:
@@ -130,13 +139,9 @@ def build_standard_tilting(
         raise ValueError(f"need n >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
-    if anchor_offsets is None:
-        anchor_offsets = [0] * n
-    if len(anchor_offsets) != n:
-        raise ValueError(f"expected {n} anchor offsets, got {len(anchor_offsets)}")
-
     model = CircleModel(n)
-    anchors = tuple(MarkedPoint(s, int(anchor_offsets[s])) for s in range(n))
+    offsets = _anchor_offsets(n, anchor_offsets)
+    anchors = tuple(MarkedPoint(s, int(o)) for s, o in enumerate(offsets))
 
     arcs: list[Arc] = []
     index: dict[Arc, int] = {}
@@ -236,11 +241,6 @@ def _flank(t: StandardTilting, i: int) -> tuple[MarkedPoint, ...]:
     return (r, s) if r_inside else (s, r)
 
 
-def is_interior(t: StandardTilting, m_index: int) -> bool:
-    """Whether both triangles flanking the arc survive the truncation."""
-    return len(_flank(t, m_index)) == 2
-
-
 def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
     m = t.arcs[m_index]
     thirds = _flank(t, m_index)
@@ -260,43 +260,21 @@ def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
     )
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One exchange relation: sum of b_m_star coefficients minus those of b_m.
+def palu_relations(t: StandardTilting) -> dict[int, dict[int, int]]:
+    """Exchange relations of every interior arc, as sparse vectors over the arc basis.
 
-    With the quadrilateral (v0, v1, v2, v3) of the exchange, the ``+`` side
-    is b_m_star = {v1, v2}, {v3, v0} and the ``-`` side is b_m = {v0, v1},
-    {v2, v3}; boundary edges are zero and drop out.
-
-    ``terms`` maps arc index to nonzero coefficient; ``size`` is the number of
-    arcs in the basis, the length of the dense ``coefficients`` vector.
-    """
-
-    terms: dict[int, int]
-    size: int
-    source: int  # index of the arc whose exchange produced the relation
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        dense = [0] * self.size
-        for i, c in self.terms.items():
-            dense[i] = c
-        return tuple(dense)
-
-
-def palu_relations(t: StandardTilting) -> list[Relation]:
-    """Exchange relations of every interior arc, as vectors over the arc basis.
-
-    Frontier arcs contribute nothing.  For an interior arc (v0, v2) with
-    thirds (v1, v3) from ``_flank``, the relation is +{v1,v2} +{v3,v0}
-    -{v0,v1} -{v2,v3}.  Each side has v0 or v2 as an endpoint, so its index
+    Returns {interior arc index: {arc index: nonzero coefficient}} in
+    increasing arc index order.  An arc is interior (both flanking triangles
+    survive the truncation) exactly when its index is a key; frontier arcs
+    contribute nothing.  For an interior arc (v0, v2) with thirds (v1, v3)
+    from ``_flank``, the relation is +{v1,v2} +{v3,v0} -{v0,v1} -{v2,v3}:
+    b_m_star minus b_m.  Each side has v0 or v2 as an endpoint, so its index
     is one neighbour-index lookup, and a side missing from the index is a
     boundary edge and drops out.  The four sides are distinct arcs, so every
     coefficient is +1 or -1 and at most four are nonzero.
     """
     around = t._neighbours
-    size = len(t.arcs)
-    relations = []
+    relations: dict[int, dict[int, int]] = {}
     for i, m in enumerate(t.arcs):
         thirds = _flank(t, i)
         if len(thirds) < 2:
@@ -312,7 +290,7 @@ def palu_relations(t: StandardTilting) -> list[Relation]:
         ):
             if j is not None:
                 terms[j] = sign
-        relations.append(Relation(terms, size, i))
+        relations[i] = terms
     return relations
 
 

@@ -75,11 +75,14 @@ def test_criterion_3_relation_fidelity():
         nonzero = [v for v in vec if v]
         return tuple(-v for v in vec) if nonzero and nonzero[0] < 0 else tuple(vec)
 
+    def dense(terms):
+        return [terms.get(i, 0) for i in range(len(t.arcs))]
+
     polygon_fan = {i for name, i in t.names.items() if name[0] in "ZXY"}
     got = {
-        canon(r.coefficients)
-        for r in rels
-        if all(c == 0 or i in polygon_fan for i, c in enumerate(r.coefficients))
+        canon(dense(terms))
+        for terms in rels.values()
+        if all(c == 0 or i in polygon_fan for i, c in enumerate(dense(terms)))
     }
 
     def rel(**terms):
@@ -104,8 +107,7 @@ def test_criterion_3_relation_fidelity():
 
 
 def test_criterion_4_parity():
-    anchor = MarkedPoint(0, 0)
-    closed_form = all(parity_class(anchor, i) == (1 if i % 2 else 0) for i in range(1, 51))
+    closed_form = all(parity_class(i) == (1 if i % 2 else 0) for i in range(1, 51))
     oracle = euler_oracle(1, 8)
     on_oracle = all(
         (oracle.class_of(arc) == oracle.zero_class)
@@ -175,7 +177,7 @@ def test_criterion_6c_suspension_negates_oracle_class():
         pick = rng.randrange(len(oracles))
         oracle, pool = oracles[pick], pools[pick]
         arc = pool[rng.randrange(len(pool))]
-        assert oracle.class_of(suspend(arc, 1)) == oracle.negate(oracle.class_of(arc))
+        assert oracle.reduce({suspend(arc, 1): 1, arc: 1}) == oracle.zero_class
         cases += 1
     report("6c (suspension negates class)", cases >= 500, f"{cases} sampled arcs")
 

@@ -5,10 +5,10 @@ from arck0 import (
     CircleModel,
     GroupPresentation,
     MarkedPoint,
-    class_same_segment,
     compute_k0_completed,
     f_matrix,
     kernel_generator_arc,
+    standard_basis_arcs,
     verify_f_oracle,
 )
 from arck0.k0 import InsufficientWindowError
@@ -75,11 +75,17 @@ def test_f_matrix_examples():
             assert sum(col) == 0
 
 
-def test_f_columns_are_kernel_generator_classes():
-    for n in (1, 2, 3, 4):
-        mat = f_matrix(n)
-        for i in range(1, n + 1):
-            assert class_same_segment(2 * n, kernel_generator_arc(n, i)) == mat[i - 1]
+def test_f_columns_are_oracle_kernel_generator_classes():
+    # each column, expanded over the host basis arcs Y1, X2, ..., X2n, is the
+    # oracle class of its kernel generator: the difference reduces to zero
+    for n, window in ((1, 6), (2, 6), (3, 4), (4, 4)):
+        o = verify_f_oracle(n, window).quotient
+        basis = standard_basis_arcs(2 * n)
+        for i, column in enumerate(f_matrix(n), start=1):
+            combo = {kernel_generator_arc(n, i): 1}
+            for arc, c in zip(basis, column):
+                combo[arc] = combo.get(arc, 0) - c
+            assert o.reduce(combo) == o.zero_class, (n, window, i)
 
 
 @pytest.mark.parametrize(

@@ -137,7 +137,7 @@ def test_oracle_suspension_antisymmetry(oracle_c2_w6):
     o = oracle_c2_w6
     for arc in o.arcs:
         if min(arc.a[1], arc.b[1]) > -o.window:
-            assert o.class_of(suspend(arc, 1)) == o.negate(o.class_of(arc))
+            assert o.reduce({suspend(arc, 1): 1, arc: 1}) == o.zero_class
 
 
 def test_oracle_rank_stabilizes_immediately():
@@ -229,9 +229,9 @@ def test_exchange_relations_hold_in_oracle(n, depth, window):
     # eliminations keep
     tilting = build_standard_tilting(n, None, depth)
     o = euler_oracle(n, window)
-    for rel in palu_relations(tilting):
-        combo = {tilting.arcs[i]: c for i, c in rel.terms.items()}
-        assert o.reduce(combo) == o.zero_class, rel.source
+    for source, terms in palu_relations(tilting).items():
+        combo = {tilting.arcs[i]: c for i, c in terms.items()}
+        assert o.reduce(combo) == o.zero_class, source
     assert o.presentation == GroupPresentation(n)
     if n >= 2:
         assert _basis_quotient(o, n) == GroupPresentation(0)
@@ -259,28 +259,21 @@ def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
         oracle_c1_w6.class_of(A((0, 0), (0, 40)))
 
 
-def test_oracle_class_map_covers_all_arcs(oracle_c1_w6):
-    o = oracle_c1_w6
-    assert set(o.class_map) == set(o.arcs)
-
-
 # ---------------------------------------------------------------------------
 # closed-form same-segment classes
 
 
 def test_parity_class_examples():
-    anchor = P(0, 0)
-    assert parity_class(anchor, 2) == 0
-    assert parity_class(anchor, 7) == 1
-    assert parity_class(anchor, 1) == 1
+    assert parity_class(2) == 0
+    assert parity_class(7) == 1
+    assert parity_class(1) == 1
 
 
 def test_parity_class_closed_form():
-    anchor = P(0, 0)
     for i in range(1, 51):
-        assert parity_class(anchor, i) == (1 if i % 2 else 0)
+        assert parity_class(i) == (1 if i % 2 else 0)
     with pytest.raises(ValueError):
-        parity_class(anchor, 0)
+        parity_class(0)
 
 
 def test_class_same_segment_examples():
@@ -304,6 +297,14 @@ def test_class_same_segment_rejects_bad_input():
         class_same_segment(3, A((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         class_same_segment(1, A((0, 0), (0, 2)))
+    # endpoints off the circle: a negative segment, and a segment >= n
+    with pytest.raises(ValueError, match="segment -1 out of range"):
+        class_same_segment(2, A((-1, 0), (-1, 2)))
+    with pytest.raises(ValueError, match="segment 2 out of range"):
+        class_same_segment(2, A((2, 0), (2, 2)))
+    # an anchor list shorter than n
+    with pytest.raises(ValueError, match="expected 3 anchor offsets, got 2"):
+        class_same_segment(3, A((2, -2), (2, 0)), [0, 0])
 
 
 def test_class_same_segment_matches_oracle(oracle_c2_w6):
@@ -354,3 +355,11 @@ def test_standard_basis_arcs():
     assert x3 == A((0, 0), (2, 0))
     with pytest.raises(ValueError):
         standard_basis_arcs(1)
+
+
+def test_standard_basis_arcs_rejects_bad_anchors():
+    # one anchor offset per segment, no fewer and no more
+    with pytest.raises(ValueError, match="expected 3 anchor offsets, got 1"):
+        standard_basis_arcs(3, [0])
+    with pytest.raises(ValueError, match="expected 2 anchor offsets, got 3"):
+        standard_basis_arcs(2, [0, 0, 7])

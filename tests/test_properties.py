@@ -91,7 +91,7 @@ def test_suspension_negates_oracle_classes(oracles):
     for oracle in oracles:
         for arc in oracle.arcs:
             if min(arc.a[1], arc.b[1]) > -oracle.window:
-                assert oracle.class_of(suspend(arc, 1)) == oracle.negate(oracle.class_of(arc))
+                assert oracle.reduce({suspend(arc, 1): 1, arc: 1}) == oracle.zero_class
 
 
 def test_oracle_parity_matches_interior_count(oracles):
@@ -131,7 +131,10 @@ def test_mutate_twice_is_identity_and_non_crossing(n, depth, offsets, data):
 )
 def test_relation_span_sign_independent(n, depth, offsets):
     t = build_standard_tilting(n, offsets[:n], depth)
-    rels = [r.coefficients for r in palu_relations(t)]
+    rels = [
+        tuple(terms.get(i, 0) for i in range(len(t.arcs)))
+        for terms in palu_relations(t).values()
+    ]
     base = cokernel_presentation(len(t.arcs), rels)
     flipped = [tuple(-v for v in r) if i % 2 else r for i, r in enumerate(rels)]
     assert cokernel_presentation(len(t.arcs), flipped) == base

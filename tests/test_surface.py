@@ -10,11 +10,9 @@ PUBLIC = [
     "suspend",
     "ExchangePair",
     "InsufficientDepthError",
-    "Relation",
     "StandardTilting",
     "build_standard_tilting",
     "exchange_pair",
-    "is_interior",
     "mutate",
     "palu_relations",
     "GroupPresentation",
