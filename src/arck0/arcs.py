@@ -37,10 +37,6 @@ class Arc:
         object.__setattr__(self, "b", q)
 
     @property
-    def endpoints(self) -> tuple[MarkedPoint, MarkedPoint]:
-        return (self.a, self.b)
-
-    @property
     def same_segment(self) -> bool:
         return self.a[0] == self.b[0]
 

@@ -19,16 +19,13 @@ from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
 
 
-def _parse_anchors(text: str | None, n: int) -> list[int] | None:
+def _parse_anchors(text: str | None) -> list[int] | None:
     if text is None:
         return None
     try:
-        offsets = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad anchor list {text!r}") from exc
-    if len(offsets) != n:
-        raise ValueError(f"expected {n} anchors, got {len(offsets)}")
-    return offsets
 
 
 def _parse_arc(data) -> Arc:
@@ -62,7 +59,7 @@ def _positive(name: str, value: int, minimum: int = 1) -> int:
 
 def _cmd_k0(args: argparse.Namespace) -> int:
     n = _positive("--n", args.n)
-    anchors = _parse_anchors(args.anchors, n)
+    anchors = _parse_anchors(args.anchors)
     report = compute_k0_cn(n, anchors, args.depth)
     if args.format == "json":
         _emit(json.dumps(report.presentation.to_json()), args.out)
@@ -103,7 +100,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
     n = _positive("--n", args.n)
-    anchors = _parse_anchors(args.anchors, n)
+    anchors = _parse_anchors(args.anchors)
     tilting = build_standard_tilting(n, anchors, args.depth)
     name = args.arc
     if name in tilting.names:
@@ -205,7 +202,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     model = CircleModel(n)
     arcs: list[Arc] = []
     if args.depth is not None:
-        tilting = build_standard_tilting(n, _parse_anchors(args.anchors, n), args.depth)
+        tilting = build_standard_tilting(n, _parse_anchors(args.anchors), args.depth)
         arcs = list(tilting.arcs)
     elif args.arcs:
         items = json.loads(args.arcs)
@@ -223,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every subcommand takes --out; --format is added only where the handler reads it
     def common(p: argparse.ArgumentParser, window_default: int | None = None) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
         if window_default is not None:
             p.add_argument("--window", type=int, default=window_default)
@@ -233,16 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--anchors", default=None, help="comma-separated anchor offsets")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_k0)
 
     p = sub.add_parser("k0-completed", help="group of the completed model")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_k0_completed)
 
     p = sub.add_parser("oracle", help="brute-force Euler-relation presentation")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     common(p, window_default=6)
     p.set_defaults(func=_cmd_oracle)
 
@@ -251,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--anchors", default=None)
     p.add_argument("--arc", required=True, help="arc name (e.g. Z1) or JSON endpoints")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_exchange)
 

@@ -58,26 +58,13 @@ class CompletionReport:
     """Comparison of the closed-form route against the brute-force oracle.
 
     ``quotient`` is the host oracle the comparison was read from, kept for
-    further checks on the same window; it is left out of ``to_json``.
+    further checks on the same window.
     """
 
-    n: int
-    window: int
     expected: GroupPresentation
     oracle: GroupPresentation
     match: bool
-    generators: tuple[Arc, ...]
     quotient: OracleQuotient = field(repr=False, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "window": self.window,
-            "expected": self.expected.to_json(),
-            "oracle": self.oracle.to_json(),
-            "match": self.match,
-            "generators": [a.to_json() for a in self.generators],
-        }
 
 
 def verify_f_oracle(n: int, window: int) -> CompletionReport:
@@ -94,17 +81,13 @@ def verify_f_oracle(n: int, window: int) -> CompletionReport:
         )
     expected = compute_k0_completed(n)
     oracle = euler_oracle(2 * n, window)
-    generators = tuple(kernel_generator_arc(n, i) for i in range(1, n + 1))
-    classes = [oracle.class_of(g) for g in generators]
+    classes = [oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1)]
     oracle_side = cokernel_presentation(
         oracle.num_live, [*oracle.relations.values(), *classes]
     )
     return CompletionReport(
-        n=n,
-        window=window,
         expected=expected,
         oracle=oracle_side,
         match=expected == oracle_side,
-        generators=generators,
         quotient=oracle,
     )

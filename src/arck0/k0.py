@@ -17,7 +17,7 @@ long arcs then mostly collapse before they would be stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
@@ -58,26 +58,11 @@ class K0Report:
     exactly that projection).
     """
 
-    n: int
-    depth: int
-    anchor_offsets: tuple[int, ...]
     presentation: GroupPresentation
     num_arcs: int
     num_relations: int
     frontier: tuple[str, ...]
     frontier_excess: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "anchor_offsets": list(self.anchor_offsets),
-            "presentation": self.presentation.to_json(),
-            "num_arcs": self.num_arcs,
-            "num_relations": self.num_relations,
-            "frontier": list(self.frontier),
-            "frontier_excess": self.frontier_excess,
-        }
 
 
 def compute_k0_cn(
@@ -118,9 +103,6 @@ def compute_k0_cn(
             f"free rank {presentation.free_rank} != n + frontier excess {n}+{excess}"
         )
     return K0Report(
-        n=n,
-        depth=depth,
-        anchor_offsets=tuple(p[1] for p in tilting.anchors),
         presentation=presentation,
         num_arcs=num_arcs,
         num_relations=len(relations),
@@ -147,39 +129,35 @@ class OracleQuotient:
     one oracle only.
     """
 
-    model: CircleModel
     window: int
-    arcs: tuple[Arc, ...]
     presentation: GroupPresentation
     num_live: int
     relations: dict[int, dict[int, int]]
-    # signed chain code of the arc between window points i and j at
-    # i * P + j (P window points; 0 for a zero object), and the signed live
-    # generator code (index + 1; 0 for zero) of every signed chain code
-    _chain: list[int]
-    _live: list[int]
+    # signed live generator code (index + 1; 0 for a zero class) of every
+    # window arc, in lex order of the arcs' window-point index pairs
+    _codes: dict[Arc, int] = field(repr=False)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(self._codes)
 
     @property
     def zero_class(self) -> tuple[int, ...]:
         return (0,) * self.num_live
 
-    def _live_code(self, arc: Arc) -> int:
-        w = self.window
-        width = 2 * w + 1
-        n = self.model.num_segments
-        (s0, o0), (s1, o1) = arc.a, arc.b
-        if not (0 <= s0 < n and 0 <= s1 < n and -w <= o0 <= w and -w <= o1 <= w):
-            raise InsufficientWindowError(f"arc {arc} outside window {w}")
-        return self._live[self._chain[(s0 * width + o0 + w) * n * width + s1 * width + o1 + w]]
-
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         return self.reduce({arc: 1})
 
     def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
-        """Class of an integer combination of window arcs."""
+        """Class of an integer combination of window arcs.
+
+        An arc that is not a window arc raises InsufficientWindowError.
+        """
         vec: dict[int, int] = {}
         for arc, coef in combination.items():
-            code = self._live_code(arc)
+            code = self._codes.get(arc)
+            if code is None:
+                raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
             if code:
                 idx = abs(code) - 1
                 vec[idx] = vec.get(idx, 0) + (coef if code > 0 else -coef)
@@ -284,21 +262,16 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     position, core = elim.residual(columns)
     relations = _echelon_columns(core)
     presentation = cokernel_presentation(len(position), list(relations.values()))
-    live = [0] * len(rep)
-    for code, r in enumerate(rep):
-        if r:
-            idx = position[abs(r)] + 1
-            live[code] = idx if r > 0 else -idx
-    arcs = tuple(Arc(points[i], points[j]) for i, j in pairs)
+    live = {0: 0}  # signed generator code -> signed live code
+    for g, p in position.items():
+        live[g], live[-g] = p + 1, -p - 1
+    codes = {Arc(points[i], points[j]): live[rep[chain[i * size + j]]] for i, j in pairs}
     return OracleQuotient(
-        model=model,
         window=window,
-        arcs=arcs,
         presentation=presentation,
         num_live=len(position),
         relations=relations,
-        _chain=chain,
-        _live=live,
+        _codes=codes,
     )
 
 
@@ -327,7 +300,7 @@ def standard_basis_arcs(
     if n < 2:
         raise ValueError("the Y1/X basis needs n >= 2")
     offsets = _anchor_offsets(n, anchor_offsets)
-    z = [MarkedPoint(s, int(o)) for s, o in enumerate(offsets)]
+    z = [MarkedPoint(s, o) for s, o in enumerate(offsets)]
     y1 = Arc(z[0], MarkedPoint(1, z[1][1] - 1))
     xs = tuple(Arc(z[0], z[i]) for i in range(1, n))
     return (y1,) + xs
@@ -358,7 +331,7 @@ def class_same_segment(
     if interior % 2 == 0:
         return tuple(coeffs)
     segment = arc.a[0]
-    shift = arc.b[1] - int(anchor_offsets[segment])
+    shift = arc.b[1] - anchor_offsets[segment]
     sign = -1 if shift % 2 else 1
     if segment == 0:
         coeffs[0] += sign  # Y1

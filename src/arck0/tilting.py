@@ -55,8 +55,6 @@ class StandardTilting:
     """
 
     model: CircleModel
-    anchors: tuple[MarkedPoint, ...]
-    depth: int
     arcs: tuple[Arc, ...]
     names: dict[str, int]
     leapfrogs: tuple[tuple[int, ...], ...]
@@ -85,15 +83,6 @@ class StandardTilting:
     def name_of(self, index: int) -> str:
         return self._label.get(index, f"arc{index}")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.model.num_segments,
-            "anchors": [p.to_json() for p in self.anchors],
-            "depth": self.depth,
-            "arcs": [a.to_json() for a in self.arcs],
-            "names": dict(self.names),
-        }
-
 
 def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
     """Raise AssertionError naming a crossing pair if any two arcs cross.
@@ -117,11 +106,14 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
 
 
 def _anchor_offsets(n: int, anchor_offsets: list[int] | None) -> list[int]:
-    """One offset per segment: all zero by default, else exactly n given."""
+    """One offset per segment: all zero by default, else exactly n ints given."""
     if anchor_offsets is None:
         return [0] * n
     if len(anchor_offsets) != n:
         raise ValueError(f"expected {n} anchor offsets, got {len(anchor_offsets)}")
+    for o in anchor_offsets:
+        if type(o) is not int:
+            raise ValueError(f"anchor offset {o!r} is not an int")
     return anchor_offsets
 
 
@@ -141,7 +133,7 @@ def build_standard_tilting(
         raise ValueError(f"need depth >= 1, got {depth}")
     model = CircleModel(n)
     offsets = _anchor_offsets(n, anchor_offsets)
-    anchors = tuple(MarkedPoint(s, int(o)) for s, o in enumerate(offsets))
+    anchors = tuple(MarkedPoint(s, o) for s, o in enumerate(offsets))
 
     arcs: list[Arc] = []
     index: dict[Arc, int] = {}
@@ -187,7 +179,7 @@ def build_standard_tilting(
         for t, idx in enumerate(ladder):
             names[f"L{acc}[{t}]"] = idx
 
-    tilting = StandardTilting(model, anchors, depth, tuple(arcs), names, tuple(leapfrogs))
+    tilting = StandardTilting(model, tuple(arcs), names, tuple(leapfrogs))
     _assert_non_crossing(model, tilting.arcs)
     return tilting
 
@@ -307,8 +299,6 @@ def mutate(t: StandardTilting, m_index: int) -> StandardTilting:
     primary = t.name_of(m_index)
     new_names = {name: i for name, i in t.names.items() if i != m_index}
     new_names[primary + "*"] = m_index
-    mutated = StandardTilting(
-        t.model, t.anchors, t.depth, tuple(new_arcs), new_names, t.leapfrogs
-    )
+    mutated = StandardTilting(t.model, tuple(new_arcs), new_names, t.leapfrogs)
     _assert_non_crossing(t.model, mutated.arcs)
     return mutated

@@ -19,11 +19,14 @@ from arck0 import (
     compute_k0_cn,
     compute_k0_completed,
     euler_oracle,
+    f_matrix,
+    kernel_generator_arc,
     maybe_arc,
     mutate,
     palu_relations,
     parity_class,
     smith_normal_form,
+    standard_basis_arcs,
     suspend,
     verify_f_oracle,
 )
@@ -122,10 +125,27 @@ def test_criterion_4_parity():
 
 
 def test_criterion_5_formula_vs_oracle():
-    reports = [verify_f_oracle(n, 6) for n in (1, 2)] + [verify_f_oracle(n, 4) for n in (5, 6)]
+    sizes = [(1, 6), (2, 6), (5, 4), (6, 4)]
+    reports = [verify_f_oracle(n, window) for n, window in sizes]
     ok = all(r.match for r in reports)
-    detail = "; ".join(f"n={r.n} window {r.window}: {r.oracle}" for r in reports)
-    report("5 (generator formula vs oracle)", ok, detail)
+    # at n = 5, 6 also each f_matrix column: the kernel generator minus its
+    # column expanded over the host basis arcs reduces to zero in the oracle
+    columns_ok = True
+    for (n, _), r in zip(sizes, reports):
+        if n < 5:
+            continue
+        basis = standard_basis_arcs(2 * n)
+        for i, column in enumerate(f_matrix(n), start=1):
+            combo = {kernel_generator_arc(n, i): 1}
+            for arc, c in zip(basis, column):
+                combo[arc] = combo.get(arc, 0) - c
+            columns_ok &= r.quotient.reduce(combo) == r.quotient.zero_class
+    detail = "; ".join(f"n={n} window {w}: {r.oracle}" for (n, w), r in zip(sizes, reports))
+    report(
+        "5 (generator formula vs oracle)",
+        ok and columns_ok,
+        f"{detail}; f_matrix columns at n=5, 6: {'match' if columns_ok else 'MISMATCH'}",
+    )
 
 
 def _random_arc(rng: random.Random, n: int, window: int = 12) -> Arc:

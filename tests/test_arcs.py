@@ -20,7 +20,8 @@ def test_arc_validity():
     with pytest.raises(ValueError):
         A((0, 3), (0, 2))
     # cross-segment pairs are never adjacent
-    assert A((0, 0), (1, 0)).endpoints == (P(0, 0), P(1, 0))
+    arc = A((0, 0), (1, 0))
+    assert (arc.a, arc.b) == (P(0, 0), P(1, 0))
 
 
 def test_arc_canonical_order_and_json():

@@ -113,8 +113,23 @@ def test_smith_round_cap_exits_1(capsys, monkeypatch):
 
 
 def test_bad_anchor_count(capsys):
-    code, _, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
-    assert code == 2 and "anchors" in err
+    code, out, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
+    assert (code, out, err) == (2, "", "error: expected 2 anchor offsets, got 3")
+    for argv, got in (
+        (["exchange", "--n", "2", "--arc", "Z1", "--anchors", "1"], 1),
+        (["render", "--n", "2", "--depth", "2", "--anchors", "1,2,3"], 3),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: expected 2 anchor offsets, got {got}"), argv
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_format_only_where_the_handler_reads_it(capsys, command):
+    # verify always prints its PASS/FAIL lines and render always SVG
+    with pytest.raises(SystemExit) as err:
+        main([command, "--n", "1", "--format", "json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys):

@@ -26,7 +26,8 @@ def A(p, q):
 def test_completion_model_layout():
     # the host has 2n segments and the kernel generators sit on alternating
     # host segments, no two of them cyclically adjacent
-    assert verify_f_oracle(1, 2).quotient.model.num_segments == 2
+    arcs = verify_f_oracle(1, 2).quotient.arcs
+    assert {s for arc in arcs for s in (arc.a[0], arc.b[0])} == {0, 1}
     n = 3
     segments = {kernel_generator_arc(n, i).a[0] for i in range(1, n + 1)}
     assert len(segments) == n
@@ -116,9 +117,6 @@ def test_verify_f_oracle_n1():
     report = verify_f_oracle(1, 6)
     assert report.match
     assert report.expected == report.oracle == GroupPresentation(1)
-    data = report.to_json()
-    assert data["match"] is True
-    assert data["generators"] == [[[0, -2], [0, 0]]]
 
 
 def test_verify_f_oracle_n2():

@@ -53,8 +53,7 @@ def test_compute_k0_cn_frontier_report():
     assert report.frontier_excess == 0
     assert report.num_arcs == 15
     assert report.num_relations == 12
-    data = report.to_json()
-    assert data["presentation"] == {"free_rank": 3, "invariant_factors": []}
+    assert report.presentation == GroupPresentation(3)
     for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
         frontier = compute_k0_cn(n, None, depth).frontier
         assert sorted(frontier) == sorted(f"L{b}[{2 * depth}]" for b in range(1, n + 1))
@@ -164,13 +163,14 @@ def test_oracle_parity_both_directions(oracle_c1_w6):
 
 def test_oracle_classes_satisfy_euler_relations(oracle_c2_w6):
     o = oracle_c2_w6
+    model = CircleModel(2)
     arcs = o.arcs
     checked = 0
     for x in arcs[::17]:
         for y in arcs[::13]:
-            if ext1_dim(o.model, x, y) != 1:
+            if ext1_dim(model, x, y) != 1:
                 continue
-            for tri in induced_triangles(o.model, x, y):
+            for tri in induced_triangles(model, x, y):
                 combo = {tri.first: 1, tri.third: 1}
                 for mid in tri.middle:
                     combo[mid] = combo.get(mid, 0) - 1
@@ -305,6 +305,9 @@ def test_class_same_segment_rejects_bad_input():
     # an anchor list shorter than n
     with pytest.raises(ValueError, match="expected 3 anchor offsets, got 2"):
         class_same_segment(3, A((2, -2), (2, 0)), [0, 0])
+    # a non-integer anchor offset, which truncation would read as offset 1
+    with pytest.raises(ValueError, match="anchor offset 1.5 is not an int"):
+        class_same_segment(2, A((0, -2), (0, 0)), [1.5, 0])
 
 
 def test_class_same_segment_matches_oracle(oracle_c2_w6):
@@ -363,3 +366,6 @@ def test_standard_basis_arcs_rejects_bad_anchors():
         standard_basis_arcs(3, [0])
     with pytest.raises(ValueError, match="expected 2 anchor offsets, got 3"):
         standard_basis_arcs(2, [0, 0, 7])
+    # and each an int: 0.5 and 1.2 are not truncated to 0 and 1
+    with pytest.raises(ValueError, match="anchor offset 0.5 is not an int"):
+        standard_basis_arcs(2, [0.5, 1.2])

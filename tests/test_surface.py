@@ -1,4 +1,7 @@
-"""The package's public names, and the layer functions the benchmark tracer wraps."""
+"""The package's public names, its result types' fields, and the layer
+functions the benchmark tracer wraps."""
+
+import dataclasses
 
 import arck0
 
@@ -35,6 +38,18 @@ PUBLIC = [
     "render_svg",
 ]
 
+# the fields of each result type, so that a dropped field cannot come back
+# unnoticed; each one is read by the package, the CLI or the benchmark
+FIELDS = {
+    "K0Report": [
+        "presentation", "num_arcs", "num_relations", "frontier", "frontier_excess",
+    ],
+    "CompletionReport": ["expected", "oracle", "match", "quotient"],
+    "OracleQuotient": ["window", "presentation", "num_live", "relations", "_codes"],
+    "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
+    "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
+}
+
 # (defining module, function, modules that call it by that name): the
 # tracer in perfbench/tracing.py wraps each one where it is called and
 # silently skips a function that is gone, so its metrics would read 0
@@ -54,6 +69,11 @@ def test_public_names():
     assert arck0.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(arck0, name) is not None, name
+
+
+def test_result_type_fields():
+    for name, fields in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(arck0, name))] == fields, name
 
 
 def test_traced_layer_functions_exist():

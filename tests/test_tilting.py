@@ -69,7 +69,7 @@ def test_build_counts_match_enumeration_oracle(n, depth, expected):
     t = build_standard_tilting(n, None, depth)
     assert len(t.arcs) == expected
     oracle = zigzag_arcs(n, [0] * n, depth)
-    assert {frozenset(a.endpoints) for a in t.arcs} == oracle
+    assert {frozenset((a.a, a.b)) for a in t.arcs} == oracle
     assert len(oracle) == expected
 
 
@@ -91,6 +91,9 @@ def test_build_rejects_bad_input():
         build_standard_tilting(3, None, 0)
     with pytest.raises(ValueError):
         build_standard_tilting(3, [0, 0], 2)
+    # a non-integer offset is rejected, not truncated to (0, 0), (1, 1)
+    with pytest.raises(ValueError, match="anchor offset 0.7 is not an int"):
+        build_standard_tilting(2, [0.7, 1.9], 2)
 
 
 def test_build_is_pairwise_non_crossing():
@@ -121,8 +124,9 @@ def test_fan_identifications():
 def test_leapfrog_endpoints_monotone():
     # the endpoint approaching the accumulation point from below climbs, the
     # one approaching from above descends
+    depth = 4
     for n in (1, 3):
-        t = build_standard_tilting(n, None, 4)
+        t = build_standard_tilting(n, None, depth)
         for b, ladder in enumerate(t.leapfrogs):
             arcs = [t.arcs[i] for i in ladder]
 
@@ -140,7 +144,7 @@ def test_leapfrog_endpoints_monotone():
             highs = [above_offset(a) for a in arcs]
             assert lows == sorted(lows)
             assert highs == sorted(highs, reverse=True)
-            assert lows[-1] - lows[0] == t.depth
+            assert lows[-1] - lows[0] == depth
             # neighbours share an endpoint
             for prev, cur in zip(arcs, arcs[1:]):
                 assert shares_endpoint(prev, cur)
@@ -289,14 +293,6 @@ def test_mutate_keeps_set_non_crossing():
                 assert ext1_dim(mutated.model, mutated.arcs[i], mutated.arcs[j]) == 0
 
 
-def test_tilting_json():
-    t = build_standard_tilting(2, None, 1)
-    data = t.to_json()
-    assert data["n"] == 2 and data["depth"] == 1
-    assert data["names"]["Z1"] == data["names"]["Z2"]
-    assert len(data["arcs"]) == len(t.arcs)
-
-
 def test_non_crossing_check_matches_pairwise_reference():
     # the bracket check against the pairwise ext1_dim loop, on small random
     # arc sets: offsets in [-2, 2] make shared endpoints common, half the
@@ -341,7 +337,7 @@ def test_non_crossing_check_matches_pairwise_reference():
 
 def scan_thirds(t):
     """Third vertices of the triangles flanking each arc, by a neighbour scan of the arc set."""
-    present = {frozenset(a.endpoints) for a in t.arcs}
+    present = {frozenset((a.a, a.b)) for a in t.arcs}
     joined = {}
     for a in t.arcs:
         joined.setdefault(a.a, set()).add(a.b)
@@ -353,9 +349,9 @@ def scan_thirds(t):
     result = []
     for m in t.arcs:
         candidates = joined[m.a] | joined[m.b]
-        candidates |= {P(x[0], x[1] + d) for x in m.endpoints for d in (-1, 1)}
+        candidates |= {P(x[0], x[1] + d) for x in (m.a, m.b) for d in (-1, 1)}
         result.append(
-            sorted(r for r in candidates if r not in m.endpoints and side(m.a, r) and side(m.b, r))
+            sorted(r for r in candidates if r not in (m.a, m.b) and side(m.a, r) and side(m.b, r))
         )
     return result
 
@@ -394,7 +390,7 @@ def test_palu_relations_match_induced_triangles():
 def unchecked_tilting(pairs):
     # a StandardTilting built directly, skipping the non-crossing check
     arcs = tuple(A(p, q) for p, q in pairs)
-    return StandardTilting(CircleModel(1), (P(0, 0),), 1, arcs, {}, ())
+    return StandardTilting(CircleModel(1), arcs, {}, ())
 
 
 def test_flank_checks_on_crossing_sets():
