@@ -27,8 +27,12 @@ class Arc:
     b: MarkedPoint
 
     def __post_init__(self) -> None:
-        p = MarkedPoint(*self.a)
-        q = MarkedPoint(*self.b)
+        # the package passes MarkedPoints; only other pairs are wrapped
+        p, q = self.a, self.b
+        if type(p) is not MarkedPoint:
+            p = MarkedPoint(*p)
+        if type(q) is not MarkedPoint:
+            q = MarkedPoint(*q)
         if q < p:
             p, q = q, p
         if is_degenerate_pair(p, q):

@@ -159,8 +159,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ),
         str(reports[0].presentation),
     )
-    shifted = [compute_k0_cn(n, [c] * n, 3).presentation for c in (-3, 0, 5)]
-    check("anchor independence", len(set(shifted)) == 1)
+    # anchor offset 0 is the default, so the depth-3 report above covers it
+    shifted = {reports[1].presentation}
+    shifted.update(compute_k0_cn(n, [c] * n, 3).presentation for c in (-3, 5))
+    check("anchor independence", len(shifted) == 1)
 
     completed = compute_k0_completed(n)
     check(
@@ -173,7 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_f_oracle(n, window)
     check(
         "generator formula vs Euler oracle",
-        report.match,
+        report.expected == report.oracle,
         f"expected {report.expected}, oracle {report.oracle}",
     )
 

@@ -63,7 +63,6 @@ class CompletionReport:
 
     expected: GroupPresentation
     oracle: GroupPresentation
-    match: bool
     quotient: OracleQuotient = field(repr=False, compare=False)
 
 
@@ -88,6 +87,5 @@ def verify_f_oracle(n: int, window: int) -> CompletionReport:
     return CompletionReport(
         expected=expected,
         oracle=oracle_side,
-        match=expected == oracle_side,
         quotient=oracle,
     )

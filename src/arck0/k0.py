@@ -115,7 +115,7 @@ def compute_k0_cn(
 # brute-force Euler oracle
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleQuotient:
     """Finite-window quotient group with a class vector for every window arc.
 

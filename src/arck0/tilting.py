@@ -34,16 +34,6 @@ class InsufficientDepthError(ValueError):
     """Raised when an operation needs arcs beyond the truncation depth."""
 
 
-def _leapfrog_arc(below: MarkedPoint, above: MarkedPoint, t: int) -> Arc:
-    # Zigzag step t of the ladder rooted at {below, above}: even steps advance
-    # the endpoint approaching the accumulation point from below, odd steps
-    # retreat the one approaching from above.
-    m = t // 2
-    lo = MarkedPoint(below[0], below[1] + m)
-    hi = MarkedPoint(above[0], above[1] - m - (t % 2))
-    return Arc(lo, hi)
-
-
 @dataclass(frozen=True)
 class StandardTilting:
     """An indexed maximal non-crossing arc set with one leapfrog per accumulation point.
@@ -140,11 +130,10 @@ def build_standard_tilting(
     names: dict[str, int] = {}
 
     def add(arc: Arc) -> int:
-        if arc in index:
-            return index[arc]
-        index[arc] = len(arcs)
-        arcs.append(arc)
-        return index[arc]
+        i = index.setdefault(arc, len(arcs))
+        if i == len(arcs):
+            arcs.append(arc)
+        return i
 
     # polygon edges Z1..Zn (for n = 2 both labels point at the single chord)
     roots: list[tuple[MarkedPoint, MarkedPoint]] = []
@@ -168,10 +157,17 @@ def build_standard_tilting(
     # leapfrogs, one per accumulation point, rooted at the polygon edges
     leapfrogs: list[tuple[int, ...]] = []
     for b in range(n):
-        below, above = roots[b]
+        lo, hi = roots[b]
         ladder = [names[f"Z{b + 1}"]]
         for t in range(1, 2 * depth + 1):
-            ladder.append(add(_leapfrog_arc(below, above, t)))
+            # each zigzag step moves one endpoint: odd steps retreat the one
+            # approaching the accumulation point from above, even steps
+            # advance the one approaching it from below
+            if t % 2:
+                hi = MarkedPoint(hi[0], hi[1] - 1)
+            else:
+                lo = MarkedPoint(lo[0], lo[1] + 1)
+            ladder.append(add(Arc(lo, hi)))
         leapfrogs.append(tuple(ladder))
         acc = ((b + 1) % n) + 1
         y = ((acc - 2) % n) + 1
@@ -198,15 +194,19 @@ class ExchangePair:
     b_m_star: tuple[Arc, ...]
 
 
-def _flank(t: StandardTilting, i: int) -> tuple[MarkedPoint, ...]:
+def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
     """Third vertices of the triangles flanking arc ``i``, read off the neighbour index.
 
     For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
     tilting arc or a boundary edge (adjacent points); equal points do not.
     So the thirds are the neighbours of p, together with p's two adjacent
-    points, that are also such neighbours of q.  Neither p nor q is its own
-    neighbour, so neither can appear.  Endpoints are not re-validated: the
-    non-crossing check validated them when the tilting was built.
+    points, that are neighbours of q or adjacent to q.  Neither p nor q is
+    its own neighbour or adjacent to itself, so neither can appear, and no
+    neighbour of p is adjacent to p, so no candidate comes twice.  The
+    adjacent points are plain ``(segment, offset)`` tuples, which hash and
+    compare like the MarkedPoints they stand for; ``Arc`` wraps them.
+    Endpoints are not re-validated: the non-crossing check validated them
+    when the tilting was built.
 
     Returns ``(v1, v3)``, with v1 strictly between m.a and m.b in lex order,
     so that ``(m.a, v1, m.b, v3)`` is the quadrilateral in anticlockwise
@@ -217,9 +217,13 @@ def _flank(t: StandardTilting, i: int) -> tuple[MarkedPoint, ...]:
     """
     p, q = t.arcs[i].a, t.arcs[i].b
     around = t._neighbours
-    near_p = around[p].keys() | {MarkedPoint(p[0], p[1] - 1), MarkedPoint(p[0], p[1] + 1)}
-    near_q = around[q].keys() | {MarkedPoint(q[0], q[1] - 1), MarkedPoint(q[0], q[1] + 1)}
-    thirds = near_p & near_q
+    at_q = around[q]
+    (ps, po), (qs, qo) = p, q
+    thirds = [
+        r
+        for r in (*around[p], (ps, po - 1), (ps, po + 1))
+        if r in at_q or (r[0] == qs and abs(r[1] - qo) == 1)
+    ]
     if len(thirds) < 2:
         return tuple(thirds)
     if len(thirds) > 2:

@@ -127,7 +127,7 @@ def test_criterion_4_parity():
 def test_criterion_5_formula_vs_oracle():
     sizes = [(1, 6), (2, 6), (5, 4), (6, 4)]
     reports = [verify_f_oracle(n, window) for n, window in sizes]
-    ok = all(r.match for r in reports)
+    ok = all(r.expected == r.oracle for r in reports)
     # at n = 5, 6 also each f_matrix column: the kernel generator minus its
     # column expanded over the host basis arcs reduces to zero in the oracle
     columns_ok = True

@@ -31,6 +31,19 @@ def test_arc_canonical_order_and_json():
     assert Arc.from_json(arc.to_json()) == arc
 
 
+def test_arc_wraps_plain_pairs():
+    # tuples and lists become ordered MarkedPoints; MarkedPoints are kept as given
+    arc = Arc((0, 3), [0, 1])
+    assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+    assert (arc.a, arc.b) == (P(0, 1), P(0, 3))
+    assert arc == A((0, 1), (0, 3)) and hash(arc) == hash(A((0, 1), (0, 3)))
+    p, q = P(1, 0), P(0, 5)
+    kept = Arc(p, q)
+    assert kept.a is q and kept.b is p
+    with pytest.raises(ValueError, match="degenerate arc"):
+        Arc((0, 2), [0, 1])
+
+
 def test_maybe_arc():
     assert maybe_arc(P(0, 0), P(0, 1)) is None
     assert maybe_arc(P(0, 0), P(0, 0)) is None

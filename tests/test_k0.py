@@ -65,6 +65,33 @@ def test_compute_k0_cn_nonuniform_anchors():
         assert compute_k0_cn(n, offsets, 3).presentation == GroupPresentation(n)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_compute_k0_cn_smith_core_grows_linearly(n, monkeypatch):
+    # the survivors of unit elimination are numbered so that the exchange
+    # core stays banded: its echelon pivots hold O(n) entries and take O(n)
+    # subtractions (in increasing order both grew as n squared: 10,292
+    # entries and 9,859 subtractions at n = 100)
+    from arck0 import snf
+
+    subtract, echelon = snf._subtract, snf._echelon_columns
+    calls, entries = [0], [0]
+
+    def counting_subtract(*args):
+        calls[0] += 1
+        return subtract(*args)
+
+    def counting_echelon(columns):
+        pivots = echelon(columns)
+        entries[0] += sum(len(col) for col in pivots.values())
+        return pivots
+
+    monkeypatch.setattr(snf, "_subtract", counting_subtract)
+    monkeypatch.setattr(snf, "_echelon_columns", counting_echelon)
+    assert compute_k0_cn(n, None, 16).presentation == GroupPresentation(n)
+    assert 0 < entries[0] <= 8 * n
+    assert calls[0] <= n
+
+
 def test_frontier_projection_matches_full_quotient():
     # Z^N modulo (columns + interior unit vectors) is Z^F modulo the columns
     # projected onto the F remaining coordinates
@@ -257,6 +284,18 @@ def test_oracle_window_stability(n, window):
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
     with pytest.raises(InsufficientWindowError):
         oracle_c1_w6.class_of(A((0, 0), (0, 40)))
+
+
+def test_oracle_quotient_is_frozen(oracle_c1_w6):
+    import dataclasses
+
+    o = oracle_c1_w6
+    before = o.class_of(A((0, 0), (0, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        o.num_live = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        o.relations = {}
+    assert o.class_of(A((0, 0), (0, 2))) == before != o.zero_class
 
 
 # ---------------------------------------------------------------------------

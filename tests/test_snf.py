@@ -209,6 +209,23 @@ def test_cokernel_rejects_bad_columns():
         cokernel_presentation(2, [{5: 1}])
 
 
+def test_non_int_entries_are_rejected():
+    # a float used to be truncated silently: Z^2, Z x Z/2 and [1, 2]
+    with pytest.raises(ValueError, match="matrix entry 0.5 is not an int"):
+        cokernel_presentation(2, [[0.5, 0]])
+    with pytest.raises(ValueError, match="matrix entry 2.7 is not an int"):
+        cokernel_presentation(2, [{0: 2.7}])
+    with pytest.raises(ValueError, match="matrix entry 2.9 is not an int"):
+        smith_normal_form([[2.9, 0], [0, 1]])
+    with pytest.raises(ValueError, match="column index 1.0 is not an int"):
+        cokernel_presentation(2, [{1.0: 2}])
+    with pytest.raises(ValueError, match="matrix entry True is not an int"):
+        cokernel_presentation(2, [(True, 0)])
+    with pytest.raises(ValueError, match="matrix entry 0.0 is not an int"):
+        smith_normal_form([[0.0, 1]])
+    assert cokernel_presentation(2, [{1: 2}]) == GroupPresentation(1, (2,))
+
+
 def test_cokernel_invariance_under_column_signs_and_order():
     rng = random.Random(99)
     for _ in range(30):

@@ -44,7 +44,7 @@ FIELDS = {
     "K0Report": [
         "presentation", "num_arcs", "num_relations", "frontier", "frontier_excess",
     ],
-    "CompletionReport": ["expected", "oracle", "match", "quotient"],
+    "CompletionReport": ["expected", "oracle", "quotient"],
     "OracleQuotient": ["window", "presentation", "num_live", "relations", "_codes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],

@@ -191,6 +191,25 @@ def test_exchange_pair_frontier_raises():
         exchange_pair(t, deepest)
 
 
+def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
+    # _flank hands plain (segment, offset) tuples to Arc for thirds adjacent
+    # to an endpoint; every arc that leaves the package wraps them
+    rng = random.Random(31)
+    for n in range(1, 7):
+        t = build_standard_tilting(n, [rng.randint(-3, 3) for _ in range(n)], 3)
+        interior = sorted(palu_relations(t))
+        for _ in range(4):
+            for i in interior:
+                pair = exchange_pair(t, i)
+                for arc in (pair.m, pair.m_star, *pair.b_m, *pair.b_m_star):
+                    assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+                    assert arc.to_json() == [list(arc.a), list(arc.b)]
+            for arc in t.arcs:
+                assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+            t = mutate(t, rng.choice(interior))
+            interior = sorted(palu_relations(t))
+
+
 def test_exchange_roles_swap_after_mutation():
     t = build_standard_tilting(3, None, 3)
     i = t.names["Z2"]
