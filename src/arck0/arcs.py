@@ -8,8 +8,7 @@ structures where they are needed (``tilting``, ``k0.euler_oracle``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circle import MarkedPoint
 
@@ -19,26 +18,37 @@ def is_degenerate_pair(p: MarkedPoint, q: MarkedPoint) -> bool:
     return p[0] == q[0] and abs(p[1] - q[1]) <= 1
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """Unordered pair of non-adjacent marked points, stored lex-sorted."""
-
+class _Endpoints(NamedTuple):
     a: MarkedPoint
     b: MarkedPoint
 
-    def __post_init__(self) -> None:
+
+class Arc(_Endpoints):
+    """Unordered pair of non-adjacent marked points, stored lex-sorted.
+
+    A validated named tuple: hashing, equality, ordering and the ``a``/``b``
+    getters are the tuple's own, so an arc equals the plain pair of its
+    endpoints.  Every construction, ``_make`` and ``_replace`` included,
+    goes through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b) -> "Arc":
         # the package passes MarkedPoints; only other pairs are wrapped
-        p, q = self.a, self.b
-        if type(p) is not MarkedPoint:
-            p = MarkedPoint(*p)
-        if type(q) is not MarkedPoint:
-            q = MarkedPoint(*q)
-        if q < p:
-            p, q = q, p
-        if is_degenerate_pair(p, q):
-            raise ValueError(f"degenerate arc between {p} and {q}")
-        object.__setattr__(self, "a", p)
-        object.__setattr__(self, "b", q)
+        if type(a) is not MarkedPoint:
+            a = MarkedPoint(*a)
+        if type(b) is not MarkedPoint:
+            b = MarkedPoint(*b)
+        if b < a:
+            a, b = b, a
+        if is_degenerate_pair(a, b):
+            raise ValueError(f"degenerate arc between {a} and {b}")
+        return tuple.__new__(cls, (a, b))
+
+    @classmethod
+    def _make(cls, iterable) -> "Arc":
+        return cls(*iterable)
 
     @property
     def same_segment(self) -> bool:

@@ -136,6 +136,10 @@ class OracleQuotient:
     # signed live generator code (index + 1; 0 for a zero class) of every
     # window arc, in lex order of the arcs' window-point index pairs
     _codes: dict[Arc, int] = field(repr=False)
+    # class of each signed live code that class_of has reduced
+    _classes: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -146,7 +150,13 @@ class OracleQuotient:
         return (0,) * self.num_live
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
-        return self.reduce({arc: 1})
+        """Class of one window arc; arcs sharing a signed live code share it."""
+        code = self._codes.get(arc)
+        reduced = self._classes.get(code)
+        if reduced is None:
+            # reduce raises InsufficientWindowError for an arc outside the window
+            reduced = self._classes[code] = self.reduce({arc: 1})
+        return reduced
 
     def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
         """Class of an integer combination of window arcs.
@@ -207,7 +217,8 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     # window's upper edge; the slid copy is the chain representative and the
     # parity of the slide is the sign of the arc against it.  Sliding keeps
     # both endpoints in their segments, so it adds the slide to both indices.
-    chain = [0] * (size * size)
+    # rows[i][j] is the signed chain code of the arc (i, j).
+    rows = [[0] * size for _ in range(size)]
     chain_ids: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for i, (s0, o0) in enumerate(points):
@@ -217,7 +228,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                 continue  # equal or adjacent points: a zero object
             k = window - max(o0, o1)
             cid = chain_ids.setdefault((i + k) * size + j + k, len(chain_ids) + 1)
-            chain[i * size + j] = chain[j * size + i] = -cid if k % 2 else cid
+            rows[i][j] = rows[j][i] = -cid if k % 2 else cid
             pairs.append((i, j))
 
     elim = _UnitEliminations(len(chain_ids))
@@ -230,18 +241,16 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
         # every pair with a top endpoint, each crossing partner once: a
         # partner (l, k) with l < i that is itself top was met as the top
         # arc (l, k) already, whatever the walk order
-        row_i = chain[i * size : (i + 1) * size]
-        row_j = chain[j * size : (j + 1) * size]
+        row_i, row_j = rows[i], rows[j]
         a = row_i[j]
+        after = range(j + 1, size)
+        outside = (*after, *(l for l in range(i) if not top[l]))
         for k in range(i + 1, j):
-            row_k = chain[k * size : (k + 1) * size]
+            row_k = rows[k]
             kj, ik = row_k[j], row_i[k]
             # rep only changes when absorb applies a unit move
             ra, rkj, rik = rep[a], rep[kj], rep[ik]
-            outside = range(j + 1, size) if top[k] else (*range(j + 1, size), *range(i))
-            for l in outside:
-                if l < i and top[l]:
-                    continue
+            for l in after if top[k] else outside:
                 rb = rep[row_k[l]]
                 # triangle a -> (+)({k,j}, {l,i}) -> b: [a] + [b] - [kj] - [li]
                 key = (ra, rb, rkj, rep[row_i[l]])
@@ -265,7 +274,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     live = {0: 0}  # signed generator code -> signed live code
     for g, p in position.items():
         live[g], live[-g] = p + 1, -p - 1
-    codes = {Arc(points[i], points[j]): live[rep[chain[i * size + j]]] for i, j in pairs}
+    codes = {Arc(points[i], points[j]): live[rep[rows[i][j]]] for i, j in pairs}
     return OracleQuotient(
         window=window,
         presentation=presentation,

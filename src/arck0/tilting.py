@@ -147,10 +147,11 @@ def build_standard_tilting(
         roots.append((below, above))
         names[f"Z{b + 1}"] = add(Arc(below, above))
 
-    # fan triangulation from z1
-    if n >= 4:
-        for i in range(3, n):
-            names[f"X{i}"] = add(Arc(anchors[0], anchors[i - 1]))
+    # fan triangulation from z1: its outer arcs X2 and Xn are the polygon
+    # edges Z1 and Zn, its diagonals X3..X(n-1) exist for n >= 4
+    for i in range(3, n):
+        names[f"X{i}"] = add(Arc(anchors[0], anchors[i - 1]))
+    if n >= 2:
         names["X2"] = names["Z1"]
         names[f"X{n}"] = names[f"Z{n}"]
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from arck0 import Arc, CircleModel, MarkedPoint, maybe_arc, suspend
@@ -42,6 +45,30 @@ def test_arc_wraps_plain_pairs():
     assert kept.a is q and kept.b is p
     with pytest.raises(ValueError, match="degenerate arc"):
         Arc((0, 2), [0, 1])
+
+
+def test_arc_is_a_validated_named_tuple():
+    arc = A((1, 5), (0, 3))
+    assert repr(arc) == (
+        "Arc(a=MarkedPoint(segment=0, offset=3), b=MarkedPoint(segment=1, offset=5))"
+    )
+    assert hash(arc) == hash((arc.a, arc.b))
+    assert arc == (P(0, 3), P(1, 5))
+    arcs = [A((1, 0), (1, 2)), A((0, 0), (1, 0)), A((0, 0), (0, 3)), A((0, -4), (1, 7))]
+    assert sorted(arcs) == sorted(arcs, key=lambda x: (x.a, x.b))
+    with pytest.raises(AttributeError):
+        arc.a = P(0, 0)
+    # _make and _replace order and validate like the constructor
+    made = Arc._make([P(1, 5), P(0, 3)])
+    assert type(made) is Arc and (made.a, made.b) == (P(0, 3), P(1, 5))
+    replaced = arc._replace(b=(0, 0))
+    assert type(replaced) is Arc and (replaced.a, replaced.b) == (P(0, 0), P(0, 3))
+    with pytest.raises(ValueError, match="degenerate arc"):
+        Arc._make([P(0, 2), P(0, 1)])
+    with pytest.raises(ValueError, match="degenerate arc"):
+        arc._replace(b=P(0, 4))
+    for clone in (copy.copy(arc), pickle.loads(pickle.dumps(arc))):
+        assert type(clone) is Arc and clone == arc
 
 
 def test_maybe_arc():

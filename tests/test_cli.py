@@ -72,6 +72,9 @@ def test_exchange_by_json_arc(capsys):
 def test_exchange_unknown_arc(capsys):
     code, _, err = run(capsys, ["exchange", "--n", "3", "--depth", "3", "--arc", "Q7"])
     assert code == 2 and "error" in err
+    # a valid arc outside the tilting is named as such
+    code, _, err = run(capsys, ["exchange", "--n", "2", "--arc", "[[0,0],[0,2]]"])
+    assert code == 2 and err == "error: arc '[[0,0],[0,2]]' is not in the tilting set"
 
 
 def test_exchange_frontier_is_bad_input(capsys):
@@ -198,7 +201,18 @@ def test_render_arc_errors_keep_their_message(capsys, arcs, message):
     assert err == f"error: {message}"
 
 
-@pytest.mark.parametrize("arc", ["[5]", "7", '[[["a",0],[0,2]]]', "{}", "[[0,0],[0,1]]"])
+@pytest.mark.parametrize(
+    "arc",
+    [
+        "[5]",
+        "7",
+        '[[["a",0],[0,2]]]',
+        "{}",
+        "[[0,0],[0,1]]",
+        "[[0,0.5],[1,0]]",  # a non-int offset is no marked point
+        "[[0,0],[5,1]]",  # nor is a segment beyond n
+    ],
+)
 def test_exchange_malformed_arc_is_unknown(capsys, arc):
     code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
     assert code == 2

@@ -14,6 +14,7 @@ from arck0 import (
     compute_k0_cn,
     euler_oracle,
     maybe_arc,
+    mutate,
     palu_relations,
     parity_class,
     standard_basis_arcs,
@@ -264,6 +265,30 @@ def test_exchange_relations_hold_in_oracle(n, depth, window):
         assert _basis_quotient(o, n) == GroupPresentation(0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mutated_tilting_relations_hold_in_oracle(n):
+    # the same bridge for tiltings reached by mutation, so that no check
+    # depends on the standard tilting's shape: three random interior flips
+    # from seeded anchors, then every exchange relation is zero in the
+    # oracle, and the relations present Z^(n + frontier excess) with no
+    # torsion, the excess read as the free rank modulo the interior arcs
+    o = euler_oracle(n, 6)
+    for seed in range(10):
+        rng = random.Random(seed)
+        t = build_standard_tilting(n, [rng.randint(-1, 1) for _ in range(n)], 2)
+        for _ in range(3):
+            t = mutate(t, rng.choice(sorted(palu_relations(t))))
+        relations = palu_relations(t)
+        for source, terms in relations.items():
+            combo = {t.arcs[i]: c for i, c in terms.items()}
+            assert o.reduce(combo) == o.zero_class, (seed, source)
+        interior = [{i: 1} for i in relations]
+        excess = cokernel_presentation(len(t.arcs), [*relations.values(), *interior]).free_rank
+        assert cokernel_presentation(len(t.arcs), relations.values()) == GroupPresentation(
+            n + excess
+        ), seed
+
+
 @pytest.mark.parametrize("n,window", [(2, 4), (3, 4)])
 def test_oracle_window_stability(n, window):
     # every relation at window w is one at w + 1, so sending each window-w
@@ -284,6 +309,21 @@ def test_oracle_window_stability(n, window):
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
     with pytest.raises(InsufficientWindowError):
         oracle_c1_w6.class_of(A((0, 0), (0, 40)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_of_is_reduce_of_the_arc(n):
+    # class_of answers once per live code; every answer, first or repeated,
+    # is reduce's, an arc outside the window raises every time, and the
+    # answers held do not enter equality
+    o = euler_oracle(n, 4)
+    for _ in range(2):
+        for arc in o.arcs:
+            assert o.class_of(arc) == o.reduce({arc: 1}), arc
+    for _ in range(2):
+        with pytest.raises(InsufficientWindowError):
+            o.class_of(A((0, 0), (0, 40)))
+    assert o == euler_oracle(n, 4)
 
 
 def test_oracle_quotient_is_frozen(oracle_c1_w6):

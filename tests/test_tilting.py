@@ -12,6 +12,7 @@ from arck0 import (
     exchange_pair,
     mutate,
     palu_relations,
+    standard_basis_arcs,
 )
 from arck0.arcs import is_degenerate_pair
 from arck0.tilting import InsufficientDepthError, _assert_non_crossing
@@ -119,6 +120,14 @@ def test_fan_identifications():
     assert t.name_of(t.names["X2"]) == "Z1"
     assert t.name_of(t.names["X5"]) == "Z5"
     assert t.name_of(len(t.arcs)) == f"arc{len(t.arcs)}"
+    # X2..Xn are the basis fan arcs at every n >= 2, also where X2 and Xn
+    # are the only fan arcs (n = 2, 3)
+    for n in range(2, 7):
+        t = build_standard_tilting(n, None, 2)
+        basis = standard_basis_arcs(n)
+        for i in range(2, n + 1):
+            assert t.arcs[t.names[f"X{i}"]] == basis[i - 1], (n, i)
+        assert t.name_of(t.names["X2"]) == "Z1"
 
 
 def test_leapfrog_endpoints_monotone():
