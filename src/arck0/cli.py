@@ -28,6 +28,14 @@ def _parse_anchors(text: str | None) -> list[int] | None:
         raise ValueError(f"bad anchor list {text!r}") from exc
 
 
+def _load_json(text: str):
+    """Decoded JSON of a command-line value; nesting too deep raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def _parse_arc(data) -> Arc:
     """The arc of decoded JSON ``[[segment, offset], [segment, offset]]``.
 
@@ -107,7 +115,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         index = tilting.names[name]
     else:
         try:
-            arc = _parse_arc(json.loads(name))
+            arc = _parse_arc(_load_json(name))
             tilting.model.check_point(arc.a)
             tilting.model.check_point(arc.b)
         except ValueError as exc:
@@ -207,7 +215,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         tilting = build_standard_tilting(n, _parse_anchors(args.anchors), args.depth)
         arcs = list(tilting.arcs)
     elif args.arcs:
-        items = json.loads(args.arcs)
+        items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
         arcs = [_parse_arc(item) for item in items]

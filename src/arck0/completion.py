@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from .circle import MarkedPoint
 from .arcs import Arc
 from .snf import GroupPresentation, cokernel_presentation
-from .k0 import (
-    InsufficientWindowError,
-    OracleQuotient,
-    class_same_segment,
-    euler_oracle,
-)
+from .k0 import OracleQuotient, class_same_segment, euler_oracle
 
 
 def kernel_generator_arc(n: int, i: int) -> Arc:
@@ -74,10 +69,6 @@ def verify_f_oracle(n: int, window: int) -> CompletionReport:
     equal ``compute_k0_completed(n)``.  Cokernel presentations are invariant
     under basis change and column signs, so no sign convention enters.
     """
-    if window < 2:
-        raise InsufficientWindowError(
-            f"insufficient window: need window >= 2, got {window}"
-        )
     expected = compute_k0_completed(n)
     oracle = euler_oracle(2 * n, window)
     classes = [oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1)]

@@ -115,6 +115,12 @@ def compute_k0_cn(
 # brute-force Euler oracle
 
 
+def _class(relations: dict, num_live: int, vec: dict[int, int]) -> tuple[int, ...]:
+    """Canonical class of a sparse vector over the live generators, as a dense tuple."""
+    reduced = _hermite_reduce(relations, vec)
+    return tuple(reduced.get(i, 0) for i in range(num_live))
+
+
 @dataclass(frozen=True)
 class OracleQuotient:
     """Finite-window quotient group with a class vector for every window arc.
@@ -133,46 +139,37 @@ class OracleQuotient:
     presentation: GroupPresentation
     num_live: int
     relations: dict[int, dict[int, int]]
-    # signed live generator code (index + 1; 0 for a zero class) of every
-    # window arc, in lex order of the arcs' window-point index pairs
-    _codes: dict[Arc, int] = field(repr=False)
-    # class of each signed live code that class_of has reduced
-    _classes: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    # class of every window arc, in lex order of the arcs' window-point index pairs
+    _classes: dict[Arc, tuple[int, ...]] = field(repr=False)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        return tuple(self._codes)
+        return tuple(self._classes)
 
     @property
     def zero_class(self) -> tuple[int, ...]:
         return (0,) * self.num_live
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
-        """Class of one window arc; arcs sharing a signed live code share it."""
-        code = self._codes.get(arc)
-        reduced = self._classes.get(code)
+        """Class of one window arc; any other arc raises InsufficientWindowError."""
+        reduced = self._classes.get(arc)
         if reduced is None:
-            # reduce raises InsufficientWindowError for an arc outside the window
-            reduced = self._classes[code] = self.reduce({arc: 1})
+            raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
         return reduced
 
     def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
         """Class of an integer combination of window arcs.
 
-        An arc that is not a window arc raises InsufficientWindowError.
+        An arc that is not a window arc raises InsufficientWindowError, and a
+        coefficient whose type is not ``int`` raises ValueError.
         """
-        vec: dict[int, int] = {}
+        total = [0] * self.num_live
         for arc, coef in combination.items():
-            code = self._codes.get(arc)
-            if code is None:
-                raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
-            if code:
-                idx = abs(code) - 1
-                vec[idx] = vec.get(idx, 0) + (coef if code > 0 else -coef)
-        reduced = _hermite_reduce(self.relations, vec)
-        return tuple(reduced.get(i, 0) for i in range(self.num_live))
+            if type(coef) is not int:
+                raise ValueError(f"coefficient {coef!r} is not an int")
+            for i, v in enumerate(self.class_of(arc)):
+                total[i] += coef * v
+        return _class(self.relations, self.num_live, dict(enumerate(total)))
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:
@@ -208,7 +205,9 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     the group; it only changes which generators survive.
     """
     if window < 2:
-        raise ValueError(f"euler_oracle needs window >= 2, got {window}")
+        raise InsufficientWindowError(
+            f"insufficient window: euler_oracle needs window >= 2, got {window}"
+        )
     model = CircleModel(n)
     points = list(model.points_in_window(window))
     size = len(points)
@@ -270,17 +269,18 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     position, core = elim.residual(columns)
     relations = _echelon_columns(core)
-    presentation = cokernel_presentation(len(position), list(relations.values()))
-    live = {0: 0}  # signed generator code -> signed live code
+    num_live = len(position)
+    presentation = cokernel_presentation(num_live, list(relations.values()))
+    classes = {0: (0,) * num_live}  # signed generator code -> class
     for g, p in position.items():
-        live[g], live[-g] = p + 1, -p - 1
-    codes = {Arc(points[i], points[j]): live[rep[rows[i][j]]] for i, j in pairs}
+        classes[g] = _class(relations, num_live, {p: 1})
+        classes[-g] = _class(relations, num_live, {p: -1})
     return OracleQuotient(
         window=window,
         presentation=presentation,
-        num_live=len(position),
+        num_live=num_live,
         relations=relations,
-        _codes=codes,
+        _classes={Arc(points[i], points[j]): classes[rep[rows[i][j]]] for i, j in pairs},
     )
 
 

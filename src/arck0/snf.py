@@ -26,6 +26,7 @@ class GroupPresentation:
     """A finitely generated abelian group: free rank plus invariant factors.
 
     ``invariant_factors`` is the torsion chain d1 | d2 | ... with every di >= 2.
+    A free rank or factor whose type is not ``int`` raises ValueError.
     """
 
     free_rank: int
@@ -33,10 +34,14 @@ class GroupPresentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
+        if type(self.free_rank) is not int:
+            raise ValueError(f"free rank {self.free_rank!r} is not an int")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         factors = self.invariant_factors
         for i, d in enumerate(factors):
+            if type(d) is not int:
+                raise ValueError(f"invariant factor {d!r} is not an int")
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
             if i + 1 < len(factors) and factors[i + 1] % d:
@@ -310,9 +315,12 @@ def cokernel_presentation(
     """Presentation of Z^ambient_rank modulo the span of the given columns.
 
     Columns may be dense vectors of length ``ambient_rank`` or sparse
-    {index: value} mappings.  An index or entry whose type is not ``int``
-    raises ValueError, as do a wrong length and an index out of range.
+    {index: value} mappings.  An ambient rank, index or entry whose type is
+    not ``int`` raises ValueError, as do a wrong length and an index out of
+    range.
     """
+    if type(ambient_rank) is not int:
+        raise ValueError(f"ambient rank {ambient_rank!r} is not an int")
     if ambient_rank < 0:
         raise ValueError("ambient rank must be nonnegative")
     sparse: list[dict[int, int]] = []

@@ -172,6 +172,7 @@ def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
         ('[[["a",0],[0,2]]]', 'malformed arc [["a", 0], [0, 2]]'),
         ("{}", "--arcs must be a JSON list of arcs, got {}"),
         ('[[["a",0],["b",1]]]', "marked point ['a', 0] needs integer coordinates"),
+        pytest.param("[" * 100000 + "]" * 100000, "JSON nested too deeply", id="too-deep"),
     ],
 )
 def test_render_rejects_malformed_arcs(capsys, arcs, message):
@@ -211,6 +212,7 @@ def test_render_arc_errors_keep_their_message(capsys, arcs, message):
         "[[0,0],[0,1]]",
         "[[0,0.5],[1,0]]",  # a non-int offset is no marked point
         "[[0,0],[5,1]]",  # nor is a segment beyond n
+        pytest.param("[" * 100000 + "]" * 100000, id="too-deep"),
     ],
 )
 def test_exchange_malformed_arc_is_unknown(capsys, arc):

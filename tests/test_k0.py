@@ -147,7 +147,7 @@ def oracle_c2_w6():
 
 
 def test_oracle_rejects_small_window():
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientWindowError, match="needs window >= 2, got 1"):
         euler_oracle(1, 1)
 
 
@@ -313,9 +313,9 @@ def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_class_of_is_reduce_of_the_arc(n):
-    # class_of answers once per live code; every answer, first or repeated,
-    # is reduce's, an arc outside the window raises every time, and the
-    # answers held do not enter equality
+    # class_of reads the class euler_oracle stored for the arc; every answer,
+    # first or repeated, is reduce's, an arc outside the window raises every
+    # time, and answering leaves the oracle equal to a fresh one
     o = euler_oracle(n, 4)
     for _ in range(2):
         for arc in o.arcs:
@@ -324,6 +324,11 @@ def test_class_of_is_reduce_of_the_arc(n):
         with pytest.raises(InsufficientWindowError):
             o.class_of(A((0, 0), (0, 40)))
     assert o == euler_oracle(n, 4)
+    # a coefficient that is not an int used to give an inexact class
+    a = A((0, -4), (0, -2))
+    for coef in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"coefficient {coef!r} is not an int"):
+            o.reduce({a: coef})
 
 
 def test_oracle_quotient_is_frozen(oracle_c1_w6):

@@ -183,6 +183,12 @@ def test_group_presentation_validation():
         GroupPresentation(0, (1,))
     with pytest.raises(ValueError):
         GroupPresentation(0, (4, 2))
+    with pytest.raises(ValueError, match="free rank 1.5 is not an int"):
+        GroupPresentation(1.5)
+    with pytest.raises(ValueError, match="free rank True is not an int"):
+        GroupPresentation(True)
+    with pytest.raises(ValueError, match="invariant factor 2.0 is not an int"):
+        GroupPresentation(2, (2.0,))
     p = GroupPresentation(2, (2, 6))
     assert p.to_json() == {"free_rank": 2, "invariant_factors": [2, 6]}
     assert str(p) == "Z^2 x Z/2 x Z/6"
@@ -223,6 +229,11 @@ def test_non_int_entries_are_rejected():
         cokernel_presentation(2, [(True, 0)])
     with pytest.raises(ValueError, match="matrix entry 0.0 is not an int"):
         smith_normal_form([[0.0, 1]])
+    # a float ambient rank used to pass through as the free rank
+    with pytest.raises(ValueError, match="ambient rank 2.5 is not an int"):
+        cokernel_presentation(2.5, [])
+    with pytest.raises(ValueError, match="ambient rank True is not an int"):
+        cokernel_presentation(True, [{0: 2}])
     assert cokernel_presentation(2, [{1: 2}]) == GroupPresentation(1, (2,))
 
 

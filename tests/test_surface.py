@@ -46,7 +46,7 @@ FIELDS = {
     ],
     "CompletionReport": ["expected", "oracle", "quotient"],
     "OracleQuotient": [
-        "window", "presentation", "num_live", "relations", "_codes", "_classes",
+        "window", "presentation", "num_live", "relations", "_classes",
     ],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
