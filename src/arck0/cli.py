@@ -48,6 +48,11 @@ def _parse_arc(data) -> Arc:
         raise ValueError(f"malformed arc {json.dumps(data)}") from exc
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted, or its first 80 characters quoted and ``...``: one short line."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -119,9 +124,9 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
             tilting.model.check_point(arc.a)
             tilting.model.check_point(arc.b)
         except ValueError as exc:
-            raise ValueError(f"unknown arc {name!r}") from exc
+            raise ValueError(f"unknown arc {_quoted(name)}") from exc
         if arc not in tilting:
-            raise ValueError(f"arc {name!r} is not in the tilting set")
+            raise ValueError(f"arc {_quoted(name)} is not in the tilting set")
         index = tilting.arc_index(arc)
     pair = exchange_pair(tilting, index)
     payload = {
@@ -133,17 +138,8 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps(payload), args.out)
     else:
-        _emit(
-            "\n".join(
-                [
-                    f"m      = {pair.m.to_json()}",
-                    f"m*     = {pair.m_star.to_json()}",
-                    f"B_m    = {[a.to_json() for a in pair.b_m]}",
-                    f"B_m*   = {[a.to_json() for a in pair.b_m_star]}",
-                ]
-            ),
-            args.out,
-        )
+        labels = ("m     ", "m*    ", "B_m   ", "B_m*  ")
+        _emit("\n".join(f"{k} = {v}" for k, v in zip(labels, payload.values())), args.out)
     return 0
 
 

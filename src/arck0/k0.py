@@ -84,13 +84,13 @@ def compute_k0_cn(
     frontier_indices = [i for i in range(num_arcs) if i not in relations]
     frontier = tuple(tilting.name_of(i) for i in frontier_indices)
     # quotient further by the interior classes: whatever survives is frontier
-    # content that the relations failed to identify; a relation without a
-    # frontier term projects to zero and spans nothing
+    # content that the relations failed to identify; a relation whose keys
+    # miss the frontier projects to zero and spans nothing, so it is skipped
     position = {i: k for k, i in enumerate(frontier_indices)}
     projected = [
-        proj
+        {position[i]: c for i, c in terms.items() if i in position}
         for terms in relations.values()
-        if (proj := {position[i]: c for i, c in terms.items() if i in position})
+        if not position.keys().isdisjoint(terms)
     ]
     excess = cokernel_presentation(len(frontier_indices), projected).free_rank
 

@@ -19,6 +19,7 @@ SIZE = 480
 CENTER = SIZE / 2
 RADIUS = 200
 SECTOR_PAD = 0.06
+_MAX_POINTS = 100_000  # one tick mark per window point
 
 
 def point_fraction(model: CircleModel, p: MarkedPoint, window: int) -> float:
@@ -40,9 +41,15 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
-    """Draw the circle, in-window tick marks, accumulation markers and arcs."""
+    """Draw the circle, in-window tick marks, accumulation markers and arcs.
+
+    A window of more than 100,000 points raises ValueError up front.
+    """
     if window < 1:
         raise ValueError("window must be positive")
+    points = model.num_segments * (2 * window + 1)
+    if points > _MAX_POINTS:
+        raise ValueError(f"window {window} has {points} points, more than {_MAX_POINTS}")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -181,39 +181,45 @@ class _UnitEliminations:
         +/-x +/- y) is applied at once as a Tietze move, and anything else
         goes into ``store`` over generator numbers with its leading
         coefficient made positive.  Returns True iff a unit move was applied.
+        Cancelled terms leave the accumulator, so it is the reduced column.
         """
         rep = self.rep
         acc: dict[int, int] = {}
         for code, coef in column:
             r = rep[code]
-            if r > 0:
-                acc[r] = acc.get(r, 0) + coef
-            elif r < 0:
-                acc[-r] = acc.get(-r, 0) - coef
-        items = [(g, v) for g, v in acc.items() if v]
-        if not items:
+            if r < 0:
+                r, coef = -r, -coef
+            if r:
+                if v := acc.get(r, 0) + coef:
+                    acc[r] = v
+                else:
+                    acc.pop(r, None)
+        if len(acc) == 1:
+            [(g, v)] = acc.items()
+            if v == 1 or v == -1:
+                for m in self.members.pop(g):
+                    rep[m] = rep[-m] = 0
+                return True
+        elif len(acc) == 2:
+            [(a, va), (b, vb)] = acc.items()
+            if (va == 1 or va == -1) and (vb == 1 or vb == -1):
+                # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a; on a
+                # tie in size the larger generator survives
+                s = -va * vb
+                if a > b:
+                    a, b = b, a
+                if len(self.members[a]) > len(self.members[b]):
+                    a, b = b, a
+                into = self.members[b]
+                for m in self.members.pop(a):
+                    v = s * b if rep[m] > 0 else -s * b
+                    rep[m] = v
+                    rep[-m] = -v
+                    into.append(m)
+                return True
+        elif not acc:
             return False
-        if len(items) == 1 and abs(items[0][1]) == 1:
-            for m in self.members.pop(items[0][0]):
-                rep[m] = rep[-m] = 0
-            return True
-        if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
-            # va*x_a + vb*x_b = 0, i.e. x_a = s*x_b and x_b = s*x_a; on a
-            # tie in size the larger generator survives
-            (a, va), (b, vb) = items
-            s = -va * vb
-            if a > b:
-                a, b = b, a
-            if len(self.members[a]) > len(self.members[b]):
-                a, b = b, a
-            into = self.members[b]
-            for m in self.members.pop(a):
-                v = s * b if rep[m] > 0 else -s * b
-                rep[m] = v
-                rep[-m] = -v
-                into.append(m)
-            return True
-        items.sort()
+        items = sorted(acc.items())
         if items[0][1] < 0:
             items = [(g, -v) for g, v in items]
         store.add(tuple(items))
@@ -243,24 +249,44 @@ class _UnitEliminations:
         return live, [{live[g]: v for g, v in col} for col in sorted(store)]
 
 
-def _snf_values_sparse(rows: Sequence[Mapping[int, int]]) -> list[int]:
-    """Nonzero Smith diagonal of the lattice spanned by sparse rows.
+def _smith_values(size: int, columns: Iterable[Sequence[int] | Mapping[int, int]]) -> list[int]:
+    """Nonzero Smith diagonal of the lattice the columns span in Z^size.
 
-    Unit elimination runs first: a unit move deletes one generator and one
-    relation without changing the quotient, so it is one Smith value 1.  The
-    residual core alternates normalized echelon reduction with transposition
-    until the matrix is diagonal; the normalization bounds entry growth,
-    which plain row/column elimination does not (random 12x12 inputs already
-    blow up to thousands of digits there).  A pivot of 1 is a Smith value 1
-    at once: normalization has cleared its row in every other column, so row
+    One pass checks each column, dense of length ``size`` or a sparse
+    {index: value} mapping, and hands it straight to unit elimination.  An
+    index or entry whose type is not ``int`` raises ValueError (a float or
+    bool would be truncated or counted silently), as do a wrong length and
+    a nonzero entry at an index outside [0, size).  A unit move deletes one
+    generator and one relation without changing the quotient, so it is one
+    Smith value 1.  The residual core alternates normalized echelon
+    reduction, which bounds entry growth (plain elimination blows random
+    12x12 inputs up to thousands of digits), with transposition until the
+    matrix is diagonal.  A pivot of 1 is a Smith value 1 at once:
+    normalization has cleared its row in every other column, so row
     operations clear its column without touching the rest, and it is split
     off before the next round.
     """
-    size = max((max(r) for r in rows if r), default=-1) + 1
     elim = _UnitEliminations(size)
     store: set = set()
-    for r in rows:
-        elim.absorb([(i + 1, v) for i, v in r.items()], store)
+    for c in columns:
+        # the dict test first: the ABC check costs as much as a short column
+        if isinstance(c, dict) or isinstance(c, Mapping):
+            entries = c.items()
+        elif len(c) != size:
+            raise ValueError(f"column of length {len(c)}, expected {size}")
+        else:
+            entries = enumerate(c)
+        terms = []
+        for i, v in entries:
+            if type(i) is not int:
+                raise ValueError(f"column index {i!r} is not an int")
+            if type(v) is not int:
+                raise ValueError(f"matrix entry {v!r} is not an int")
+            if v:
+                if not 0 <= i < size:
+                    raise ValueError("column index out of range")
+                terms.append((i + 1, v))
+        elim.absorb(terms, store)
     live, work = elim.residual(store)
     units = size - len(live)
     for _ in range(256):
@@ -277,23 +303,6 @@ def _snf_values_sparse(rows: Sequence[Mapping[int, int]]) -> list[int]:
     raise VerificationError("Smith reduction did not converge in 256 rounds")
 
 
-def _int_entries(items: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """The nonzero (index, entry) pairs as a sparse vector.
-
-    An index or entry whose type is not ``int`` raises ValueError: a float
-    or bool would otherwise be truncated or counted silently.
-    """
-    out: dict[int, int] = {}
-    for i, v in items:
-        if type(i) is not int:
-            raise ValueError(f"column index {i!r} is not an int")
-        if type(v) is not int:
-            raise ValueError(f"matrix entry {v!r} is not an int")
-        if v:
-            out[i] = v
-    return out
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Full Smith diagonal d1 | d2 | ... of an integer matrix, zeros trailing.
 
@@ -304,7 +313,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     k = len(rows[0]) if m else 0
     if any(len(row) != k for row in rows):
         raise ValueError("rows of unequal length")
-    values = _snf_values_sparse([_int_entries(enumerate(row)) for row in rows])
+    values = _smith_values(k, rows)
     return values + [0] * (min(m, k) - len(values))
 
 
@@ -323,17 +332,6 @@ def cokernel_presentation(
         raise ValueError(f"ambient rank {ambient_rank!r} is not an int")
     if ambient_rank < 0:
         raise ValueError("ambient rank must be nonnegative")
-    sparse: list[dict[int, int]] = []
-    for c in columns:
-        if isinstance(c, Mapping):
-            col = _int_entries(c.items())
-            if col and (min(col) < 0 or max(col) >= ambient_rank):
-                raise ValueError("column index out of range")
-        else:
-            if len(c) != ambient_rank:
-                raise ValueError(f"column of length {len(c)}, expected {ambient_rank}")
-            col = _int_entries(enumerate(c))
-        sparse.append(col)
-    values = _snf_values_sparse(sparse)
+    values = _smith_values(ambient_rank, columns)
     factors = tuple(d for d in values if d > 1)
     return GroupPresentation(ambient_rank - len(values), factors)

@@ -10,8 +10,8 @@ arcs are "frontier" and contribute none.
 Non-crossing is checked as bracket nesting.  Cutting the circle behind the
 last segment makes lex order on ``(segment, offset)`` the anticlockwise
 order, so every arc (stored with ``a < b``) is an interval ``[a, b]`` and two
-arcs cross exactly when their intervals overlap without nesting.  One sort
-and one stack pass decide a whole arc set.
+arcs cross exactly when their intervals overlap without nesting.  One
+ordering and one stack pass decide a whole arc set.
 
 Exchange relations are read off a point-neighbour index: each endpoint maps
 to the other endpoint of every incident arc, and that to the arc's index.
@@ -25,6 +25,7 @@ in lex order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .circle import CircleModel, MarkedPoint
 from .arcs import Arc, maybe_arc
@@ -82,12 +83,14 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
     A new arc first closes every interval ending at or before its start
     (sharing an endpoint is not a crossing); it crosses an open interval iff
     it ends beyond the innermost one, which then is a crossing partner.
+    Each endpoint is validated once; sorting by -b, then stably by a, gives (a, -b).
     """
-    for arc in arcs:
-        model.check_point(arc.a)
-        model.check_point(arc.b)
+    for p in set().union(*arcs):
+        model.check_point(p)
+    ordered = sorted(arcs, key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(0))
     stack: list[Arc] = []
-    for arc in sorted(arcs, key=lambda x: (x.a, -x.b[0], -x.b[1])):
+    for arc in ordered:
         while stack and stack[-1].b <= arc.a:
             stack.pop()
         if stack and arc.b > stack[-1].b:
@@ -125,15 +128,11 @@ def build_standard_tilting(
     offsets = _anchor_offsets(n, anchor_offsets)
     anchors = tuple(MarkedPoint(s, o) for s, o in enumerate(offsets))
 
-    arcs: list[Arc] = []
-    index: dict[Arc, int] = {}
+    index: dict[Arc, int] = {}  # arc -> index; its keys, in order, are the arcs
     names: dict[str, int] = {}
 
     def add(arc: Arc) -> int:
-        i = index.setdefault(arc, len(arcs))
-        if i == len(arcs):
-            arcs.append(arc)
-        return i
+        return index.setdefault(arc, len(index))
 
     # polygon edges Z1..Zn (for n = 2 both labels point at the single chord)
     roots: list[tuple[MarkedPoint, MarkedPoint]] = []
@@ -176,7 +175,7 @@ def build_standard_tilting(
         for t, idx in enumerate(ladder):
             names[f"L{acc}[{t}]"] = idx
 
-    tilting = StandardTilting(model, tuple(arcs), names, tuple(leapfrogs))
+    tilting = StandardTilting(model, tuple(index), names, tuple(leapfrogs))
     _assert_non_crossing(model, tilting.arcs)
     return tilting
 
@@ -200,31 +199,31 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
 
     For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
     tilting arc or a boundary edge (adjacent points); equal points do not.
-    So the thirds are the neighbours of p, together with p's two adjacent
-    points, that are neighbours of q or adjacent to q.  Neither p nor q is
-    its own neighbour or adjacent to itself, so neither can appear, and no
-    neighbour of p is adjacent to p, so no candidate comes twice.  The
-    adjacent points are plain ``(segment, offset)`` tuples, which hash and
-    compare like the MarkedPoints they stand for; ``Arc`` wraps them.
-    Endpoints are not re-validated: the non-crossing check validated them
-    when the tilting was built.
+    The thirds are the neighbours of p, and the two points adjacent to p,
+    that are neighbours of q or adjacent to q.  p and q never qualify, and
+    a neighbour of a point is never adjacent to it, so no third is found
+    twice.  Adjacent points are plain ``(segment, offset)`` tuples, which
+    hash and compare like MarkedPoints; ``Arc`` wraps them.  Endpoints are
+    not re-validated: the non-crossing check did that when the tilting was
+    built.
 
     Returns ``(v1, v3)``, with v1 strictly between m.a and m.b in lex order,
     so that ``(m.a, v1, m.b, v3)`` is the quadrilateral in anticlockwise
     order.  Fewer than two thirds (the truncation cut off a flanking
-    triangle) are returned as found.  Two thirds on one side of m, where m
-    and the other diagonal do not cross, raise ValueError; more than two
-    raise AssertionError.  Neither happens in a non-crossing set.
+    triangle) are returned as found.  Two thirds on one side of m (m and the
+    other diagonal do not cross) raise ValueError, more than two raise
+    AssertionError; neither happens in a non-crossing set.
     """
-    p, q = t.arcs[i].a, t.arcs[i].b
-    around = t._neighbours
-    at_q = around[q]
+    p, q = t.arcs[i]
+    at_p, at_q = t._neighbours[p], t._neighbours[q]
     (ps, po), (qs, qo) = p, q
-    thirds = [
-        r
-        for r in (*around[p], (ps, po - 1), (ps, po + 1))
-        if r in at_q or (r[0] == qs and abs(r[1] - qo) == 1)
-    ]
+    thirds = [r for r in at_p if r in at_q]
+    for r in ((qs, qo - 1), (qs, qo + 1)):
+        if r in at_p:
+            thirds.append(r)
+    for r in ((ps, po - 1), (ps, po + 1)):
+        if r in at_q or (r[0] == qs and abs(r[1] - qo) == 1):
+            thirds.append(r)
     if len(thirds) < 2:
         return tuple(thirds)
     if len(thirds) > 2:

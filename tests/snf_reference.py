@@ -83,3 +83,54 @@ def reference_snf(matrix) -> list[int]:
                 diag[i], diag[i + 1] = g, l
                 changed = True
     return diag
+
+
+class ReferenceUnitEliminations:
+    """Plain copy of the unit-elimination step, to check the production one against.
+
+    Same state as ``snf._UnitEliminations``: ``rep`` maps every signed code
+    to the signed code it stands for (0 once eliminated) and ``members``
+    lists the generators each survivor stands for.  ``absorb`` sums the
+    resolved terms, filters out the zeros, then tests the unit cases on the
+    filtered list.
+    """
+
+    def __init__(self, size):
+        self.rep = [*range(size + 1), *range(-size, 0)]
+        self.members = {g: [g] for g in range(1, size + 1)}
+
+    def absorb(self, column, store):
+        rep = self.rep
+        acc = {}
+        for code, coef in column:
+            r = rep[code]
+            if r > 0:
+                acc[r] = acc.get(r, 0) + coef
+            elif r < 0:
+                acc[-r] = acc.get(-r, 0) - coef
+        items = [(g, v) for g, v in acc.items() if v]
+        if not items:
+            return False
+        if len(items) == 1 and abs(items[0][1]) == 1:
+            for m in self.members.pop(items[0][0]):
+                rep[m] = rep[-m] = 0
+            return True
+        if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
+            (a, va), (b, vb) = items
+            s = -va * vb
+            if a > b:
+                a, b = b, a
+            if len(self.members[a]) > len(self.members[b]):
+                a, b = b, a
+            into = self.members[b]
+            for m in self.members.pop(a):
+                v = s * b if rep[m] > 0 else -s * b
+                rep[m] = v
+                rep[-m] = -v
+                into.append(m)
+            return True
+        items.sort()
+        if items[0][1] < 0:
+            items = [(g, -v) for g, v in items]
+        store.add(tuple(items))
+        return False

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +60,17 @@ def test_exchange_by_name(capsys):
     assert data["m_star"] == [[1, -1], [2, 0]]
     assert sorted(data["b_m"]) == [[[0, 0], [1, -1]], [[1, 0], [2, 0]]]
     assert data["b_m_star"] == [[[0, 0], [2, 0]]]
+
+
+def test_exchange_text_output(capsys):
+    code, out, _ = run(capsys, ["exchange", "--n", "3", "--arc", "Z1"])
+    assert code == 0
+    assert out.splitlines() == [
+        "m      = [[0, 0], [1, 0]]",
+        "m*     = [[1, -1], [2, 0]]",
+        "B_m    = [[[0, 0], [1, -1]], [[1, 0], [2, 0]]]",
+        "B_m*   = [[[0, 0], [2, 0]]]",
+    ]
 
 
 def test_exchange_by_json_arc(capsys):
@@ -219,7 +233,36 @@ def test_exchange_malformed_arc_is_unknown(capsys, arc):
     code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
     assert code == 2
     assert out == ""
-    assert err == f"error: unknown arc {arc!r}"
+    if len(arc) > 80:
+        # a long argument is quoted by its first 80 characters only
+        assert err == "error: unknown arc '" + "[" * 80 + "'..."
+    else:
+        assert err == f"error: unknown arc {arc!r}"
+
+
+def test_exchange_quotes_a_long_arc_by_its_start(capsys):
+    # padded with spaces, a valid arc outside the tilting is a long argument
+    arc = "[[0,0]," + " " * 100000 + "[0,2]]"
+    code, out, err = run(capsys, ["exchange", "--n", "2", "--arc", arc])
+    assert code == 2
+    assert out == ""
+    assert err == "error: arc '[[0,0]," + " " * 73 + "'... is not in the tilting set"
+
+
+def test_render_rejects_a_window_too_large_to_draw():
+    # in a subprocess with a timeout: without the bound it would run for hours
+    proc = subprocess.run(
+        [sys.executable, "-m", "arck0.cli", "render", "--n", "1", "--window", "100000000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: window 100000000000 has 200000000001 points, more than 100000\n"
+    )
 
 
 def test_main_reuses_parser_across_calls(capsys):

@@ -60,6 +60,16 @@ def test_compute_k0_cn_frontier_report():
         assert sorted(frontier) == sorted(f"L{b}[{2 * depth}]" for b in range(1, n + 1))
 
 
+def test_exact_coordinates_are_pinned():
+    # which generators survive, and so every oracle coordinate, depends on
+    # the tie rules of unit elimination, and the frontier's order on the
+    # tilting's arc order; a change to either shows up here
+    oracle = euler_oracle(2, 4)
+    assert oracle.num_live == 4
+    assert oracle.relations == {0: {3: -1, 2: 2, 0: 1}, 1: {3: -1, 2: 1, 1: 1}}
+    assert compute_k0_cn(3, None, 3).frontier == ("L2[6]", "L3[6]", "L1[6]")
+
+
 def test_compute_k0_cn_nonuniform_anchors():
     for offsets in ([5], [-3, 0], [2, -1, 7, 0]):
         n = len(offsets)

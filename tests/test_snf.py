@@ -3,9 +3,11 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arck0 import GroupPresentation, cokernel_presentation, smith_normal_form
-from snf_reference import reference_snf
+from arck0.snf import _UnitEliminations
+from snf_reference import ReferenceUnitEliminations, reference_snf
 
 
 def test_snf_identity():
@@ -333,3 +335,39 @@ def test_echelon_columns_normalized_form_random_sparse():
         assert cokernel_presentation(m, list(pivots.values())) == cokernel_presentation(
             m, columns
         )
+
+
+@st.composite
+def _absorb_streams(draw):
+    """A generator count and a stream of columns over signed codes.
+
+    Each column draws its coefficients from +/-1 (unit candidates), +/-2,
+    or -3..3 (mixed, zero included); codes repeat, so terms also cancel.
+    """
+    size = draw(st.integers(1, 8))
+    code = st.integers(-size, size)
+    kinds = [st.sampled_from((1, -1)), st.sampled_from((2, -2)), st.integers(-3, 3)]
+    column = st.sampled_from(kinds).flatmap(
+        lambda coef: st.lists(st.tuples(code, coef), min_size=1, max_size=4)
+    )
+    return size, draw(st.lists(column, max_size=30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_absorb_streams())
+def test_absorb_matches_reference(stream):
+    # the same return value, rep, members (in order) and store after every
+    # call, then again while the stored columns are re-absorbed
+    size, columns = stream
+    elim, ref = _UnitEliminations(size), ReferenceUnitEliminations(size)
+
+    def absorb_all(columns, store, ref_store):
+        for column in columns:
+            assert elim.absorb(column, store) == ref.absorb(column, ref_store)
+            assert elim.rep == ref.rep
+            assert list(elim.members.items()) == list(ref.members.items())
+            assert store == ref_store
+
+    store, ref_store = set(), set()
+    absorb_all(columns, store, ref_store)
+    absorb_all(sorted(store), set(), set())
