@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or internal consistency check
-failed, 2 bad input.
+failed, 2 bad input.  Either failure prints one ``error:`` line on stderr,
+its message flattened and cut after 200 characters.  An input too large to
+compute (a tilting, window or completion matrix past the library's caps) is
+bad input, rejected before any work starts.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ def _parse_arc(data) -> Arc:
 def _quoted(text: str) -> str:
     """``text`` quoted, or its first 80 characters quoted and ``...``: one short line."""
     return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+
+
+def _one_line(exc: Exception) -> str:
+    """The message of ``exc`` on one line, cut after 200 characters with ``...``."""
+    text = " ".join(str(exc).splitlines())
+    return text if len(text) <= 200 else f"{text[:200]}..."
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -156,6 +165,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         suffix = f" ({detail})" if detail else ""
         results.append(f"{'PASS' if ok else 'FAIL'}  {label}{suffix}")
 
+    # the oracle first: its size caps reject a large n before any k0 runs
+    report = verify_f_oracle(n, window)
     reports = [compute_k0_cn(n, None, depth) for depth in (2, 3, 4)]
     check(
         "free rank n, no torsion, depth independent",
@@ -169,8 +180,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     shifted = {reports[1].presentation}
     shifted.update(compute_k0_cn(n, [c] * n, 3).presentation for c in (-3, 5))
     check("anchor independence", len(shifted) == 1)
-
-    report = verify_f_oracle(n, window)
     check(
         "completion shape Z^n x (Z/2)^(n-1)",
         report.expected.free_rank == n
@@ -289,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 1
 
 

@@ -17,6 +17,8 @@ from .arcs import Arc
 from .snf import GroupPresentation, cokernel_presentation
 from .k0 import OracleQuotient, class_same_segment, euler_oracle
 
+_MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
+
 
 def kernel_generator_arc(n: int, i: int) -> Arc:
     """Generator of the i-th kernel copy, 1 <= i <= n.
@@ -44,7 +46,14 @@ def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def compute_k0_completed(n: int) -> GroupPresentation:
-    """Group of the completion: Z^2n modulo the kernel generator classes."""
+    """Group of the completion: Z^2n modulo the kernel generator classes.
+
+    A 2n x n matrix of more than 2,000,000 entries raises ValueError up front.
+    """
+    if 2 * n * n > _MAX_COMPLETED_ENTRIES:
+        raise ValueError(
+            f"n={n} gives a {2 * n} x {n} matrix, more than {_MAX_COMPLETED_ENTRIES} entries"
+        )
     return cokernel_presentation(2 * n, f_matrix(n))
 
 

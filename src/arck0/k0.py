@@ -37,6 +37,9 @@ from .tilting import (
 )
 
 
+_MAX_ORACLE_ARCS = 34_000  # 4x euler_oracle(10, 6), checked up front
+
+
 class InsufficientWindowError(ValueError):
     """Raised when a window does not contain the arcs a computation needs."""
 
@@ -203,12 +206,22 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     walk order does not change which pairs are met, since the rule that
     skips a top partner met from the other side only compares indices, nor
     the group; it only changes which generators survive.
+
+    A window of more than 34,000 arcs raises ValueError up front.
     """
     if window < 2:
         raise InsufficientWindowError(
             f"insufficient window: euler_oracle needs window >= 2, got {window}"
         )
     model = CircleModel(n)
+    # every pair of the n(2w+1) window points except the 2w adjacent pairs
+    # of each segment
+    num_points = n * (2 * window + 1)
+    num_arcs = num_points * (num_points - 1) // 2 - 2 * n * window
+    if num_arcs > _MAX_ORACLE_ARCS:
+        raise ValueError(
+            f"n={n}, window={window} gives {num_arcs} window arcs, more than {_MAX_ORACLE_ARCS}"
+        )
     points = list(model.points_in_window(window))
     size = len(points)
 

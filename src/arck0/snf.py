@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
+from math import gcd
 
 
 class VerificationError(RuntimeError):
@@ -95,21 +96,14 @@ def _echelon_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int
                 # remainder beats the pivot; swap roles and keep reducing
                 pivots[r] = col
                 col = pivot
-    # normalization pass, deepest pivot first: flip signs and take every
-    # entry below a pivot row modulo that pivot
-    order = sorted(pivots)
-    for idx in range(len(order) - 1, -1, -1):
-        r = order[idx]
+    # normalization pass, deepest pivot first: flip a negative pivot and
+    # reduce the column modulo the pivots already normalized below it
+    done: dict[int, dict[int, int]] = {}
+    for r in sorted(pivots, reverse=True):
         col = pivots[r]
         if col[r] < 0:
-            pivots[r] = col = {k: -v for k, v in col.items()}
-        for rr in order[idx + 1 :]:
-            v = col.get(rr)
-            if v:
-                pivot = pivots[rr]
-                q = v // pivot[rr]
-                if q:
-                    _subtract(col, q, pivot)
+            col = {k: -v for k, v in col.items()}
+        pivots[r] = done[r] = _hermite_reduce(done, col)
     return pivots
 
 
@@ -126,8 +120,8 @@ def _hermite_reduce(
     """
     out = {i: v for i, v in vec.items() if v}
     for r in sorted(pivots):
-        q = out.get(r, 0) // pivots[r][r]
-        if q:
+        v = out.get(r)
+        if v and (q := v // pivots[r][r]):
             _subtract(out, q, pivots[r])
     return out
 
@@ -135,23 +129,16 @@ def _hermite_reduce(
 def _divisibility_chain(values: list[int]) -> list[int]:
     """Sort positive diagonal values into a divisibility chain.
 
-    Uses that diag(a, b) and diag(gcd(a, b), lcm(a, b)) present the same
-    group; bubbling the pair operation to a fixed point sorts the prime
-    powers into the invariant-factor chain.
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) present the same group.  Setting
+    (d_i, d_j) to that pair for every i < j leaves d_i dividing every later
+    entry, since gcd and lcm of two multiples of d_i are multiples of it.
     """
-    from math import gcd
-
-    chain = [abs(v) for v in values]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain) - 1):
-            x, y = chain[i], chain[i + 1]
+    chain = list(values)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            x, y = chain[i], chain[j]
             g = gcd(x, y)
-            l = x * y // g if g else 0
-            if (g, l) != (x, y):
-                chain[i], chain[i + 1] = g, l
-                changed = True
+            chain[i], chain[j] = g, x * y // g
     return chain
 
 

@@ -30,6 +30,8 @@ from operator import itemgetter
 from .circle import CircleModel, MarkedPoint
 from .arcs import Arc, maybe_arc
 
+_MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
+
 
 class InsufficientDepthError(ValueError):
     """Raised when an operation needs arcs beyond the truncation depth."""
@@ -118,12 +120,20 @@ def build_standard_tilting(
     Special cases: for n = 1 the polygon degenerates and the single leapfrog
     is rooted at the arc one step either side of the anchor; for n = 2 the two
     polygon edges coincide and are stored once; fan diagonals appear only for
-    n >= 4.
+    n >= 4.  A configuration of more than 110,000 arcs raises ValueError up
+    front.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
+    # n ladders of 2*depth+1 arcs rooted at the polygon edges, n-3 fan
+    # diagonals, and one arc fewer for n = 2, whose two edges coincide
+    num_arcs = n * (2 * depth + 1) + max(n - 3, 0) - (n == 2)
+    if num_arcs > _MAX_TILTING_ARCS:
+        raise ValueError(
+            f"n={n}, depth={depth} gives {num_arcs} tilting arcs, more than {_MAX_TILTING_ARCS}"
+        )
     model = CircleModel(n)
     offsets = _anchor_offsets(n, anchor_offsets)
     anchors = tuple(MarkedPoint(s, o) for s, o in enumerate(offsets))

@@ -265,6 +265,82 @@ def test_render_rejects_a_window_too_large_to_draw():
     )
 
 
+DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(["k0", "--n", "1", "--depth", "100000000"], DEEP, id="k0-depth"),
+        pytest.param(
+            ["exchange", "--n", "1", "--depth", "100000000", "--arc", "Z1"], DEEP, id="exchange"
+        ),
+        pytest.param(["render", "--n", "1", "--depth", "100000000"], DEEP, id="render-depth"),
+        pytest.param(
+            ["k0", "--n", "100000000"],
+            "n=100000000, depth=4 gives 999999997 tilting arcs, more than 110000",
+            id="k0-n",
+        ),
+        pytest.param(
+            ["oracle", "--n", "1", "--window", "100000"],
+            "n=1, window=100000 gives 19999900000 window arcs, more than 34000",
+            id="oracle-window",
+        ),
+        pytest.param(
+            ["k0-completed", "--n", "100000"],
+            "n=100000 gives a 200000 x 100000 matrix, more than 2000000 entries",
+            id="k0-completed-n",
+        ),
+        pytest.param(
+            ["verify", "--n", "30", "--window", "2"],
+            "n=60, window=2 gives 44610 window arcs, more than 34000",
+            id="verify-n",
+        ),
+    ],
+)
+def test_oversized_input_is_rejected_up_front(argv, message):
+    # in a subprocess with a timeout: without the caps these run for hours or
+    # run out of memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "arck0.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+LONG = "x" * 100000
+
+
+def _cut(prefix):
+    """A message of ``prefix`` and then ``LONG``, as cut after 200 characters."""
+    return prefix + "x" * (200 - len(prefix)) + "..."
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["k0", "--n", "2", "--anchors", LONG], _cut("bad anchor list '")),
+        (
+            ["render", "--n", "2", "--arcs", json.dumps({"a": LONG})],
+            _cut('--arcs must be a JSON list of arcs, got {"a": "'),
+        ),
+        (
+            ["render", "--n", "2", "--arcs", json.dumps([[[0, LONG], [1, 0]]])],
+            _cut("marked point [0, '"),
+        ),
+        (["render", "--n", "2", "--arcs", "{\n}"], "--arcs must be a JSON list of arcs, got { }"),
+    ],
+    ids=["long-anchors", "long-arcs-object", "long-coordinate", "multi-line-arcs"],
+)
+def test_error_is_one_short_line(capsys, argv, message):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
 def test_main_reuses_parser_across_calls(capsys):
     from arck0 import cli
 

@@ -113,6 +113,15 @@ def test_compute_k0_completed_rejects_bad_n():
         compute_k0_completed(0)
 
 
+def test_compute_k0_completed_size_cap(monkeypatch):
+    from arck0 import completion
+
+    monkeypatch.setattr(completion, "_MAX_COMPLETED_ENTRIES", 18)
+    assert compute_k0_completed(3) == GroupPresentation(3, (2, 2))
+    with pytest.raises(ValueError, match="n=4 gives a 8 x 4 matrix, more than 18 entries"):
+        compute_k0_completed(4)
+
+
 def test_verify_f_oracle_n1():
     report = verify_f_oracle(1, 6)
     assert report.expected == report.oracle == GroupPresentation(1)

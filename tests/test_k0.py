@@ -161,6 +161,19 @@ def test_oracle_rejects_small_window():
         euler_oracle(1, 1)
 
 
+def test_oracle_size_cap_uses_the_exact_arc_count(monkeypatch):
+    from arck0 import k0
+
+    for n, window in [(1, 2), (1, 5), (2, 2), (3, 3), (4, 2)]:
+        count = len(euler_oracle(n, window).arcs)
+        with monkeypatch.context() as m:
+            m.setattr(k0, "_MAX_ORACLE_ARCS", count)
+            euler_oracle(n, window)
+            m.setattr(k0, "_MAX_ORACLE_ARCS", count - 1)
+            with pytest.raises(ValueError, match=f"gives {count} window arcs, more than"):
+                euler_oracle(n, window)
+
+
 def test_oracle_class_examples(oracle_c1_w6):
     o = oracle_c1_w6
     # two interior points: trivial class

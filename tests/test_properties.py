@@ -140,15 +140,29 @@ def test_relation_span_sign_independent(n, depth, offsets):
     assert cokernel_presentation(len(t.arcs), flipped) == base
 
 
-@given(
-    st.integers(1, 12),
-    st.integers(1, 12),
-    st.data(),
+def _diagonal(entries):
+    return [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+
+
+_RANDOM_MATRICES = st.integers(1, 12).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=12
+    )
 )
-def test_snf_chain_and_reference(rows, cols, data):
-    matrix = [
-        [data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)
-    ]
+# random small matrices rarely leave more than one Smith value above 1, so
+# the divisibility chain gets diagonals of 3-8 entries over 2, 3, 5 and 7
+_PRIME_POWER_DIAGONALS = st.lists(
+    st.tuples(*[st.integers(0, 3)] * 4, st.sampled_from((1, -1)))
+    .map(lambda e: e[4] * 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3])
+    .filter(lambda d: abs(d) > 1),
+    min_size=3,
+    max_size=8,
+).map(_diagonal)
+
+
+@given(st.one_of(_RANDOM_MATRICES, _PRIME_POWER_DIAGONALS))
+def test_snf_chain_and_reference(matrix):
+    rows, cols = len(matrix), len(matrix[0])
     diag = smith_normal_form(matrix)
     assert len(diag) == min(rows, cols)
     for a, b in zip(diag, diag[1:]):

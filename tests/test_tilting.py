@@ -97,6 +97,22 @@ def test_build_rejects_bad_input():
         build_standard_tilting(2, [0.7, 1.9], 2)
 
 
+def test_size_cap_uses_the_exact_arc_count(monkeypatch):
+    # the closed form checked up front is the real count: a cap at the count
+    # admits the build, one below rejects it before any arc is made
+    from arck0 import tilting
+
+    for n in range(1, 8):
+        for depth in (1, 2, 5):
+            count = len(build_standard_tilting(n, None, depth).arcs)
+            with monkeypatch.context() as m:
+                m.setattr(tilting, "_MAX_TILTING_ARCS", count)
+                build_standard_tilting(n, None, depth)
+                m.setattr(tilting, "_MAX_TILTING_ARCS", count - 1)
+                with pytest.raises(ValueError, match=f"gives {count} tilting arcs, more than"):
+                    build_standard_tilting(n, None, depth)
+
+
 def test_build_is_pairwise_non_crossing():
     for n, depth, offsets in [(1, 3, None), (2, 2, [4, -1]), (4, 2, [0, 2, -3, 1]), (5, 3, None)]:
         t = build_standard_tilting(n, offsets, depth)
