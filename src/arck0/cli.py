@@ -17,7 +17,7 @@ import sys
 from .circle import CircleModel
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
-from .k0 import VerificationError, compute_k0_cn, euler_oracle, parity_class
+from .k0 import VerificationError, class_same_segment, compute_k0_cn, euler_oracle, parity_class
 from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
 
@@ -192,16 +192,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"expected {report.expected}, oracle {report.oracle}",
     )
 
+    # the closed form is the oracle's coordinates, signs and coefficients included
     oracle = report.quotient
-    parity_ok = True
-    for arc in oracle.arcs:
-        if not arc.same_segment:
-            continue
-        even = (arc.b[1] - arc.a[1] - 1) % 2 == 0
-        if (oracle.class_of(arc) == oracle.zero_class) != even:
-            parity_ok = False
-            break
-    check("same-segment parity on the host oracle", parity_ok)
+    same = [a for a in oracle.arcs if a.same_segment]
+    check(
+        "same-segment parity on the host oracle",
+        all(oracle.class_of(a) == class_same_segment(2 * n, a) for a in same),
+    )
     check(
         "iterated fountain classes match parity",
         all(parity_class(i) == (i % 2) for i in range(1, 31)),

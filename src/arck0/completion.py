@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .circle import MarkedPoint
 from .arcs import Arc
-from .snf import GroupPresentation, cokernel_presentation
+from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import OracleQuotient, class_same_segment, euler_oracle
 
 _MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
@@ -73,19 +73,17 @@ class CompletionReport:
 def verify_f_oracle(n: int, window: int) -> CompletionReport:
     """Check the generator-class formula against the Euler oracle on the host.
 
-    The oracle quotient of the 2n-segment host is quotiented further by the
-    classes of the kernel generator arcs; the resulting presentation must
-    equal ``compute_k0_completed(n)``.  Cokernel presentations are invariant
-    under basis change and column signs, so no sign convention enters.
+    The oracle of the 2n-segment host gives each kernel generator arc its
+    coordinates over the host basis (Y1, X2, ..., X2n); they must equal the
+    columns of ``f_matrix(n)`` exactly, signs included, or VerificationError
+    is raised.  The report's ``oracle`` group is Z^2n modulo those
+    coordinates, to be compared with ``compute_k0_completed(n)``.
     """
     expected = compute_k0_completed(n)
     oracle = euler_oracle(2 * n, window)
-    classes = [oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1)]
-    oracle_side = cokernel_presentation(
-        oracle.num_live, [*oracle.relations.values(), *classes]
-    )
-    return CompletionReport(
-        expected=expected,
-        oracle=oracle_side,
-        quotient=oracle,
-    )
+    coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
+    if coordinates != f_matrix(n):
+        raise VerificationError(
+            f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
+        )
+    return CompletionReport(expected, cokernel_presentation(2 * n, coordinates), oracle)

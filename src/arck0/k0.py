@@ -4,15 +4,9 @@ Two independent routes are provided.  ``compute_k0_cn`` presents the group as
 the free group on the standard tilting arcs modulo their exchange relations.
 ``euler_oracle`` is a brute-force cross-check: it takes every arc inside a
 finite window as a generator and imposes the Euler relation of every triangle
-induced by a crossing pair, plus the suspension relations [shift A] = -[A].
-It numbers the window points in cyclic order, so the crossing partners of an
-arc are the pairs with one endpoint on each side of it, read off two index
-ranges with no crossing test.  Each triangle column goes through
-``snf._UnitEliminations`` as soon as it is produced: unit columns (+/-x,
-+/-x +/- y) eliminate a generator at once, and only the few others are stored.
-The top arcs are walked shortest first: short arcs have boundary-edge sides,
-so their triangles give the unit relations, and the 3- and 4-term columns of
-long arcs then mostly collapse before they would be stored.
+induced by a crossing pair, plus the suspension relations [shift A] = -[A],
+and gives every window arc its coordinates over the basis (Y1, X2, ..., Xn)
+of ``standard_basis_arcs``.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from .snf import (
     GroupPresentation,
     VerificationError,
     _echelon_columns,
-    _hermite_reduce,
     _UnitEliminations,
     cokernel_presentation,
 )
@@ -86,9 +79,8 @@ def compute_k0_cn(
 
     frontier_indices = [i for i in range(num_arcs) if i not in relations]
     frontier = tuple(tilting.name_of(i) for i in frontier_indices)
-    # quotient further by the interior classes: whatever survives is frontier
-    # content that the relations failed to identify; a relation whose keys
-    # miss the frontier projects to zero and spans nothing, so it is skipped
+    # a relation whose keys miss the frontier projects to zero and spans
+    # nothing, so it is skipped
     position = {i: k for k, i in enumerate(frontier_indices)}
     projected = [
         {position[i]: c for i, c in terms.items() if i in position}
@@ -118,31 +110,18 @@ def compute_k0_cn(
 # brute-force Euler oracle
 
 
-def _class(relations: dict, num_live: int, vec: dict[int, int]) -> tuple[int, ...]:
-    """Canonical class of a sparse vector over the live generators, as a dense tuple."""
-    reduced = _hermite_reduce(relations, vec)
-    return tuple(reduced.get(i, 0) for i in range(num_live))
-
-
 @dataclass(frozen=True)
 class OracleQuotient:
-    """Finite-window quotient group with a class vector for every window arc.
+    """Finite-window quotient group with coordinates for every window arc.
 
-    Window arcs that differ by suspension share a generator up to sign, and
-    unit relations identify most of the rest; ``num_live`` generators
-    survive.  ``relations`` is the Hermite (column-echelon) basis of the
-    remaining relation lattice over them, {pivot row: column}.  A class is
-    the canonical reduced vector of length ``num_live``: equal classes give
-    equal vectors.  Which generators survive depends on the order in which
-    unit relations are eliminated, so the coordinates are canonical within
-    one oracle only.
+    The group is free on the classes of ``standard_basis_arcs(n)``, so
+    ``presentation`` is Z^n; a window arc's class is its n coordinates over
+    that basis, so equal classes give equal tuples at every window.
     """
 
     window: int
     presentation: GroupPresentation
-    num_live: int
-    relations: dict[int, dict[int, int]]
-    # class of every window arc, in lex order of the arcs' window-point index pairs
+    # coordinates of every window arc, in lex order of the arcs' window-point index pairs
     _classes: dict[Arc, tuple[int, ...]] = field(repr=False)
 
     @property
@@ -151,7 +130,7 @@ class OracleQuotient:
 
     @property
     def zero_class(self) -> tuple[int, ...]:
-        return (0,) * self.num_live
+        return (0,) * self.presentation.free_rank
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         """Class of one window arc; any other arc raises InsufficientWindowError."""
@@ -161,18 +140,18 @@ class OracleQuotient:
         return reduced
 
     def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
-        """Class of an integer combination of window arcs.
+        """Coordinates of an integer combination of window arcs: the sum of theirs.
 
         An arc that is not a window arc raises InsufficientWindowError, and a
         coefficient whose type is not ``int`` raises ValueError.
         """
-        total = [0] * self.num_live
+        total = [0] * self.presentation.free_rank
         for arc, coef in combination.items():
             if type(coef) is not int:
                 raise ValueError(f"coefficient {coef!r} is not an int")
             for i, v in enumerate(self.class_of(arc)):
                 total[i] += coef * v
-        return _class(self.relations, self.num_live, dict(enumerate(total)))
+        return tuple(total)
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:
@@ -206,6 +185,12 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     walk order does not change which pairs are met, since the rule that
     skips a top partner met from the other side only compares indices, nor
     the group; it only changes which generators survive.
+
+    Coordinates come from one echelon of the residual relations and, per
+    basis arc t, its vector over the survivors plus a 1 at tag row
+    num_live + t.  The basis generates iff every survivor row has pivot 1
+    and is free iff no tag row has one, else VerificationError; then the
+    pivot column of row p is survivor p plus its coordinates on the tag rows.
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
@@ -281,20 +266,23 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                         ra, rkj, rik = rep[a], rep[kj], rep[ik]
 
     position, core = elim.residual(columns)
-    relations = _echelon_columns(core)
     num_live = len(position)
-    presentation = cokernel_presentation(num_live, list(relations.values()))
-    classes = {0: (0,) * num_live}  # signed generator code -> class
+    for t, arc in enumerate(standard_basis_arcs(n)):
+        code = rep[rows[points.index(arc.a)][points.index(arc.b)]]
+        column = {num_live + t: 1}
+        if code:
+            column[position[abs(code)]] = 1 if code > 0 else -1
+        core.append(column)
+    pivots = _echelon_columns(core)
+    if pivots.keys() != set(range(num_live)) or any(col[p] != 1 for p, col in pivots.items()):
+        problem = "satisfy a relation" if max(pivots) >= num_live else "do not generate"
+        raise VerificationError(f"the basis arc classes {problem} in euler_oracle({n}, {window})")
+    classes = {0: (0,) * n}  # signed generator code -> coordinates
     for g, p in position.items():
-        classes[g] = _class(relations, num_live, {p: 1})
-        classes[-g] = _class(relations, num_live, {p: -1})
-    return OracleQuotient(
-        window=window,
-        presentation=presentation,
-        num_live=num_live,
-        relations=relations,
-        _classes={Arc(points[i], points[j]): classes[rep[rows[i][j]]] for i, j in pairs},
-    )
+        classes[g] = tuple(pivots[p].get(r, 0) for r in range(num_live, num_live + n))
+        classes[-g] = tuple(-v for v in classes[g])
+    arcs = {Arc(points[i], points[j]): classes[rep[rows[i][j]]] for i, j in pairs}
+    return OracleQuotient(window, GroupPresentation(n), arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +306,16 @@ def parity_class(i: int) -> int:
 def standard_basis_arcs(
     n: int, anchor_offsets: list[int] | None = None
 ) -> tuple[Arc, ...]:
-    """The arcs whose classes freely generate the group: Y1, X2, ..., Xn."""
-    if n < 2:
-        raise ValueError("the Y1/X basis needs n >= 2")
+    """The arcs whose classes freely generate the group: Y1, X2, ..., Xn.
+
+    For n = 1 it is the arc Z1, joining the two neighbours of the anchor.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     offsets = _anchor_offsets(n, anchor_offsets)
     z = [MarkedPoint(s, o) for s, o in enumerate(offsets)]
+    if n == 1:
+        return (Arc(MarkedPoint(0, offsets[0] - 1), MarkedPoint(0, offsets[0] + 1)),)
     y1 = Arc(z[0], MarkedPoint(1, z[1][1] - 1))
     xs = tuple(Arc(z[0], z[i]) for i in range(1, n))
     return (y1,) + xs

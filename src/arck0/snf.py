@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -116,13 +117,22 @@ def _hermite_reduce(
     Walking the pivot rows in increasing order and subtracting
     (vec[r] // pivot) times the pivot column leaves every pivot-row entry in
     [0, pivot): two vectors reduce to the same dict iff they differ by a
-    lattice element.
+    lattice element.  The walk visits only the rows the vector holds and
+    those a subtraction fills in, from a heap; a row queued twice is already
+    reduced when it comes up again.
     """
     out = {i: v for i, v in vec.items() if v}
-    for r in sorted(pivots):
+    queue = [r for r in out if r in pivots]
+    heapify(queue)
+    while queue:
+        r = heappop(queue)
         v = out.get(r)
-        if v and (q := v // pivots[r][r]):
-            _subtract(out, q, pivots[r])
+        pivot = pivots[r]
+        if v and (q := v // pivot[r]):
+            for k in pivot:
+                if k not in out and k in pivots:
+                    heappush(queue, k)
+            _subtract(out, q, pivot)
     return out
 
 

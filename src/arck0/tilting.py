@@ -210,12 +210,13 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
     For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
     tilting arc or a boundary edge (adjacent points); equal points do not.
     The thirds are the neighbours of p, and the two points adjacent to p,
-    that are neighbours of q or adjacent to q.  p and q never qualify, and
-    a neighbour of a point is never adjacent to it, so no third is found
-    twice.  Adjacent points are plain ``(segment, offset)`` tuples, which
-    hash and compare like MarkedPoints; ``Arc`` wraps them.  Endpoints are
-    not re-validated: the non-crossing check did that when the tilting was
-    built.
+    that are neighbours of q or adjacent to q; common neighbours are read
+    off the smaller neighbour dict, as the fan vertex z1 has about n.  p and
+    q never qualify, and a neighbour of a point is never adjacent to it, so
+    no third is found twice.  Adjacent points are plain ``(segment,
+    offset)`` tuples, which hash and compare like MarkedPoints; ``Arc``
+    wraps them.  Endpoints are not re-validated: the non-crossing check did
+    that when the tilting was built.
 
     Returns ``(v1, v3)``, with v1 strictly between m.a and m.b in lex order,
     so that ``(m.a, v1, m.b, v3)`` is the quadrilateral in anticlockwise
@@ -227,7 +228,8 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
     p, q = t.arcs[i]
     at_p, at_q = t._neighbours[p], t._neighbours[q]
     (ps, po), (qs, qo) = p, q
-    thirds = [r for r in at_p if r in at_q]
+    small, large = (at_p, at_q) if len(at_p) <= len(at_q) else (at_q, at_p)
+    thirds = [r for r in small if r in large]
     for r in ((qs, qo - 1), (qs, qo + 1)):
         if r in at_p:
             thirds.append(r)

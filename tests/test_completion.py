@@ -5,6 +5,7 @@ from arck0 import (
     CircleModel,
     GroupPresentation,
     MarkedPoint,
+    VerificationError,
     compute_k0_completed,
     f_matrix,
     kernel_generator_arc,
@@ -77,16 +78,32 @@ def test_f_matrix_examples():
 
 
 def test_f_columns_are_oracle_kernel_generator_classes():
-    # each column, expanded over the host basis arcs Y1, X2, ..., X2n, is the
-    # oracle class of its kernel generator: the difference reduces to zero
-    for n, window in ((1, 6), (2, 6), (3, 4), (4, 4)):
+    # each column is, exactly, the oracle coordinates of its kernel generator
+    # over the host basis arcs Y1, X2, ..., X2n
+    for n, window in ((1, 6), (2, 6), (1, 4), (2, 4), (3, 4), (4, 4), (5, 4)):
         o = verify_f_oracle(n, window).quotient
-        basis = standard_basis_arcs(2 * n)
-        for i, column in enumerate(f_matrix(n), start=1):
-            combo = {kernel_generator_arc(n, i): 1}
-            for arc, c in zip(basis, column):
-                combo[arc] = combo.get(arc, 0) - c
-            assert o.reduce(combo) == o.zero_class, (n, window, i)
+        coordinates = [o.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1)]
+        assert coordinates == list(f_matrix(n)), (n, window)
+        assert [o.class_of(arc) for arc in standard_basis_arcs(2 * n)] == [
+            tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)
+        ]
+
+
+def test_verify_f_oracle_rejects_a_wrong_f_matrix(monkeypatch):
+    # a column off by its sign presents the same group, so only the exact
+    # comparison of coordinates catches it
+    from arck0 import completion
+
+    f_matrix = completion.f_matrix
+
+    def negated_first_column(n):
+        first, *rest = f_matrix(n)
+        return (tuple(-v for v in first), *rest)
+
+    monkeypatch.setattr(completion, "f_matrix", negated_first_column)
+    assert compute_k0_completed(2) == GroupPresentation(2, (2,))
+    with pytest.raises(VerificationError, match="differ from f_matrix"):
+        verify_f_oracle(2, 4)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from arck0 import (
     CircleModel,
     GroupPresentation,
     MarkedPoint,
+    VerificationError,
     build_standard_tilting,
     class_same_segment,
     cokernel_presentation,
@@ -61,12 +63,18 @@ def test_compute_k0_cn_frontier_report():
 
 
 def test_exact_coordinates_are_pinned():
-    # which generators survive, and so every oracle coordinate, depends on
-    # the tie rules of unit elimination, and the frontier's order on the
-    # tilting's arc order; a change to either shows up here
+    # oracle coordinates are over the basis (Y1, X2) whatever generators
+    # unit elimination keeps, so a change of basis or sign convention shows
+    # here; the frontier's order follows the tilting's arc order
     oracle = euler_oracle(2, 4)
-    assert oracle.num_live == 4
-    assert oracle.relations == {0: {3: -1, 2: 2, 0: 1}, 1: {3: -1, 2: 1, 1: 1}}
+    assert oracle.class_of(A((0, 0), (1, 1))) == (1, 0)
+    assert oracle.class_of(A((0, -3), (1, 2))) == (-1, 0)
+    assert oracle.class_of(A((0, 4), (1, -4))) == (0, 1)
+    assert oracle.class_of(A((1, -4), (1, 4))) == (-1, 1)
+    assert sorted(Counter(map(oracle.class_of, oracle.arcs)).items()) == [
+        ((-1, -1), 6), ((-1, 0), 20), ((-1, 1), 10), ((0, -1), 16), ((0, 0), 24),
+        ((0, 1), 25), ((1, -1), 6), ((1, 0), 20), ((1, 1), 10),
+    ]
     assert compute_k0_cn(3, None, 3).frontier == ("L2[6]", "L3[6]", "L1[6]")
 
 
@@ -101,6 +109,41 @@ def test_compute_k0_cn_smith_core_grows_linearly(n, monkeypatch):
     assert compute_k0_cn(n, None, 16).presentation == GroupPresentation(n)
     assert 0 < entries[0] <= 8 * n
     assert calls[0] <= n
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
+    # at a large n and a small depth two scans can turn quadratic: the
+    # Hermite normalization walking every pivot row for each column, and
+    # _flank scanning the ~n neighbours of the fan vertex z1 for each fan
+    # arc.  The pivot rows visited (heap pops) and _flank's membership tests
+    # on the neighbour index both stay within a constant times the arc count
+    from arck0 import k0, snf
+
+    visits, tests = [0], [0]
+    heappop, build = snf.heappop, k0.build_standard_tilting
+
+    def counting_heappop(heap):
+        visits[0] += 1
+        return heappop(heap)
+
+    class CountingDict(dict):
+        def __contains__(self, key):
+            tests[0] += 1
+            return super().__contains__(key)
+
+    def counting_build(*args):
+        t = build(*args)
+        counting = {p: CountingDict(d) for p, d in t._neighbours.items()}
+        object.__setattr__(t, "_neighbours", counting)
+        return t
+
+    monkeypatch.setattr(snf, "heappop", counting_heappop)
+    monkeypatch.setattr(k0, "build_standard_tilting", counting_build)
+    report = compute_k0_cn(n, None, 4)
+    assert report.presentation == GroupPresentation(n)
+    assert 0 < visits[0] <= report.num_arcs
+    assert 0 < tests[0] <= 8 * report.num_arcs
 
 
 def test_frontier_projection_matches_full_quotient():
@@ -257,16 +300,17 @@ def test_oracle_matches_reference_lattice(n, window):
             relations.append({suspend(arc, 1): 1, arc: 1})
     oracle = euler_oracle(n, window)
     assert set(oracle.arcs) == set(arcs)
+    # the coordinates are a map from the arcs to Z^n that kills every
+    # relation and sends basis arc i to e_i, so it is onto Z^n
     for rel in relations:
         assert oracle.reduce(rel) == oracle.zero_class, rel
+    assert [oracle.class_of(arc) for arc in standard_basis_arcs(n)] == _unit_vectors(n)
     columns = [{index[arc]: c for arc, c in rel.items() if c} for rel in relations]
     assert cokernel_presentation(len(arcs), columns) == oracle.presentation
 
 
-def _basis_quotient(o, n):
-    # the oracle group modulo the classes of Y1, X2, ..., Xn
-    classes = [o.class_of(arc) for arc in standard_basis_arcs(n)]
-    return cokernel_presentation(o.num_live, [*o.relations.values(), *classes])
+def _unit_vectors(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -274,18 +318,15 @@ def _basis_quotient(o, n):
 )
 def test_exchange_relations_hold_in_oracle(n, depth, window):
     # class-level bridge between the two routes: every exchange relation of
-    # the standard tilting is zero in the oracle group, and for n >= 2 the
-    # classes of Y1, X2, ..., Xn generate it; with free rank n they are then
-    # a free basis.  Neither check depends on which generators the unit
-    # eliminations keep
+    # the standard tilting is zero in the oracle group, whose coordinates
+    # are over the basis arcs (Y1, X2, ..., Xn, or Z1 for n = 1)
     tilting = build_standard_tilting(n, None, depth)
     o = euler_oracle(n, window)
     for source, terms in palu_relations(tilting).items():
         combo = {tilting.arcs[i]: c for i, c in terms.items()}
         assert o.reduce(combo) == o.zero_class, source
     assert o.presentation == GroupPresentation(n)
-    if n >= 2:
-        assert _basis_quotient(o, n) == GroupPresentation(0)
+    assert [o.class_of(arc) for arc in standard_basis_arcs(n)] == _unit_vectors(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -312,21 +353,73 @@ def test_mutated_tilting_relations_hold_in_oracle(n):
         ), seed
 
 
-@pytest.mark.parametrize("n,window", [(2, 4), (3, 4)])
+@pytest.mark.parametrize("n,window", [(2, 4), (3, 4), (4, 4), (5, 4)])
 def test_oracle_window_stability(n, window):
-    # every relation at window w is one at w + 1, so sending each window-w
-    # arc to its class at w + 1 is a homomorphism; equal presentations and a
-    # basis that generates both groups make it an isomorphism, so a
-    # truncation artefact at either window shows here
+    # every relation at window w is one at w + 1 and both oracles read
+    # coordinates over the same basis arcs, so every window-w arc has the
+    # same coordinates at w + 1; a truncation artefact at either window
+    # shows here
     small, large = euler_oracle(n, window), euler_oracle(n, window + 1)
     assert small.presentation == large.presentation == GroupPresentation(n)
-    assert _basis_quotient(small, n) == _basis_quotient(large, n) == GroupPresentation(0)
+    for arc in small.arcs:
+        assert small.class_of(arc) == large.class_of(arc), arc
 
-    def partition(o):
-        first = {o.zero_class: 0}
-        return [first.setdefault(o.class_of(arc), len(first)) for arc in small.arcs]
 
-    assert partition(small) == partition(large)
+@pytest.mark.parametrize(
+    "replace,problem",
+    [
+        # X3 replaced by an arc of class 2[X3] - [X2] - [Y1]: index 2
+        (A((2, -2), (2, 0)), "do not generate"),
+        # X3 replaced by an arc of class 0
+        (A((2, -2), (2, 1)), "satisfy a relation"),
+    ],
+)
+def test_oracle_rejects_a_basis_that_is_not_one(replace, problem, monkeypatch, capsys):
+    # every oracle checks that its basis arcs are a free basis of its group
+    from arck0 import cli, k0
+
+    y1, x2, _ = standard_basis_arcs(3)
+    monkeypatch.setattr(k0, "standard_basis_arcs", lambda n: (y1, x2, replace))
+    message = f"the basis arc classes {problem}"
+    with pytest.raises(VerificationError, match=message):
+        euler_oracle(3, 3)
+    assert cli.main(["oracle", "--n", "3", "--window", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def _tilting_coordinates(t, relations):
+    """Coordinates of every tilting arc over Y1, X2, ..., Xn, read off the relations.
+
+    One column per basis arc, a 1 at its own arc row and a 1 at a tag row
+    after the arc rows, joins the relations; Hermite-reducing an arc then
+    leaves only tag entries, minus its coordinates, when the basis generates.
+    """
+    from arck0.snf import _echelon_columns, _hermite_reduce
+
+    size = len(t.arcs)
+    basis = [t.arc_index(arc) for arc in standard_basis_arcs(t.model.num_segments)]
+    tagged = [*relations.values(), *({b: 1, size + k: 1} for k, b in enumerate(basis))]
+    pivots = _echelon_columns(tagged)
+    coordinates = []
+    for i in range(size):
+        reduced = _hermite_reduce(pivots, {i: 1})
+        assert all(r >= size for r in reduced), t.arcs[i]
+        coordinates.append(tuple(-reduced.get(size + k, 0) for k in range(len(basis))))
+    return coordinates
+
+
+@pytest.mark.parametrize("n,depth,window", [(2, 3, 6), (3, 3, 6), (4, 2, 5)])
+def test_exchange_route_coordinates_match_oracle(n, depth, window):
+    # the two routes agree arc by arc: the coordinates the exchange
+    # relations give every tilting arc, frontier arcs included, are the
+    # oracle's
+    t = build_standard_tilting(n, None, depth)
+    relations = palu_relations(t)
+    assert len(relations) < len(t.arcs)  # the frontier arcs have none
+    o = euler_oracle(n, window)
+    for arc, coordinates in zip(t.arcs, _tilting_coordinates(t, relations)):
+        assert o.class_of(arc) == coordinates, arc
 
 
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
@@ -360,9 +453,9 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
     o = oracle_c1_w6
     before = o.class_of(A((0, 0), (0, 2)))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        o.num_live = 0
+        o.window = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        o.relations = {}
+        o.presentation = GroupPresentation(0)
     assert o.class_of(A((0, 0), (0, 2))) == before != o.zero_class
 
 
@@ -417,45 +510,22 @@ def test_class_same_segment_rejects_bad_input():
         class_same_segment(2, A((0, -2), (0, 0)), [1.5, 0])
 
 
+def _assert_same_segment_classes(o, n):
+    # the closed form is the oracle's coordinates exactly, signs included,
+    # on every same-segment window arc
+    same_segment = [arc for arc in o.arcs if arc.same_segment]
+    assert len(same_segment) == n * ((2 * o.window + 1) * o.window - 2 * o.window)
+    for arc in same_segment:
+        assert o.class_of(arc) == class_same_segment(n, arc), arc
+
+
 def test_class_same_segment_matches_oracle(oracle_c2_w6):
-    # expanding the closed form over the basis arcs must reproduce the oracle
-    # class exactly, signs included
-    o = oracle_c2_w6
-    basis = standard_basis_arcs(2)
-    for s in (0, 1):
-        for lo in range(-6, 2):
-            for gap in (2, 3, 4, 5):
-                if lo + gap > 6:
-                    continue
-                arc = A((s, lo), (s, lo + gap))
-                cls = class_same_segment(2, arc)
-                combo = {}
-                for basis_arc, c in zip(basis, cls):
-                    if c:
-                        combo[basis_arc] = combo.get(basis_arc, 0) + c
-                expected = o.reduce(combo) if combo else o.zero_class
-                assert o.class_of(arc) == expected, arc
+    _assert_same_segment_classes(oracle_c2_w6, 2)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_class_same_segment_matches_oracle_larger_n(n):
-    # the same expansion as for n = 2, on every segment at window 4
-    window = 4
-    o = euler_oracle(n, window)
-    basis = standard_basis_arcs(n)
-    for s in range(n):
-        for lo in range(-window, window - 1):
-            for gap in (2, 3, 4, 5):
-                if lo + gap > window:
-                    continue
-                arc = A((s, lo), (s, lo + gap))
-                cls = class_same_segment(n, arc)
-                combo = {}
-                for basis_arc, c in zip(basis, cls):
-                    if c:
-                        combo[basis_arc] = combo.get(basis_arc, 0) + c
-                expected = o.reduce(combo) if combo else o.zero_class
-                assert o.class_of(arc) == expected, arc
+    _assert_same_segment_classes(euler_oracle(n, 4), n)
 
 
 def test_standard_basis_arcs():
@@ -463,8 +533,12 @@ def test_standard_basis_arcs():
     assert y1 == A((0, 0), (1, -1))
     assert x2 == A((0, 0), (1, 0))
     assert x3 == A((0, 0), (2, 0))
-    with pytest.raises(ValueError):
-        standard_basis_arcs(1)
+    # for n = 1 the basis is the tilting's arc Z1 around the anchor
+    assert standard_basis_arcs(1) == (A((0, -1), (0, 1)),)
+    t = build_standard_tilting(1, [3], 2)
+    assert standard_basis_arcs(1, [3]) == (t.arcs[t.names["Z1"]],) == (A((0, 2), (0, 4)),)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        standard_basis_arcs(0)
 
 
 def test_standard_basis_arcs_rejects_bad_anchors():

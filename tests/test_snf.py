@@ -313,6 +313,44 @@ def test_hermite_reduce_random_lattices():
     assert 0 < same < 300
 
 
+def test_hermite_reduce_subtracts_as_the_sorted_walk(monkeypatch):
+    # the heap visits only the pivot rows the vector holds or a subtraction
+    # fills in, and makes the same subtractions, in the same order, as a
+    # walk over every pivot row in increasing order
+    from arck0 import snf
+
+    rng = random.Random(20261)
+    calls = []
+    subtract = snf._subtract
+
+    def recording_subtract(col, q, pivot):
+        calls.append((q, tuple(pivot.items())))
+        subtract(col, q, pivot)
+
+    monkeypatch.setattr(snf, "_subtract", recording_subtract)
+    subtractions = 0
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        columns = [
+            {i: rng.randint(-5, 5) for i in rng.sample(range(m), rng.randint(1, m))}
+            for _ in range(rng.randint(0, 10))
+        ]
+        pivots = snf._echelon_columns(columns)
+        vec = {i: v for i in range(m) if (v := rng.randint(-30, 30))}
+        calls.clear()
+        got = snf._hermite_reduce(pivots, vec)
+        walked, expected = dict(vec), []
+        for r in sorted(pivots):
+            if walked.get(r) and (q := walked[r] // pivots[r][r]):
+                expected.append((q, tuple(pivots[r].items())))
+                for i, v in pivots[r].items():
+                    walked[i] = walked.get(i, 0) - q * v
+        assert calls == expected
+        assert got == {i: v for i, v in walked.items() if v}
+        subtractions += len(calls)
+    assert subtractions > 300
+
+
 def test_echelon_columns_normalized_form_random_sparse():
     # every pivot is positive and leads its column, every entry of a pivot
     # column at a deeper pivot row lies in [0, that pivot), and the lattice

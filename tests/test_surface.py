@@ -45,9 +45,7 @@ FIELDS = {
         "presentation", "num_arcs", "num_relations", "frontier", "frontier_excess",
     ],
     "CompletionReport": ["expected", "oracle", "quotient"],
-    "OracleQuotient": [
-        "window", "presentation", "num_live", "relations", "_classes",
-    ],
+    "OracleQuotient": ["window", "presentation", "_classes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
 }
