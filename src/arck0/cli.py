@@ -89,7 +89,7 @@ def _cmd_k0(args: argparse.Namespace) -> int:
         lines = [
             f"K0 for n={n}, depth={args.depth}: {report.presentation}",
             f"arcs {report.num_arcs}, relations {report.num_relations}, "
-            f"frontier {len(report.frontier)} (excess {report.frontier_excess})",
+            f"frontier {len(report.frontier)}",
         ]
         _emit("\n".join(lines), args.out)
     return 0
@@ -192,11 +192,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"expected {report.expected}, oracle {report.oracle}",
     )
 
-    # the closed form is the oracle's coordinates, signs and coefficients included
     oracle = report.quotient
     same = [a for a in oracle.arcs if a.same_segment]
     check(
-        "same-segment parity on the host oracle",
+        "same-segment closed form equals host oracle coordinates",
         all(oracle.class_of(a) == class_same_segment(2 * n, a) for a in same),
     )
     check(

@@ -43,22 +43,16 @@ class InsufficientWindowError(ValueError):
 
 @dataclass(frozen=True)
 class K0Report:
-    """Presentation of the group together with truncation bookkeeping.
+    """The group Z^n together with truncation bookkeeping.
 
     ``frontier`` lists the arcs that were too deep to have both flanking
-    triangles; ``frontier_excess`` counts the frontier classes that the
-    interior relations fail to pin down (expected 0: the presentation then
-    has free rank exactly n).  It is the free rank of the group modulo the
-    interior arc classes, computed as Z^F modulo the relations projected
-    onto the F frontier coordinates (killing the interior unit vectors is
-    exactly that projection).
+    triangles, so they have no exchange relation of their own.
     """
 
     presentation: GroupPresentation
     num_arcs: int
     num_relations: int
     frontier: tuple[str, ...]
-    frontier_excess: int
 
 
 def compute_k0_cn(
@@ -68,7 +62,8 @@ def compute_k0_cn(
 
     Builds the standard tilting truncated at ``depth``, assembles one relation
     per interior arc and presents the cokernel over the full truncated arc
-    basis.  The result is free of rank n for every depth >= 2 and any anchors.
+    basis.  The paper's theorem says it is free of rank n for every depth >= 2
+    and any anchors; any other group raises VerificationError.
     """
     if depth < 2:
         raise InsufficientDepthError("insufficient depth: compute_k0_cn needs depth >= 2")
@@ -76,34 +71,12 @@ def compute_k0_cn(
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
     presentation = cokernel_presentation(num_arcs, relations.values())
-
-    frontier_indices = [i for i in range(num_arcs) if i not in relations]
-    frontier = tuple(tilting.name_of(i) for i in frontier_indices)
-    # a relation whose keys miss the frontier projects to zero and spans
-    # nothing, so it is skipped
-    position = {i: k for k, i in enumerate(frontier_indices)}
-    projected = [
-        {position[i]: c for i, c in terms.items() if i in position}
-        for terms in relations.values()
-        if not position.keys().isdisjoint(terms)
-    ]
-    excess = cokernel_presentation(len(frontier_indices), projected).free_rank
-
-    if presentation.invariant_factors:
+    if presentation != GroupPresentation(n):
         raise VerificationError(
-            f"unexpected torsion {presentation.invariant_factors} for n={n}, depth={depth}"
+            f"exchange relations present {presentation}, not Z^{n}, for n={n}, depth={depth}"
         )
-    if presentation.free_rank != n + excess:
-        raise VerificationError(
-            f"free rank {presentation.free_rank} != n + frontier excess {n}+{excess}"
-        )
-    return K0Report(
-        presentation=presentation,
-        num_arcs=num_arcs,
-        num_relations=len(relations),
-        frontier=frontier,
-        frontier_excess=excess,
-    )
+    frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
+    return K0Report(presentation, num_arcs, len(relations), frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -128,30 +101,12 @@ class OracleQuotient:
     def arcs(self) -> tuple[Arc, ...]:
         return tuple(self._classes)
 
-    @property
-    def zero_class(self) -> tuple[int, ...]:
-        return (0,) * self.presentation.free_rank
-
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         """Class of one window arc; any other arc raises InsufficientWindowError."""
         reduced = self._classes.get(arc)
         if reduced is None:
             raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
         return reduced
-
-    def reduce(self, combination: dict[Arc, int]) -> tuple[int, ...]:
-        """Coordinates of an integer combination of window arcs: the sum of theirs.
-
-        An arc that is not a window arc raises InsufficientWindowError, and a
-        coefficient whose type is not ``int`` raises ValueError.
-        """
-        total = [0] * self.presentation.free_rank
-        for arc, coef in combination.items():
-            if type(coef) is not int:
-                raise ValueError(f"coefficient {coef!r} is not an int")
-            for i, v in enumerate(self.class_of(arc)):
-                total[i] += coef * v
-        return tuple(total)
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:

@@ -104,17 +104,27 @@ def test_verify_passes(capsys):
 
 
 def test_verification_error_exits_1(capsys, monkeypatch):
-    from arck0 import cli
+    # without the deepest exchange relation the truncated relations present
+    # Z^4 for n = 3, which compute_k0_cn must reject rather than report
+    from arck0 import k0
     from arck0.k0 import VerificationError
 
-    def broken(*args, **kwargs):
-        raise VerificationError("free rank 4 != n + frontier excess 3+0")
+    relations = k0.palu_relations
 
-    monkeypatch.setattr(cli, "compute_k0_cn", broken)
-    code, out, err = run(capsys, ["k0", "--n", "3"])
+    def drop_deepest(tilting):
+        terms = relations(tilting)
+        del terms[max(terms)]
+        return terms
+
+    monkeypatch.setattr(k0, "palu_relations", drop_deepest)
+    message = "exchange relations present Z^4, not Z^3, for n=3, depth=3"
+    with pytest.raises(VerificationError) as raised:
+        k0.compute_k0_cn(3, None, 3)
+    assert str(raised.value) == message
+    code, out, err = run(capsys, ["k0", "--n", "3", "--depth", "3"])
     assert code == 1
     assert out == ""
-    assert err == "error: free rank 4 != n + frontier excess 3+0"
+    assert err == f"error: {message}"
 
 
 def test_smith_round_cap_exits_1(capsys, monkeypatch):

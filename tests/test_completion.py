@@ -162,7 +162,7 @@ def test_verify_generators_nonzero_in_oracle():
     for n in (1, 2):
         oracle = euler_oracle(2 * n, 4)
         for i in range(1, n + 1):
-            assert oracle.class_of(kernel_generator_arc(n, i)) != oracle.zero_class
+            assert any(oracle.class_of(kernel_generator_arc(n, i)))
 
 
 def test_verify_rejects_small_window():
