@@ -24,7 +24,6 @@ from .k0 import (
     standard_basis_arcs,
 )
 from .completion import (
-    CompletionReport,
     compute_k0_completed,
     f_matrix,
     kernel_generator_arc,
@@ -57,7 +56,6 @@ __all__ = [
     "euler_oracle",
     "parity_class",
     "standard_basis_arcs",
-    "CompletionReport",
     "compute_k0_completed",
     "f_matrix",
     "kernel_generator_arc",

@@ -17,6 +17,7 @@ import sys
 from .circle import CircleModel
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
+from .snf import GroupPresentation
 from .k0 import VerificationError, class_same_segment, compute_k0_cn, euler_oracle, parity_class
 from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
@@ -165,34 +166,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         suffix = f" ({detail})" if detail else ""
         results.append(f"{'PASS' if ok else 'FAIL'}  {label}{suffix}")
 
-    # the oracle first: its size caps reject a large n before any k0 runs
-    report = verify_f_oracle(n, window)
-    reports = [compute_k0_cn(n, None, depth) for depth in (2, 3, 4)]
-    check(
-        "free rank n, no torsion, depth independent",
-        all(
-            r.presentation.free_rank == n and not r.presentation.invariant_factors
-            for r in reports
-        ),
-        str(reports[0].presentation),
-    )
-    # anchor offset 0 is the default, so the depth-3 report above covers it
-    shifted = {reports[1].presentation}
-    shifted.update(compute_k0_cn(n, [c] * n, 3).presentation for c in (-3, 5))
-    check("anchor independence", len(shifted) == 1)
+    # the oracle first: its size caps reject a large n before any k0 runs.
+    # Lines 1, 2 and 4 hold once these calls return: each raises
+    # VerificationError (exit 1, no PASS/FAIL line) unless its check holds.
+    oracle = verify_f_oracle(n, window)
+    for depth in (2, 3, 4):
+        compute_k0_cn(n, None, depth)
+    for c in (-3, 5):
+        compute_k0_cn(n, [c] * n, 3)
+    completed = compute_k0_completed(n)
+    results += [
+        f"PASS  exchange relations present Z^n at depths 2, 3, 4 ({GroupPresentation(n)})",
+        "PASS  exchange relations present Z^n at anchor offsets -3 and 5",
+    ]
     check(
         "completion shape Z^n x (Z/2)^(n-1)",
-        report.expected.free_rank == n
-        and report.expected.invariant_factors == (2,) * (n - 1),
-        str(report.expected),
+        completed == GroupPresentation(n, (2,) * (n - 1)),
+        str(completed),
     )
-    check(
-        "generator formula vs Euler oracle",
-        report.expected == report.oracle,
-        f"expected {report.expected}, oracle {report.oracle}",
-    )
-
-    oracle = report.quotient
+    results.append("PASS  host oracle coordinates of the kernel generators equal f_matrix")
     same = [a for a in oracle.arcs if a.same_segment]
     check(
         "same-segment closed form equals host oracle coordinates",

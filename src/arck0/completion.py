@@ -10,8 +10,6 @@ Only that cokernel is computed here; the localisation itself is not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .circle import MarkedPoint
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
@@ -57,33 +55,20 @@ def compute_k0_completed(n: int) -> GroupPresentation:
     return cokernel_presentation(2 * n, f_matrix(n))
 
 
-@dataclass(frozen=True)
-class CompletionReport:
-    """Comparison of the closed-form route against the brute-force oracle.
-
-    ``quotient`` is the host oracle the comparison was read from, kept for
-    further checks on the same window.
-    """
-
-    expected: GroupPresentation
-    oracle: GroupPresentation
-    quotient: OracleQuotient = field(repr=False, compare=False)
-
-
-def verify_f_oracle(n: int, window: int) -> CompletionReport:
+def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     """Check the generator-class formula against the Euler oracle on the host.
 
     The oracle of the 2n-segment host gives each kernel generator arc its
     coordinates over the host basis (Y1, X2, ..., X2n); they must equal the
     columns of ``f_matrix(n)`` exactly, signs included, or VerificationError
-    is raised.  The report's ``oracle`` group is Z^2n modulo those
-    coordinates, to be compared with ``compute_k0_completed(n)``.
+    is raised.  Returns the host oracle, for further checks on its window.
     """
-    expected = compute_k0_completed(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
     if coordinates != f_matrix(n):
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
-    return CompletionReport(expected, cokernel_presentation(2 * n, coordinates), oracle)
+    return oracle

@@ -24,7 +24,6 @@ from .snf import (
 )
 from .tilting import (
     InsufficientDepthError,
-    _anchor_offsets,
     build_standard_tilting,
     palu_relations,
 )
@@ -258,33 +257,29 @@ def parity_class(i: int) -> int:
     return coef
 
 
-def standard_basis_arcs(
-    n: int, anchor_offsets: list[int] | None = None
-) -> tuple[Arc, ...]:
+def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
     """The arcs whose classes freely generate the group: Y1, X2, ..., Xn.
 
-    For n = 1 it is the arc Z1, joining the two neighbours of the anchor.
+    The anchors are the default ones, offset 0 on every segment.  For n = 1
+    the basis is the arc Z1, joining the two neighbours of the anchor.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    offsets = _anchor_offsets(n, anchor_offsets)
-    z = [MarkedPoint(s, o) for s, o in enumerate(offsets)]
+    z = [MarkedPoint(s, 0) for s in range(n)]
     if n == 1:
-        return (Arc(MarkedPoint(0, offsets[0] - 1), MarkedPoint(0, offsets[0] + 1)),)
-    y1 = Arc(z[0], MarkedPoint(1, z[1][1] - 1))
+        return (Arc(MarkedPoint(0, -1), MarkedPoint(0, 1)),)
+    y1 = Arc(z[0], MarkedPoint(1, -1))
     xs = tuple(Arc(z[0], z[i]) for i in range(1, n))
     return (y1,) + xs
 
 
-def class_same_segment(
-    n: int, arc: Arc, anchor_offsets: list[int] | None = None
-) -> tuple[int, ...]:
+def class_same_segment(n: int, arc: Arc) -> tuple[int, ...]:
     """Coefficients of a same-segment arc's class over the basis (Y1, X2, ..., Xn).
 
     Zero when the arc has an even number of interior points.  Otherwise the
     class is +/-([X2] + [Y1]) on the anchor z1's segment and
     +/-(2[Xi] - [X2] - [Y1]) on segment i-1, the sign being the parity of the
-    clockwise shift aligning the arc's upper endpoint onto the segment anchor
+    clockwise shift aligning the arc's upper endpoint onto offset 0
     (the aligned copy is the one whose suspension crosses the suspended fan
     arc, which fixes the choice between the two shifts sharing an endpoint).
     """
@@ -295,14 +290,12 @@ def class_same_segment(
     model.check_point(arc.b)
     if arc.a[0] != arc.b[0]:
         raise ValueError(f"cross-segment arc {arc} has no same-segment class")
-    anchor_offsets = _anchor_offsets(n, anchor_offsets)
     coeffs = [0] * n
     interior = arc.b[1] - arc.a[1] - 1
     if interior % 2 == 0:
         return tuple(coeffs)
     segment = arc.a[0]
-    shift = arc.b[1] - anchor_offsets[segment]
-    sign = -1 if shift % 2 else 1
+    sign = -1 if arc.b[1] % 2 else 1
     if segment == 0:
         coeffs[0] += sign  # Y1
         coeffs[1] += sign  # X2

@@ -97,10 +97,38 @@ def test_exchange_frontier_is_bad_input(capsys):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run(capsys, ["verify", "--n", "1", "--window", "4"])
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 5
+    # the contract the benchmark checks: exactly six lines, each a PASS
+    for n, free, completed in ((1, "Z", "Z"), (2, "Z^2", "Z^2 x Z/2")):
+        code, out, err = run(capsys, ["verify", "--n", str(n), "--window", "4"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"PASS  exchange relations present Z^n at depths 2, 3, 4 ({free})",
+            "PASS  exchange relations present Z^n at anchor offsets -3 and 5",
+            f"PASS  completion shape Z^n x (Z/2)^(n-1) ({completed})",
+            "PASS  host oracle coordinates of the kernel generators equal f_matrix",
+            "PASS  same-segment closed form equals host oracle coordinates",
+            "PASS  iterated fountain classes match parity",
+        ]
+
+
+def test_verify_wrong_f_matrix_exits_1(capsys, monkeypatch):
+    # the host oracle check raises, so verify prints no PASS/FAIL line
+    from arck0 import completion
+
+    f_matrix = completion.f_matrix
+
+    def negated_first_column(n):
+        first, *rest = f_matrix(n)
+        return (tuple(-v for v in first), *rest)
+
+    monkeypatch.setattr(completion, "f_matrix", negated_first_column)
+    code = main(["verify", "--n", "2", "--window", "4"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == (
+        "error: oracle coordinates of the kernel generators differ from f_matrix(2): "
+        "((1, 1, 0, 0), (-1, -1, 2, 0))\n"
+    )
 
 
 def test_verification_error_exits_1(capsys, monkeypatch):

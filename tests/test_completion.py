@@ -27,7 +27,7 @@ def A(p, q):
 def test_completion_model_layout():
     # the host has 2n segments and the kernel generators sit on alternating
     # host segments, no two of them cyclically adjacent
-    arcs = verify_f_oracle(1, 2).quotient.arcs
+    arcs = verify_f_oracle(1, 2).arcs
     assert {s for arc in arcs for s in (arc.a[0], arc.b[0])} == {0, 1}
     n = 3
     segments = {kernel_generator_arc(n, i).a[0] for i in range(1, n + 1)}
@@ -81,7 +81,7 @@ def test_f_columns_are_oracle_kernel_generator_classes():
     # each column is, exactly, the oracle coordinates of its kernel generator
     # over the host basis arcs Y1, X2, ..., X2n
     for n, window in ((1, 6), (2, 6), (1, 4), (2, 4), (3, 4), (4, 4), (5, 4)):
-        o = verify_f_oracle(n, window).quotient
+        o = verify_f_oracle(n, window)
         coordinates = [o.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1)]
         assert coordinates == list(f_matrix(n)), (n, window)
         assert [o.class_of(arc) for arc in standard_basis_arcs(2 * n)] == [
@@ -139,21 +139,13 @@ def test_compute_k0_completed_size_cap(monkeypatch):
         compute_k0_completed(4)
 
 
-def test_verify_f_oracle_n1():
-    report = verify_f_oracle(1, 6)
-    assert report.expected == report.oracle == GroupPresentation(1)
-
-
-def test_verify_f_oracle_n2():
-    report = verify_f_oracle(2, 6)
-    assert report.expected == report.oracle == GroupPresentation(2, (2,))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_verify_f_oracle_window4(n):
-    # n = 4 runs the oracle on the 8-segment host
-    report = verify_f_oracle(n, 4)
-    assert report.expected == report.oracle == GroupPresentation(n, (2,) * (n - 1))
+@pytest.mark.parametrize("n,window", [(1, 6), (2, 6), (3, 4), (4, 4)])
+def test_verify_f_oracle(n, window):
+    # the host oracle comes back: n = 4 runs it on the 8-segment host
+    oracle = verify_f_oracle(n, window)
+    assert oracle.window == window
+    assert oracle.presentation == GroupPresentation(2 * n)
+    assert compute_k0_completed(n) == GroupPresentation(n, (2,) * (n - 1))
 
 
 def test_verify_generators_nonzero_in_oracle():

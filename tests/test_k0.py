@@ -478,12 +478,6 @@ def test_class_same_segment_rejects_bad_input():
         class_same_segment(2, A((-1, 0), (-1, 2)))
     with pytest.raises(ValueError, match="segment 2 out of range"):
         class_same_segment(2, A((2, 0), (2, 2)))
-    # an anchor list shorter than n
-    with pytest.raises(ValueError, match="expected 3 anchor offsets, got 2"):
-        class_same_segment(3, A((2, -2), (2, 0)), [0, 0])
-    # a non-integer anchor offset, which truncation would read as offset 1
-    with pytest.raises(ValueError, match="anchor offset 1.5 is not an int"):
-        class_same_segment(2, A((0, -2), (0, 0)), [1.5, 0])
 
 
 def _assert_same_segment_classes(o, n):
@@ -510,19 +504,7 @@ def test_standard_basis_arcs():
     assert x2 == A((0, 0), (1, 0))
     assert x3 == A((0, 0), (2, 0))
     # for n = 1 the basis is the tilting's arc Z1 around the anchor
-    assert standard_basis_arcs(1) == (A((0, -1), (0, 1)),)
-    t = build_standard_tilting(1, [3], 2)
-    assert standard_basis_arcs(1, [3]) == (t.arcs[t.names["Z1"]],) == (A((0, 2), (0, 4)),)
+    t = build_standard_tilting(1, None, 2)
+    assert standard_basis_arcs(1) == (t.arcs[t.names["Z1"]],) == (A((0, -1), (0, 1)),)
     with pytest.raises(ValueError, match="need n >= 1, got 0"):
         standard_basis_arcs(0)
-
-
-def test_standard_basis_arcs_rejects_bad_anchors():
-    # one anchor offset per segment, no fewer and no more
-    with pytest.raises(ValueError, match="expected 3 anchor offsets, got 1"):
-        standard_basis_arcs(3, [0])
-    with pytest.raises(ValueError, match="expected 2 anchor offsets, got 3"):
-        standard_basis_arcs(2, [0, 0, 7])
-    # and each an int: 0.5 and 1.2 are not truncated to 0 and 1
-    with pytest.raises(ValueError, match="anchor offset 0.5 is not an int"):
-        standard_basis_arcs(2, [0.5, 1.2])
