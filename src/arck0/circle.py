@@ -30,6 +30,8 @@ class CircleModel:
     num_segments: int
 
     def __post_init__(self) -> None:
+        if type(self.num_segments) is not int:
+            raise ValueError(f"number of segments {self.num_segments!r} is not an int")
         if self.num_segments < 1:
             raise ValueError(f"need at least one segment, got {self.num_segments}")
 
@@ -43,6 +45,8 @@ class CircleModel:
 
     def points_in_window(self, window: int) -> Iterator[MarkedPoint]:
         """All marked points with offset in [-window, window], anticlockwise."""
+        if type(window) is not int:
+            raise ValueError(f"window {window!r} is not an int")
         if window < 0:
             raise ValueError("window must be nonnegative")
         for s in range(self.num_segments):

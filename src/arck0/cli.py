@@ -74,22 +74,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _positive(name: str, value: int, minimum: int = 1) -> int:
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _cmd_k0(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    anchors = _parse_anchors(args.anchors)
-    report = compute_k0_cn(n, anchors, args.depth)
+    report = compute_k0_cn(args.n, _parse_anchors(args.anchors), args.depth)
     if args.format == "json":
         _emit(json.dumps(report.presentation.to_json()), args.out)
     else:
         lines = [
-            f"K0 for n={n}, depth={args.depth}: {report.presentation}",
-            f"arcs {report.num_arcs}, relations {report.num_relations}, "
+            f"K0 for n={args.n}, depth={args.depth}: {report.presentation}",
+            f"arcs {report.num_arcs}, relations {report.num_arcs - len(report.frontier)}, "
             f"frontier {len(report.frontier)}",
         ]
         _emit("\n".join(lines), args.out)
@@ -97,24 +89,21 @@ def _cmd_k0(args: argparse.Namespace) -> int:
 
 
 def _cmd_k0_completed(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    presentation = compute_k0_completed(n)
+    presentation = compute_k0_completed(args.n)
     if args.format == "json":
         _emit(json.dumps(presentation.to_json()), args.out)
     else:
-        _emit(f"K0 of the completion for n={n}: {presentation}", args.out)
+        _emit(f"K0 of the completion for n={args.n}: {presentation}", args.out)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    window = _positive("--window", args.window, 2)
-    oracle = euler_oracle(n, window)
+    oracle = euler_oracle(args.n, args.window)
     if args.format == "json":
         _emit(json.dumps(oracle.presentation.to_json()), args.out)
     else:
         _emit(
-            f"Euler oracle for n={n}, window={window}: {oracle.presentation} "
+            f"Euler oracle for n={args.n}, window={args.window}: {oracle.presentation} "
             f"({len(oracle.arcs)} arcs)",
             args.out,
         )
@@ -122,9 +111,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    anchors = _parse_anchors(args.anchors)
-    tilting = build_standard_tilting(n, anchors, args.depth)
+    tilting = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth)
     name = args.arc
     if name in tilting.names:
         index = tilting.names[name]
@@ -154,8 +141,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    window = _positive("--window", args.window, 2)
+    n = args.n
     failures = 0
     results: list[str] = []
 
@@ -169,7 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the oracle first: its size caps reject a large n before any k0 runs.
     # Lines 1, 2 and 4 hold once these calls return: each raises
     # VerificationError (exit 1, no PASS/FAIL line) unless its check holds.
-    oracle = verify_f_oracle(n, window)
+    oracle = verify_f_oracle(n, args.window)
     for depth in (2, 3, 4):
         compute_k0_cn(n, None, depth)
     for c in (-3, 5):
@@ -200,19 +186,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    n = _positive("--n", args.n)
-    window = _positive("--window", args.window)
-    model = CircleModel(n)
+    model = CircleModel(args.n)
     arcs: list[Arc] = []
     if args.depth is not None:
-        tilting = build_standard_tilting(n, _parse_anchors(args.anchors), args.depth)
+        tilting = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth)
         arcs = list(tilting.arcs)
     elif args.arcs:
         items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
         arcs = [_parse_arc(item) for item in items]
-    _emit(render_svg(model, arcs, window), args.out)
+    _emit(render_svg(model, arcs, args.window), args.out)
     return 0
 
 

@@ -18,6 +18,14 @@ from .k0 import OracleQuotient, class_same_segment, euler_oracle
 _MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
 
 
+def _check_n(n: int) -> None:
+    """Raise ValueError unless ``n`` is an int of at least 1."""
+    if type(n) is not int:
+        raise ValueError(f"n {n!r} is not an int")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
 def kernel_generator_arc(n: int, i: int) -> Arc:
     """Generator of the i-th kernel copy, 1 <= i <= n.
 
@@ -36,8 +44,7 @@ def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     kernel generator arc on the 2n-segment host.  Column 1 is [X2] + [Y1];
     column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     return tuple(
         class_same_segment(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1)
     )
@@ -48,6 +55,7 @@ def compute_k0_completed(n: int) -> GroupPresentation:
 
     A 2n x n matrix of more than 2,000,000 entries raises ValueError up front.
     """
+    _check_n(n)
     if 2 * n * n > _MAX_COMPLETED_ENTRIES:
         raise ValueError(
             f"n={n} gives a {2 * n} x {n} matrix, more than {_MAX_COMPLETED_ENTRIES} entries"
@@ -63,8 +71,7 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     columns of ``f_matrix(n)`` exactly, signs included, or VerificationError
     is raised.  Returns the host oracle, for further checks on its window.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
     if coordinates != f_matrix(n):

@@ -50,7 +50,6 @@ class K0Report:
 
     presentation: GroupPresentation
     num_arcs: int
-    num_relations: int
     frontier: tuple[str, ...]
 
 
@@ -75,7 +74,7 @@ def compute_k0_cn(
             f"exchange relations present {presentation}, not Z^{n}, for n={n}, depth={depth}"
         )
     frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
-    return K0Report(presentation, num_arcs, len(relations), frontier)
+    return K0Report(presentation, num_arcs, frontier)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,14 @@ def point_fraction(model: CircleModel, p: MarkedPoint, window: int) -> float:
     return (p[0] + inner) / model.num_segments
 
 
+def _polar(fraction: float, radius: float = RADIUS) -> tuple[float, float]:
+    """The point ``radius`` from the centre, ``fraction`` of a turn anticlockwise from the top."""
+    theta = 2.0 * math.pi * fraction + math.pi / 2
+    return (CENTER + radius * math.cos(theta), CENTER - radius * math.sin(theta))
+
+
 def point_xy(model: CircleModel, p: MarkedPoint, window: int) -> tuple[float, float]:
-    theta = 2.0 * math.pi * point_fraction(model, p, window) + math.pi / 2
-    return (CENTER + RADIUS * math.cos(theta), CENTER - RADIUS * math.sin(theta))
+    return _polar(point_fraction(model, p, window))
 
 
 def _fmt(v: float) -> str:
@@ -59,21 +64,16 @@ def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
     ]
 
     for p in model.points_in_window(window):
-        theta = 2.0 * math.pi * point_fraction(model, p, window) + math.pi / 2
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        x1 = CENTER + (RADIUS - 4) * cos_t
-        y1 = CENTER - (RADIUS - 4) * sin_t
-        x2 = CENTER + (RADIUS + 4) * cos_t
-        y2 = CENTER - (RADIUS + 4) * sin_t
+        fraction = point_fraction(model, p, window)
+        x1, y1 = _polar(fraction, RADIUS - 4)
+        x2, y2 = _polar(fraction, RADIUS + 4)
         lines.append(
             f'<line class="tick" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="black" stroke-width="1"/>'
         )
 
     for b in range(model.num_segments):
-        theta = 2.0 * math.pi * ((b + 1) / model.num_segments) + math.pi / 2
-        x = CENTER + RADIUS * math.cos(theta)
-        y = CENTER - RADIUS * math.sin(theta)
+        x, y = _polar((b + 1) / model.num_segments)
         lines.append(
             f'<circle class="accumulation" cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '
             'fill="white" stroke="black" stroke-width="1.5"/>'

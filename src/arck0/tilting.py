@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .circle import CircleModel, MarkedPoint
-from .arcs import Arc, maybe_arc
+from .arcs import Arc
 
 _MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
 
@@ -125,6 +125,8 @@ def build_standard_tilting(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if type(depth) is not int:
+        raise ValueError(f"depth {depth!r} is not an int")
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     # n ladders of 2*depth+1 arcs rooted at the polygon edges, n-3 fan
@@ -204,8 +206,8 @@ class ExchangePair:
     b_m_star: tuple[Arc, ...]
 
 
-def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
-    """Third vertices of the triangles flanking arc ``i``, read off the neighbour index.
+def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[int, int]]:
+    """Third vertices of the triangles flanking arc ``i`` and its exchange relation.
 
     For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
     tilting arc or a boundary edge (adjacent points); equal points do not.
@@ -218,12 +220,18 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
     wraps them.  Endpoints are not re-validated: the non-crossing check did
     that when the tilting was built.
 
-    Returns ``(v1, v3)``, with v1 strictly between m.a and m.b in lex order,
-    so that ``(m.a, v1, m.b, v3)`` is the quadrilateral in anticlockwise
-    order.  Fewer than two thirds (the truncation cut off a flanking
-    triangle) are returned as found.  Two thirds on one side of m (m and the
-    other diagonal do not cross) raise ValueError, more than two raise
-    AssertionError; neither happens in a non-crossing set.
+    With two thirds returns ``((v1, v3), terms)``, v1 strictly between
+    v0 = m.a and v2 = m.b in lex order, so that ``(v0, v1, v2, v3)`` is the
+    quadrilateral in anticlockwise order.  ``terms`` is the exchange
+    relation {arc index: sign}, +{v1,v2} +{v3,v0} -{v0,v1} -{v2,v3} in that
+    order: the middle of m -> m_star minus that of m_star -> m.  Each side
+    has v0 or v2 as an endpoint, so its index is one neighbour-index lookup;
+    a side missing from the index is a boundary edge (a zero object) and
+    drops out, and the four sides are distinct arcs.  Fewer than two thirds
+    (the truncation cut off a flanking triangle) come with no terms.  Two
+    thirds on one side of m (m and the other diagonal do not cross) raise
+    ValueError, more than two raise AssertionError; neither happens in a
+    non-crossing set.
     """
     p, q = t.arcs[i]
     at_p, at_q = t._neighbours[p], t._neighbours[q]
@@ -237,34 +245,33 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[int, int], ...]:
         if r in at_q or (r[0] == qs and abs(r[1] - qo) == 1):
             thirds.append(r)
     if len(thirds) < 2:
-        return tuple(thirds)
+        return tuple(thirds), {}
     if len(thirds) > 2:
         raise AssertionError(f"more than two triangles flank {t.arcs[i]}")
-    r, s = thirds
-    r_inside = p < r < q
-    if r_inside == (p < s < q):
+    v1, v3 = thirds if p < thirds[0] < q else thirds[::-1]
+    if not p < v1 < q or p < v3 < q:
         raise ValueError(
             f"arcs do not cross: both triangles flanking {t.arcs[i]} lie on one side"
         )
-    return (r, s) if r_inside else (s, r)
+    terms: dict[int, int] = {}
+    for j, sign in ((at_q.get(v1), 1), (at_p.get(v3), 1), (at_p.get(v1), -1), (at_q.get(v3), -1)):
+        if j is not None:
+            terms[j] = sign
+    return (v1, v3), terms
 
 
 def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
     m = t.arcs[m_index]
-    thirds = _flank(t, m_index)
+    thirds, terms = _flank(t, m_index)
     if len(thirds) < 2:
         raise InsufficientDepthError(
             f"insufficient depth: arc {m} has only {len(thirds)} flanking triangle(s)"
         )
-    v0, v2 = m.a, m.b
-    v1, v3 = thirds
-    b_m_star = (maybe_arc(v1, v2), maybe_arc(v3, v0))
-    b_m = (maybe_arc(v0, v1), maybe_arc(v2, v3))
     return ExchangePair(
         m=m,
-        m_star=Arc(v1, v3),
-        b_m=tuple(a for a in b_m if a is not None),
-        b_m_star=tuple(a for a in b_m_star if a is not None),
+        m_star=Arc(*thirds),
+        b_m=tuple(t.arcs[j] for j, sign in terms.items() if sign < 0),
+        b_m_star=tuple(t.arcs[j] for j, sign in terms.items() if sign > 0),
     )
 
 
@@ -272,33 +279,16 @@ def palu_relations(t: StandardTilting) -> dict[int, dict[int, int]]:
     """Exchange relations of every interior arc, as sparse vectors over the arc basis.
 
     Returns {interior arc index: {arc index: nonzero coefficient}} in
-    increasing arc index order.  An arc is interior (both flanking triangles
-    survive the truncation) exactly when its index is a key; frontier arcs
-    contribute nothing.  For an interior arc (v0, v2) with thirds (v1, v3)
-    from ``_flank``, the relation is +{v1,v2} +{v3,v0} -{v0,v1} -{v2,v3}:
-    b_m_star minus b_m.  Each side has v0 or v2 as an endpoint, so its index
-    is one neighbour-index lookup, and a side missing from the index is a
-    boundary edge and drops out.  The four sides are distinct arcs, so every
-    coefficient is +1 or -1 and at most four are nonzero.
+    increasing arc index order, each relation the terms ``_flank`` reads
+    off.  An arc is interior (both flanking triangles survive the
+    truncation) exactly when its index is a key; frontier arcs contribute
+    nothing.  Every coefficient is +1 or -1 and at most four are nonzero.
     """
-    around = t._neighbours
     relations: dict[int, dict[int, int]] = {}
-    for i, m in enumerate(t.arcs):
-        thirds = _flank(t, i)
-        if len(thirds) < 2:
-            continue
-        v1, v3 = thirds
-        at_v0, at_v2 = around[m.a], around[m.b]
-        terms: dict[int, int] = {}
-        for sign, j in (
-            (1, at_v2.get(v1)),
-            (1, at_v0.get(v3)),
-            (-1, at_v0.get(v1)),
-            (-1, at_v2.get(v3)),
-        ):
-            if j is not None:
-                terms[j] = sign
-        relations[i] = terms
+    for i in range(len(t.arcs)):
+        thirds, terms = _flank(t, i)
+        if len(thirds) == 2:
+            relations[i] = terms
     return relations
 
 

@@ -24,6 +24,8 @@ from arck0 import (
 )
 from arck0.tilting import InsufficientDepthError
 from arck0.k0 import InsufficientWindowError
+from arck0.completion import compute_k0_completed, f_matrix, verify_f_oracle
+from arck0.render import render_svg
 from geometry_reference import ext1_dim, induced_triangles
 
 
@@ -62,11 +64,41 @@ def test_compute_k0_cn_rejects_shallow_depth():
         compute_k0_cn(2, None, 1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: compute_k0_cn(2, None, 2.5), "depth 2.5", id="compute_k0_cn-depth"),
+        pytest.param(
+            lambda: build_standard_tilting(2.5, None, 2),
+            "number of segments 2.5",
+            id="build_standard_tilting-n",
+        ),
+        pytest.param(lambda: euler_oracle(2.0, 4), "number of segments 2.0", id="euler_oracle-n"),
+        pytest.param(lambda: euler_oracle(2, 4.0), "window 4.0", id="euler_oracle-window"),
+        pytest.param(lambda: verify_f_oracle(1.5, 4), "n 1.5", id="verify_f_oracle"),
+        pytest.param(lambda: compute_k0_completed(2.5), "n 2.5", id="compute_k0_completed"),
+        pytest.param(lambda: f_matrix(True), "n True", id="f_matrix"),
+        pytest.param(
+            lambda: render_svg(CircleModel(2), [], 2.5), "window 2.5", id="render_svg"
+        ),
+        pytest.param(lambda: CircleModel(2.0), "number of segments 2.0", id="CircleModel"),
+        pytest.param(
+            lambda: list(CircleModel(2).points_in_window(None)),
+            "window None",
+            id="points_in_window",
+        ),
+    ],
+)
+def test_non_int_sizes_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message} is not an int$"):
+        call()
+
+
 def test_compute_k0_cn_frontier_report():
     report = compute_k0_cn(3, None, 2)
     assert len(report.frontier) == 3  # the deepest arc of each zigzag
     assert report.num_arcs == 15
-    assert report.num_relations == 12
+    assert len(palu_relations(build_standard_tilting(3, None, 2))) == 12
     assert report.presentation == GroupPresentation(3)
     for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
         frontier = compute_k0_cn(n, None, depth).frontier

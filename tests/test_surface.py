@@ -40,7 +40,7 @@ PUBLIC = [
 # the fields of each result type, so that a dropped field cannot come back
 # unnoticed; each one is read by the package, the CLI or the benchmark
 FIELDS = {
-    "K0Report": ["presentation", "num_arcs", "num_relations", "frontier"],
+    "K0Report": ["presentation", "num_arcs", "frontier"],
     "OracleQuotient": ["window", "presentation", "_classes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],

@@ -246,6 +246,31 @@ def test_exchange_roles_swap_after_mutation():
     assert set(back.b_m_star) == set(pair.b_m)
 
 
+def test_exchange_pair_agrees_with_palu_relations():
+    # the middles that `arck0 exchange` prints are the relation the group is
+    # computed from: b_m holds the arcs of the negative terms and b_m_star
+    # those of the positive ones, in the relation's order, and an arc has an
+    # exchange pair exactly when it has a relation
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for anchors in (None, [rng.randint(-3, 3) for _ in range(n)]):
+            t = build_standard_tilting(n, anchors, 3)
+            for _ in range(4):
+                relations = palu_relations(t)
+                for i, m in enumerate(t.arcs):
+                    if i not in relations:
+                        with pytest.raises(InsufficientDepthError):
+                            exchange_pair(t, i)
+                        continue
+                    terms = relations[i]
+                    pair = exchange_pair(t, i)
+                    assert pair.m == m and pair.m_star not in t
+                    assert pair.b_m == tuple(t.arcs[j] for j, c in terms.items() if c == -1)
+                    assert pair.b_m_star == tuple(t.arcs[j] for j, c in terms.items() if c == 1)
+                    assert len(pair.b_m) + len(pair.b_m_star) == len(terms)
+                t = mutate(t, rng.choice(sorted(relations)))
+
+
 def dense(t, terms):
     # the relation as a vector over the whole arc basis
     return [terms.get(i, 0) for i in range(len(t.arcs))]
