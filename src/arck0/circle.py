@@ -15,6 +15,17 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
+def check_size(name: str, value: int, minimum: int, error: type[ValueError] = ValueError) -> None:
+    """The one size rule: ValueError unless ``value`` is an int, else ``error`` below ``minimum``.
+
+    The type comes first, so None, a float, a bool or a str never reaches the comparison.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an int")
+    if value < minimum:
+        raise error(f"need {name} >= {minimum}, got {value}")
+
+
 class MarkedPoint(NamedTuple):
     segment: int
     offset: int
@@ -30,10 +41,7 @@ class CircleModel:
     num_segments: int
 
     def __post_init__(self) -> None:
-        if type(self.num_segments) is not int:
-            raise ValueError(f"number of segments {self.num_segments!r} is not an int")
-        if self.num_segments < 1:
-            raise ValueError(f"need at least one segment, got {self.num_segments}")
+        check_size("n", self.num_segments, 1)
 
     def check_point(self, p: MarkedPoint) -> None:
         """Raise ValueError unless ``p`` is a marked point of this circle."""
@@ -45,10 +53,7 @@ class CircleModel:
 
     def points_in_window(self, window: int) -> Iterator[MarkedPoint]:
         """All marked points with offset in [-window, window], anticlockwise."""
-        if type(window) is not int:
-            raise ValueError(f"window {window!r} is not an int")
-        if window < 0:
-            raise ValueError("window must be nonnegative")
+        check_size("window", window, 0)
         for s in range(self.num_segments):
             for o in range(-window, window + 1):
                 yield MarkedPoint(s, o)

@@ -10,7 +10,7 @@ Only that cokernel is computed here; the localisation itself is not modelled.
 
 from __future__ import annotations
 
-from .circle import MarkedPoint
+from .circle import MarkedPoint, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import OracleQuotient, class_same_segment, euler_oracle
@@ -18,20 +18,14 @@ from .k0 import OracleQuotient, class_same_segment, euler_oracle
 _MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
 
 
-def _check_n(n: int) -> None:
-    """Raise ValueError unless ``n`` is an int of at least 1."""
-    if type(n) is not int:
-        raise ValueError(f"n {n!r} is not an int")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-
-
 def kernel_generator_arc(n: int, i: int) -> Arc:
     """Generator of the i-th kernel copy, 1 <= i <= n.
 
     It is the two-step arc below offset 0 on host segment 2(i-1).
     """
-    if not 1 <= i <= n:
+    check_size("n", n, 1)
+    check_size("i", i, 1)
+    if i > n:
         raise ValueError(f"kernel index {i} out of range [1, {n}]")
     segment = 2 * (i - 1)
     return Arc(MarkedPoint(segment, -2), MarkedPoint(segment, 0))
@@ -44,7 +38,7 @@ def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     kernel generator arc on the 2n-segment host.  Column 1 is [X2] + [Y1];
     column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].
     """
-    _check_n(n)
+    check_size("n", n, 1)
     return tuple(
         class_same_segment(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1)
     )
@@ -55,7 +49,7 @@ def compute_k0_completed(n: int) -> GroupPresentation:
 
     A 2n x n matrix of more than 2,000,000 entries raises ValueError up front.
     """
-    _check_n(n)
+    check_size("n", n, 1)
     if 2 * n * n > _MAX_COMPLETED_ENTRIES:
         raise ValueError(
             f"n={n} gives a {2 * n} x {n} matrix, more than {_MAX_COMPLETED_ENTRIES} entries"
@@ -71,7 +65,7 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     columns of ``f_matrix(n)`` exactly, signs included, or VerificationError
     is raised.  Returns the host oracle, for further checks on its window.
     """
-    _check_n(n)
+    check_size("n", n, 1)
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
     if coordinates != f_matrix(n):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import CircleModel, MarkedPoint
+from .circle import CircleModel, MarkedPoint, check_size
 from .arcs import Arc
 from .snf import (
     GroupPresentation,
@@ -63,8 +63,7 @@ def compute_k0_cn(
     basis.  The paper's theorem says it is free of rank n for every depth >= 2
     and any anchors; any other group raises VerificationError.
     """
-    if depth < 2:
-        raise InsufficientDepthError("insufficient depth: compute_k0_cn needs depth >= 2")
+    check_size("depth", depth, 2, InsufficientDepthError)
     tilting = build_standard_tilting(n, anchor_offsets, depth)
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
@@ -147,10 +146,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
-    if window < 2:
-        raise InsufficientWindowError(
-            f"insufficient window: euler_oracle needs window >= 2, got {window}"
-        )
+    check_size("window", window, 2, InsufficientWindowError)
     model = CircleModel(n)
     # every pair of the n(2w+1) window points except the 2w adjacent pairs
     # of each segment
@@ -248,8 +244,7 @@ def parity_class(i: int) -> int:
     Iterates [W(i+1)] = [W(i)] + (-1)^i [W(1)] from [W(1)] = w and returns the
     coefficient of w: 0 for even i, +1 for odd i.
     """
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
+    check_size("i", i, 1)
     coef = 1
     for step in range(1, i):
         coef += 1 if step % 2 == 0 else -1
@@ -262,8 +257,7 @@ def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
     The anchors are the default ones, offset 0 on every segment.  For n = 1
     the basis is the arc Z1, joining the two neighbours of the anchor.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_size("n", n, 1)
     z = [MarkedPoint(s, 0) for s in range(n)]
     if n == 1:
         return (Arc(MarkedPoint(0, -1), MarkedPoint(0, 1)),)
@@ -282,8 +276,7 @@ def class_same_segment(n: int, arc: Arc) -> tuple[int, ...]:
     (the aligned copy is the one whose suspension crosses the suspended fan
     arc, which fixes the choice between the two shifts sharing an endpoint).
     """
-    if n < 2:
-        raise ValueError("class_same_segment needs n >= 2 (the basis includes X2)")
+    check_size("n", n, 2)  # the basis includes X2
     model = CircleModel(n)
     model.check_point(arc.a)
     model.check_point(arc.b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .circle import CircleModel, MarkedPoint
+from .circle import CircleModel, MarkedPoint, check_size
 from .arcs import Arc
 
 SIZE = 480
@@ -50,8 +50,7 @@ def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
 
     A window of more than 100,000 points raises ValueError up front.
     """
-    if window < 1:
-        raise ValueError("window must be positive")
+    check_size("window", window, 1)
     points = model.num_segments * (2 * window + 1)
     if points > _MAX_POINTS:
         raise ValueError(f"window {window} has {points} points, more than {_MAX_POINTS}")

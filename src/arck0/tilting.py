@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .circle import CircleModel, MarkedPoint
+from .circle import CircleModel, MarkedPoint, check_size
 from .arcs import Arc
 
 _MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
@@ -101,9 +101,11 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
 
 
 def _anchor_offsets(n: int, anchor_offsets: list[int] | None) -> list[int]:
-    """One offset per segment: all zero by default, else exactly n ints given."""
+    """One offset per segment: all zero by default, else a list or tuple of exactly n ints."""
     if anchor_offsets is None:
         return [0] * n
+    if not isinstance(anchor_offsets, (list, tuple)):
+        raise ValueError(f"anchor offsets {anchor_offsets!r} are not a list or tuple")
     if len(anchor_offsets) != n:
         raise ValueError(f"expected {n} anchor offsets, got {len(anchor_offsets)}")
     for o in anchor_offsets:
@@ -123,12 +125,8 @@ def build_standard_tilting(
     n >= 4.  A configuration of more than 110,000 arcs raises ValueError up
     front.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if type(depth) is not int:
-        raise ValueError(f"depth {depth!r} is not an int")
-    if depth < 1:
-        raise ValueError(f"need depth >= 1, got {depth}")
+    check_size("n", n, 1)
+    check_size("depth", depth, 1)
     # n ladders of 2*depth+1 arcs rooted at the polygon edges, n-3 fan
     # diagonals, and one arc fewer for n = 2, whose two edges coincide
     num_arcs = n * (2 * depth + 1) + max(n - 3, 0) - (n == 2)

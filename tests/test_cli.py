@@ -32,35 +32,36 @@ def test_k0_rejects_n_zero(capsys):
     assert "error" in err
 
 
-BAD_N = [
-    (["k0"], "need n >= 1, got {}"),
-    (["k0-completed"], "need n >= 1, got {}"),
-    (["oracle"], "need at least one segment, got {}"),
-    (["exchange", "--arc", "Z1"], "need n >= 1, got {}"),
-    (["verify"], "need n >= 1, got {}"),
-    (["render"], "need at least one segment, got {}"),
-]
-SMALL_WINDOW = [
-    ("oracle", "1", "insufficient window: euler_oracle needs window >= 2, got 1"),
-    ("verify", "1", "insufficient window: euler_oracle needs window >= 2, got 1"),
-    ("render", "0", "window must be positive"),
+BAD_N = [["k0"], ["k0-completed"], ["oracle"], ["exchange", "--arc", "Z1"], ["verify"], ["render"]]
+# (subcommand and its other arguments, size flag, value, least allowed value)
+SMALL_SIZES = [
+    (["oracle"], "window", "1", 2),
+    (["verify"], "window", "1", 2),
+    (["render"], "window", "0", 1),
+    (["k0"], "depth", "1", 2),
+    (["exchange", "--arc", "Z1"], "depth", "0", 1),
+    (["render"], "depth", "0", 1),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        pytest.param([*cmd, "--n", n], message.format(n), id=f"{cmd[0]}-n{n}")
-        for cmd, message in BAD_N
+        pytest.param([*cmd, "--n", n], f"need n >= 1, got {n}", id=f"{cmd[0]}-n{n}")
+        for cmd in BAD_N
         for n in ("0", "-100000")
     ]
     + [
-        pytest.param([cmd, "--n", "2", "--window", w], message, id=f"{cmd}-window{w}")
-        for cmd, w, message in SMALL_WINDOW
+        pytest.param(
+            [*cmd, "--n", "2", f"--{flag}", value],
+            f"need {flag} >= {least}, got {value}",
+            id=f"{cmd[0]}-{flag}{value}",
+        )
+        for cmd, flag, value, least in SMALL_SIZES
     ],
 )
 def test_library_rejects_bad_sizes(capsys, argv, message):
-    # the CLI passes --n and --window through; the library owns the size rules
+    # the CLI passes --n, --window and --depth through; the library owns the size rules
     code = main(argv)
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"error: {message}\n")

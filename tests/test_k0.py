@@ -1,9 +1,11 @@
+import inspect
 import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import arck0
 from arck0 import (
     Arc,
     CircleModel,
@@ -24,7 +26,12 @@ from arck0 import (
 )
 from arck0.tilting import InsufficientDepthError
 from arck0.k0 import InsufficientWindowError
-from arck0.completion import compute_k0_completed, f_matrix, verify_f_oracle
+from arck0.completion import (
+    compute_k0_completed,
+    f_matrix,
+    kernel_generator_arc,
+    verify_f_oracle,
+)
 from arck0.render import render_svg
 from geometry_reference import ext1_dim, induced_triangles
 
@@ -64,34 +71,86 @@ def test_compute_k0_cn_rejects_shallow_depth():
         compute_k0_cn(2, None, 1)
 
 
-@pytest.mark.parametrize(
-    "call,message",
-    [
-        pytest.param(lambda: compute_k0_cn(2, None, 2.5), "depth 2.5", id="compute_k0_cn-depth"),
-        pytest.param(
-            lambda: build_standard_tilting(2.5, None, 2),
-            "number of segments 2.5",
-            id="build_standard_tilting-n",
-        ),
-        pytest.param(lambda: euler_oracle(2.0, 4), "number of segments 2.0", id="euler_oracle-n"),
-        pytest.param(lambda: euler_oracle(2, 4.0), "window 4.0", id="euler_oracle-window"),
-        pytest.param(lambda: verify_f_oracle(1.5, 4), "n 1.5", id="verify_f_oracle"),
-        pytest.param(lambda: compute_k0_completed(2.5), "n 2.5", id="compute_k0_completed"),
-        pytest.param(lambda: f_matrix(True), "n True", id="f_matrix"),
-        pytest.param(
-            lambda: render_svg(CircleModel(2), [], 2.5), "window 2.5", id="render_svg"
-        ),
-        pytest.param(lambda: CircleModel(2.0), "number of segments 2.0", id="CircleModel"),
-        pytest.param(
-            lambda: list(CircleModel(2).points_in_window(None)),
-            "window None",
-            id="points_in_window",
-        ),
-    ],
-)
-def test_non_int_sizes_raise_value_error(call, message):
-    with pytest.raises(ValueError, match=f"^{message} is not an int$"):
-        call()
+# Every public size parameter: (callable, parameter, least allowed value,
+# error below it, call with that size set to the value and every other
+# argument valid).  CircleModel's num_segments is called n in messages.
+SIZES = [
+    ("CircleModel", "num_segments", 1, ValueError, CircleModel),
+    (
+        "CircleModel.points_in_window", "window", 0, ValueError,
+        lambda v: list(CircleModel(2).points_in_window(v)),
+    ),
+    ("build_standard_tilting", "n", 1, ValueError, lambda v: build_standard_tilting(v, None, 2)),
+    (
+        "build_standard_tilting", "depth", 1, ValueError,
+        lambda v: build_standard_tilting(2, None, v),
+    ),
+    ("compute_k0_cn", "n", 1, ValueError, lambda v: compute_k0_cn(v, None, 2)),
+    ("compute_k0_cn", "depth", 2, InsufficientDepthError, lambda v: compute_k0_cn(2, None, v)),
+    ("euler_oracle", "n", 1, ValueError, lambda v: euler_oracle(v, 2)),
+    ("euler_oracle", "window", 2, InsufficientWindowError, lambda v: euler_oracle(2, v)),
+    ("parity_class", "i", 1, ValueError, parity_class),
+    ("standard_basis_arcs", "n", 1, ValueError, standard_basis_arcs),
+    ("class_same_segment", "n", 2, ValueError, lambda v: class_same_segment(v, A((0, 0), (0, 2)))),
+    ("kernel_generator_arc", "n", 1, ValueError, lambda v: kernel_generator_arc(v, 1)),
+    ("kernel_generator_arc", "i", 1, ValueError, lambda v: kernel_generator_arc(2, v)),
+    ("f_matrix", "n", 1, ValueError, f_matrix),
+    ("compute_k0_completed", "n", 1, ValueError, compute_k0_completed),
+    ("verify_f_oracle", "n", 1, ValueError, lambda v: verify_f_oracle(v, 2)),
+    ("verify_f_oracle", "window", 2, InsufficientWindowError, lambda v: verify_f_oracle(1, v)),
+    ("render_svg", "window", 1, ValueError, lambda v: render_svg(CircleModel(2), [], v)),
+]
+_SIZES_PER_CALLABLE = Counter(c for c, *_ in SIZES)
+SIZE_CASES = [
+    pytest.param(
+        "n" if p == "num_segments" else p, least, error, call,
+        id=c.split(".")[-1] + (f"-{p}" if _SIZES_PER_CALLABLE[c] > 1 else ""),
+    )
+    for c, p, least, error, call in SIZES
+]
+
+
+@pytest.mark.parametrize("name,least,error,call", SIZE_CASES)
+def test_non_int_sizes_raise_value_error(name, least, error, call):
+    # the type is checked first: no size reaches a comparison or a range
+    for value in (None, 2.0, True, "3"):
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"{name} {value!r} is not an int"
+
+
+@pytest.mark.parametrize("name,least,error,call", SIZE_CASES)
+def test_sizes_below_the_least_raise(name, least, error, call):
+    with pytest.raises(error) as raised:
+        call(least - 1)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"need {name} >= {least}, got {least - 1}"
+
+
+def test_size_table_covers_every_public_size_parameter():
+    # a new public entry point with a size parameter must join SIZES;
+    # OracleQuotient.window is a result field, copied from euler_oracle's
+    # checked window
+    walked = set()
+    for name in arck0.__all__:
+        obj = getattr(arck0, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        members = [(name, obj)]
+        if isinstance(obj, type):
+            members += [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr in vars(obj)
+                if not attr.startswith("_") and callable(getattr(obj, attr))
+            ]
+        for qualname, member in members:
+            walked |= {
+                (qualname, p)
+                for p in inspect.signature(member).parameters
+                if p in ("n", "num_segments", "depth", "window", "i")
+            }
+    assert walked - {("OracleQuotient", "window")} == {(c, p) for c, p, *_ in SIZES}
 
 
 def test_compute_k0_cn_frontier_report():
@@ -204,7 +263,7 @@ def oracle_c2_w6():
 
 
 def test_oracle_rejects_small_window():
-    with pytest.raises(InsufficientWindowError, match="needs window >= 2, got 1"):
+    with pytest.raises(InsufficientWindowError, match="^need window >= 2, got 1$"):
         euler_oracle(1, 1)
 
 

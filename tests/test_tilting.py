@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from arck0 import (
     MarkedPoint,
     StandardTilting,
     build_standard_tilting,
+    compute_k0_cn,
     exchange_pair,
     mutate,
     palu_relations,
@@ -95,6 +97,20 @@ def test_build_rejects_bad_input():
     # a non-integer offset is rejected, not truncated to (0, 0), (1, 1)
     with pytest.raises(ValueError, match="anchor offset 0.7 is not an int"):
         build_standard_tilting(2, [0.7, 1.9], 2)
+
+
+@pytest.mark.parametrize(
+    "anchors", [4, {1: 0, 2: 0}, {0, 1}, "00"], ids=["int", "dict", "set", "str"]
+)
+def test_anchor_offsets_must_be_a_list_or_tuple(anchors):
+    # a dict would anchor at its keys and a set in no fixed order; an int
+    # in the anchors slot (compute_k0_cn(3, 4)) would fail in len()
+    message = f"^anchor offsets {re.escape(repr(anchors))} are not a list or tuple$"
+    with pytest.raises(ValueError, match=message):
+        build_standard_tilting(2, anchors, 2)
+    with pytest.raises(ValueError, match=message):
+        compute_k0_cn(2, anchors)
+    assert build_standard_tilting(2, (3, -1), 2).arcs == build_standard_tilting(2, [3, -1], 2).arcs
 
 
 def test_size_cap_uses_the_exact_arc_count(monkeypatch):
