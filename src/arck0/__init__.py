@@ -1,7 +1,7 @@
 """Exact combinatorics of arcs on a marked circle and their Grothendieck groups."""
 
 from .circle import CircleModel, MarkedPoint
-from .arcs import Arc, maybe_arc, suspend
+from .arcs import Arc
 from .tilting import (
     ExchangePair,
     InsufficientDepthError,
@@ -11,7 +11,7 @@ from .tilting import (
     mutate,
     palu_relations,
 )
-from .snf import GroupPresentation, cokernel_presentation, smith_normal_form
+from .snf import GroupPresentation, cokernel_presentation
 from .k0 import (
     InsufficientWindowError,
     K0Report,
@@ -20,7 +20,6 @@ from .k0 import (
     class_same_segment,
     compute_k0_cn,
     euler_oracle,
-    parity_class,
     standard_basis_arcs,
 )
 from .completion import (
@@ -35,8 +34,6 @@ __all__ = [
     "CircleModel",
     "MarkedPoint",
     "Arc",
-    "maybe_arc",
-    "suspend",
     "ExchangePair",
     "InsufficientDepthError",
     "StandardTilting",
@@ -46,7 +43,6 @@ __all__ = [
     "palu_relations",
     "GroupPresentation",
     "cokernel_presentation",
-    "smith_normal_form",
     "InsufficientWindowError",
     "K0Report",
     "OracleQuotient",
@@ -54,7 +50,6 @@ __all__ = [
     "class_same_segment",
     "compute_k0_cn",
     "euler_oracle",
-    "parity_class",
     "standard_basis_arcs",
     "compute_k0_completed",
     "f_matrix",

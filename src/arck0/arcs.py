@@ -1,4 +1,4 @@
-"""Arcs between marked points: validity and suspension.
+"""Arcs between marked points and their validity.
 
 An arc joins two marked points that are neither equal nor neighbours; pairs
 of adjacent points are boundary segments and count as zero objects.  Which
@@ -8,7 +8,7 @@ structures where they are needed (``tilting``, ``k0.euler_oracle``).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .circle import MarkedPoint
 
@@ -62,20 +62,3 @@ class Arc(_Endpoints):
         (s0, o0), (s1, o1) = data
         return cls(MarkedPoint(s0, o0), MarkedPoint(s1, o1))
 
-
-def maybe_arc(p: MarkedPoint, q: MarkedPoint) -> Optional[Arc]:
-    """The arc {p, q}, or None when the pair is degenerate (a zero object)."""
-    if is_degenerate_pair(p, q):
-        return None
-    return Arc(p, q)
-
-
-def suspend(arc: Arc, k: int = 1) -> Arc:
-    """Rotate both endpoints k marked points clockwise (the shift functor).
-
-    Validity is translation invariant, so the result is always an arc.
-    """
-    return Arc(
-        MarkedPoint(arc.a[0], arc.a[1] - k),
-        MarkedPoint(arc.b[0], arc.b[1] - k),
-    )

@@ -14,11 +14,11 @@ import functools
 import json
 import sys
 
-from .circle import CircleModel
+from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
 from .snf import GroupPresentation
-from .k0 import VerificationError, class_same_segment, compute_k0_cn, euler_oracle, parity_class
+from .k0 import VerificationError, class_same_segment, compute_k0_cn, euler_oracle
 from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
 
@@ -176,9 +176,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "same-segment closed form equals host oracle coordinates",
         all(oracle.class_of(a) == class_same_segment(2 * n, a) for a in same),
     )
+    # the one-sided fountain of host segment s: W(i) runs from (s, -window)
+    # over i interior points, and [W(i)] = (i % 2)[W(1)] with [W(1)] != 0
+    w = oracle.window
+    fountains = [
+        [
+            oracle.class_of(Arc(MarkedPoint(s, -w), MarkedPoint(s, i + 1 - w)))
+            for i in range(1, 2 * w)
+        ]
+        for s in range(2 * n)
+    ]
     check(
         "iterated fountain classes match parity",
-        all(parity_class(i) == (i % 2) for i in range(1, 31)),
+        all(
+            any(f[0]) and all(c == tuple(i % 2 * v for v in f[0]) for i, c in enumerate(f, 1))
+            for f in fountains
+        ),
     )
 
     _emit("\n".join(results), args.out)

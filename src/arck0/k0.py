@@ -238,19 +238,6 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 # closed-form class computations for same-segment arcs
 
 
-def parity_class(i: int) -> int:
-    """Class of the arc with i interior points in a one-sided fountain.
-
-    Iterates [W(i+1)] = [W(i)] + (-1)^i [W(1)] from [W(1)] = w and returns the
-    coefficient of w: 0 for even i, +1 for odd i.
-    """
-    check_size("i", i, 1)
-    coef = 1
-    for step in range(1, i):
-        coef += 1 if step % 2 == 0 else -1
-    return coef
-
-
 def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
     """The arcs whose classes freely generate the group: Y1, X2, ..., Xn.
 

@@ -1,14 +1,14 @@
-"""Exact integer linear algebra: Smith normal form, Hermite reduction and cokernels.
+"""Exact integer linear algebra: cokernels via the Smith form, and Hermite reduction.
 
 Everything runs over Python's arbitrary-precision integers; there are no
-modular shortcuts and no floating point anywhere.  Every Smith computation
-starts with unit elimination (``_UnitEliminations``): a relation +/-x or
-+/-x +/- y removes one generator as a Tietze move and counts as one Smith
-value 1.  Only the residual core reaches the sparse kernel, a normalized
-column-echelon (Hermite) reduction, which keeps coefficient growth tame.
-Alternating it with transposition reaches the Smith diagonal; reducing a
-vector against one echelon basis gives the canonical representative of its
-coset modulo the lattice.
+modular shortcuts and no floating point anywhere.  The one Smith
+computation, ``cokernel_presentation``, starts with unit elimination
+(``_UnitEliminations``): a relation +/-x or +/-x +/- y removes one generator
+as a Tietze move and counts as one Smith value 1.  Only the residual core
+reaches the sparse kernel, a normalized column-echelon (Hermite) reduction,
+which keeps coefficient growth tame.  Alternating it with transposition
+reaches the Smith diagonal; reducing a vector against one echelon basis
+gives the canonical representative of its coset modulo the lattice.
 """
 
 from __future__ import annotations
@@ -246,31 +246,38 @@ class _UnitEliminations:
         return live, [{live[g]: v for g, v in col} for col in sorted(store)]
 
 
-def _smith_values(size: int, columns: Iterable[Sequence[int] | Mapping[int, int]]) -> list[int]:
-    """Nonzero Smith diagonal of the lattice the columns span in Z^size.
+def cokernel_presentation(
+    ambient_rank: int,
+    columns: Iterable[Sequence[int] | Mapping[int, int]],
+) -> GroupPresentation:
+    """Presentation of Z^ambient_rank modulo the span of the given columns.
 
-    One pass checks each column, dense of length ``size`` or a sparse
-    {index: value} mapping, and hands it straight to unit elimination.  An
-    index or entry whose type is not ``int`` raises ValueError (a float or
-    bool would be truncated or counted silently), as do a wrong length and
-    a nonzero entry at an index outside [0, size).  A unit move deletes one
-    generator and one relation without changing the quotient, so it is one
-    Smith value 1.  The residual core alternates normalized echelon
-    reduction, which bounds entry growth (plain elimination blows random
-    12x12 inputs up to thousands of digits), with transposition until the
-    matrix is diagonal.  A pivot of 1 is a Smith value 1 at once:
-    normalization has cleared its row in every other column, so row
-    operations clear its column without touching the rest, and it is split
-    off before the next round.
+    One pass checks each column, dense of length ``ambient_rank`` or a
+    sparse {index: value} mapping, and hands it straight to unit
+    elimination.  An ambient rank, index or entry whose type is not ``int``
+    raises ValueError (a float or bool would be truncated or counted
+    silently), as do a wrong length and a nonzero entry at an index outside
+    [0, ambient_rank).  A unit move deletes one generator and one relation
+    without changing the quotient, so it is one Smith value 1.  The
+    residual core alternates normalized echelon reduction, which bounds
+    entry growth (plain elimination blows random 12x12 inputs up to
+    thousands of digits), with transposition until the matrix is diagonal.
+    A pivot of 1 is a Smith value 1 at once: normalization has cleared its
+    row in every other column, so row operations clear its column without
+    touching the rest, and it is split off before the next round.
     """
-    elim = _UnitEliminations(size)
+    if type(ambient_rank) is not int:
+        raise ValueError(f"ambient rank {ambient_rank!r} is not an int")
+    if ambient_rank < 0:
+        raise ValueError("ambient rank must be nonnegative")
+    elim = _UnitEliminations(ambient_rank)
     store: set = set()
     for c in columns:
         # the dict test first: the ABC check costs as much as a short column
         if isinstance(c, dict) or isinstance(c, Mapping):
             entries = c.items()
-        elif len(c) != size:
-            raise ValueError(f"column of length {len(c)}, expected {size}")
+        elif len(c) != ambient_rank:
+            raise ValueError(f"column of length {len(c)}, expected {ambient_rank}")
         else:
             entries = enumerate(c)
         terms = []
@@ -280,55 +287,23 @@ def _smith_values(size: int, columns: Iterable[Sequence[int] | Mapping[int, int]
             if type(v) is not int:
                 raise ValueError(f"matrix entry {v!r} is not an int")
             if v:
-                if not 0 <= i < size:
+                if not 0 <= i < ambient_rank:
                     raise ValueError("column index out of range")
                 terms.append((i + 1, v))
         elim.absorb(terms, store)
     live, work = elim.residual(store)
-    units = size - len(live)
+    units = ambient_rank - len(live)
     for _ in range(256):
         pivots = _echelon_columns(work)
         rest = {r: col for r, col in pivots.items() if col[r] != 1}
         units += len(pivots) - len(rest)
         if all(len(col) == 1 for col in rest.values()):
-            return [1] * units + _divisibility_chain([col[r] for r, col in rest.items()])
+            chain = _divisibility_chain([col[r] for r, col in rest.items()])
+            factors = tuple(d for d in chain if d > 1)
+            return GroupPresentation(ambient_rank - units - len(rest), factors)
         transposed: dict[int, dict[int, int]] = {}
         for r, col in rest.items():
             for rr, v in col.items():
                 transposed.setdefault(rr, {})[r] = v
         work = list(transposed.values())
     raise VerificationError("Smith reduction did not converge in 256 rounds")
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Full Smith diagonal d1 | d2 | ... of an integer matrix, zeros trailing.
-
-    ``rows`` are the matrix rows; rows of unequal length or an entry whose
-    type is not ``int`` raise ValueError.
-    """
-    m = len(rows)
-    k = len(rows[0]) if m else 0
-    if any(len(row) != k for row in rows):
-        raise ValueError("rows of unequal length")
-    values = _smith_values(k, rows)
-    return values + [0] * (min(m, k) - len(values))
-
-
-def cokernel_presentation(
-    ambient_rank: int,
-    columns: Sequence[Sequence[int] | Mapping[int, int]],
-) -> GroupPresentation:
-    """Presentation of Z^ambient_rank modulo the span of the given columns.
-
-    Columns may be dense vectors of length ``ambient_rank`` or sparse
-    {index: value} mappings.  An ambient rank, index or entry whose type is
-    not ``int`` raises ValueError, as do a wrong length and an index out of
-    range.
-    """
-    if type(ambient_rank) is not int:
-        raise ValueError(f"ambient rank {ambient_rank!r} is not an int")
-    if ambient_rank < 0:
-        raise ValueError("ambient rank must be nonnegative")
-    values = _smith_values(ambient_rank, columns)
-    factors = tuple(d for d in values if d > 1)
-    return GroupPresentation(ambient_rank - len(values), factors)

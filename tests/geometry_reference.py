@@ -3,13 +3,30 @@
 The package reads crossings and triangles off index structures (the bracket
 pass and ``tilting._flank``, the oracle's index ranges).  This module decides
 them one pair at a time from the cyclic order of the endpoints, so the tests
-can check the fast paths against it.
+can check the fast paths against it.  It also holds the two arc helpers only
+the tests use: ``maybe_arc`` and the shift functor ``suspend``.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from arck0 import Arc, CircleModel, MarkedPoint, maybe_arc
+from arck0 import Arc, CircleModel, MarkedPoint
+from arck0.arcs import is_degenerate_pair
+
+
+def maybe_arc(p: MarkedPoint, q: MarkedPoint) -> Optional[Arc]:
+    """The arc {p, q}, or None when the pair is degenerate (a zero object)."""
+    if is_degenerate_pair(p, q):
+        return None
+    return Arc(p, q)
+
+
+def suspend(arc: Arc, k: int = 1) -> Arc:
+    """Rotate both endpoints k marked points clockwise (the shift functor).
+
+    Validity is translation invariant, so the result is always an arc.
+    """
+    return Arc(MarkedPoint(arc.a[0], arc.a[1] - k), MarkedPoint(arc.b[0], arc.b[1] - k))
 
 
 def cyclic_key(origin: MarkedPoint, p: MarkedPoint, num_segments: int) -> tuple[int, int]:

@@ -9,9 +9,14 @@ remainder has a smaller pivot next time, so the stage ends.  Unlike the
 production code the divisibility chain is not maintained during
 elimination; it is repaired afterwards by gcd/lcm bubbling on the
 diagonal, using that diag(a, b) presents the same group as diag(gcd, lcm).
+
+``smith_diagonal`` reads the same full diagonal off the package's one Smith
+entry point, ``cokernel_presentation``, so the two can be compared.
 """
 
 from math import gcd
+
+from arck0 import cokernel_presentation
 
 
 def _smallest_nonzero(a, s, m, k):
@@ -83,6 +88,22 @@ def reference_snf(matrix) -> list[int]:
                 diag[i], diag[i + 1] = g, l
                 changed = True
     return diag
+
+
+def smith_diagonal(rows) -> list[int]:
+    """Full Smith diagonal d1 | d2 | ... of a matrix, zeros trailing, via the package.
+
+    The rows span a lattice in Z^k, k the row length, and the cokernel of
+    that lattice has k minus its free rank nonzero Smith values: its
+    invariant factors, after as many 1s as are left over.  A row whose
+    length is not k, or an entry whose type is not ``int``, raises
+    ValueError from ``cokernel_presentation``.
+    """
+    k = len(rows[0]) if rows else 0
+    presentation = cokernel_presentation(k, rows)
+    rank = k - presentation.free_rank
+    factors = list(presentation.invariant_factors)
+    return [1] * (rank - len(factors)) + factors + [0] * (min(len(rows), k) - rank)
 
 
 class ReferenceUnitEliminations:

@@ -3,8 +3,14 @@ import pickle
 
 import pytest
 
-from arck0 import Arc, CircleModel, MarkedPoint, maybe_arc, suspend
-from geometry_reference import ext1_dim, induced_triangles, quadrilateral_sides
+from arck0 import Arc, CircleModel, MarkedPoint
+from geometry_reference import (
+    ext1_dim,
+    induced_triangles,
+    maybe_arc,
+    quadrilateral_sides,
+    suspend,
+)
 
 
 def P(s, o):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -132,9 +133,12 @@ def test_exchange_frontier_is_bad_input(capsys):
 
 
 def test_verify_passes(capsys):
-    # the contract the benchmark checks: exactly six lines, each a PASS
-    for n, free, completed in ((1, "Z", "Z"), (2, "Z^2", "Z^2 x Z/2")):
-        code, out, err = run(capsys, ["verify", "--n", str(n), "--window", "4"])
+    # the contract the benchmark checks, at its sizes: exactly six lines,
+    # each a PASS
+    for (n, free, completed), window in itertools.product(
+        ((1, "Z", "Z"), (2, "Z^2", "Z^2 x Z/2")), (4, 5, 6)
+    ):
+        code, out, err = run(capsys, ["verify", "--n", str(n), "--window", str(window)])
         assert (code, err) == (0, "")
         assert out.splitlines() == [
             f"PASS  exchange relations present Z^n at depths 2, 3, 4 ({free})",
@@ -144,6 +148,31 @@ def test_verify_passes(capsys):
             "PASS  same-segment closed form equals host oracle coordinates",
             "PASS  iterated fountain classes match parity",
         ]
+
+
+def test_verify_wrong_fountain_class_fails_line_6(capsys, monkeypatch):
+    # zero the class of W(3), the odd fountain arc from (0, -window) over
+    # three interior points: the fountain line and the closed-form line,
+    # which also reads every same-segment arc, print FAIL and verify exits 1
+    from arck0 import Arc, MarkedPoint, OracleQuotient, cli
+
+    host_oracle = cli.verify_f_oracle
+
+    def zeroed_fountain_arc(n, window):
+        oracle = host_oracle(n, window)
+        arc = Arc(MarkedPoint(0, -window), MarkedPoint(0, 4 - window))
+        assert any(oracle.class_of(arc))
+        classes = {**oracle._classes, arc: (0,) * (2 * n)}
+        return OracleQuotient(oracle.window, oracle.presentation, classes)
+
+    monkeypatch.setattr(cli, "verify_f_oracle", zeroed_fountain_arc)
+    code, out, err = run(capsys, ["verify", "--n", "1", "--window", "4"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3:] == [
+        "PASS  host oracle coordinates of the kernel generators equal f_matrix",
+        "FAIL  same-segment closed form equals host oracle coordinates",
+        "FAIL  iterated fountain classes match parity",
+    ]
 
 
 def test_verify_wrong_f_matrix_exits_1(capsys, monkeypatch):

@@ -17,12 +17,9 @@ from arck0 import (
     cokernel_presentation,
     compute_k0_cn,
     euler_oracle,
-    maybe_arc,
     mutate,
     palu_relations,
-    parity_class,
     standard_basis_arcs,
-    suspend,
 )
 from arck0.tilting import InsufficientDepthError
 from arck0.k0 import InsufficientWindowError
@@ -33,7 +30,7 @@ from arck0.completion import (
     verify_f_oracle,
 )
 from arck0.render import render_svg
-from geometry_reference import ext1_dim, induced_triangles
+from geometry_reference import ext1_dim, induced_triangles, maybe_arc, suspend
 
 
 def P(s, o):
@@ -89,7 +86,6 @@ SIZES = [
     ("compute_k0_cn", "depth", 2, InsufficientDepthError, lambda v: compute_k0_cn(2, None, v)),
     ("euler_oracle", "n", 1, ValueError, lambda v: euler_oracle(v, 2)),
     ("euler_oracle", "window", 2, InsufficientWindowError, lambda v: euler_oracle(2, v)),
-    ("parity_class", "i", 1, ValueError, parity_class),
     ("standard_basis_arcs", "n", 1, ValueError, standard_basis_arcs),
     ("class_same_segment", "n", 2, ValueError, lambda v: class_same_segment(v, A((0, 0), (0, 2)))),
     ("kernel_generator_arc", "n", 1, ValueError, lambda v: kernel_generator_arc(v, 1)),
@@ -528,19 +524,6 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
 
 # ---------------------------------------------------------------------------
 # closed-form same-segment classes
-
-
-def test_parity_class_examples():
-    assert parity_class(2) == 0
-    assert parity_class(7) == 1
-    assert parity_class(1) == 1
-
-
-def test_parity_class_closed_form():
-    for i in range(1, 51):
-        assert parity_class(i) == (1 if i % 2 else 0)
-    with pytest.raises(ValueError):
-        parity_class(0)
 
 
 def test_class_same_segment_examples():

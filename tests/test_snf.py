@@ -5,36 +5,36 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arck0 import GroupPresentation, cokernel_presentation, smith_normal_form
+from arck0 import GroupPresentation, cokernel_presentation
 from arck0.snf import _UnitEliminations
-from snf_reference import ReferenceUnitEliminations, reference_snf
+from snf_reference import ReferenceUnitEliminations, reference_snf, smith_diagonal
 
 
 def test_snf_identity():
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
 
 
 def test_snf_diagonal_with_zero():
-    assert smith_normal_form([[2, 0], [0, 0]]) == [2, 0]
+    assert smith_diagonal([[2, 0], [0, 0]]) == [2, 0]
 
 
 def test_snf_2x2():
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8
-    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_snf_empty_and_degenerate():
-    assert smith_normal_form([]) == []
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form([[7]]) == [7]
-    assert smith_normal_form([[-3]]) == [3]
-    assert smith_normal_form([[0, -2]]) == [2]
-    assert smith_normal_form([[2, 7], [0, 0], [0, 0]]) == [1, 0]
+    assert smith_diagonal([]) == []
+    assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
+    assert smith_diagonal([[7]]) == [7]
+    assert smith_diagonal([[-3]]) == [3]
+    assert smith_diagonal([[0, -2]]) == [2]
+    assert smith_diagonal([[2, 7], [0, 0], [0, 0]]) == [1, 0]
 
 
 def test_snf_known_matrix():
     m = [[12, 6, 4, 8], [3, 9, 6, 12], [2, 16, 14, 28], [20, 10, 10, 20]]
-    assert smith_normal_form(m) == [1, 10, 30, 0]
+    assert smith_diagonal(m) == [1, 10, 30, 0]
 
 
 def _det(rows):
@@ -64,7 +64,7 @@ def test_snf_against_determinantal_divisors():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        diag = smith_normal_form(mat)
+        diag = smith_diagonal(mat)
         prod = 1
         for k in range(1, min(m, n, 3) + 1):
             dk = _determinantal_divisor(mat, k)
@@ -78,7 +78,7 @@ def test_snf_against_reference_oracle():
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        diag = smith_normal_form(mat)
+        diag = smith_diagonal(mat)
         assert diag == reference_snf(mat), mat
         for a, b in zip(diag, diag[1:]):
             if b:
@@ -93,7 +93,7 @@ def test_snf_against_reference_oracle():
 def test_snf_unit_pivots_with_fill_beside_torsion(rows):
     # the first echelon leaves unit pivots whose columns still carry
     # off-pivot entries next to a non-diagonal torsion block
-    assert smith_normal_form(rows) == reference_snf(rows) == [1, 1, 8]
+    assert smith_diagonal(rows) == reference_snf(rows) == [1, 1, 8]
 
 
 def test_unit_pivot_relations_take_one_echelon_pass(monkeypatch):
@@ -173,7 +173,7 @@ def test_unit_heavy_sparse_lattices_against_reference():
         expected = _reference_cokernel(m, columns)
         assert cokernel_presentation(m, columns) == expected, (m, columns)
         rows = [[col.get(i, 0) for i in range(m)] for col in columns]
-        assert smith_normal_form(rows) == reference_snf(rows), rows
+        assert smith_diagonal(rows) == reference_snf(rows), rows
         torsion += bool(expected.invariant_factors)
     assert torsion >= 40
 
@@ -224,13 +224,13 @@ def test_non_int_entries_are_rejected():
     with pytest.raises(ValueError, match="matrix entry 2.7 is not an int"):
         cokernel_presentation(2, [{0: 2.7}])
     with pytest.raises(ValueError, match="matrix entry 2.9 is not an int"):
-        smith_normal_form([[2.9, 0], [0, 1]])
+        smith_diagonal([[2.9, 0], [0, 1]])
     with pytest.raises(ValueError, match="column index 1.0 is not an int"):
         cokernel_presentation(2, [{1.0: 2}])
     with pytest.raises(ValueError, match="matrix entry True is not an int"):
         cokernel_presentation(2, [(True, 0)])
     with pytest.raises(ValueError, match="matrix entry 0.0 is not an int"):
-        smith_normal_form([[0.0, 1]])
+        smith_diagonal([[0.0, 1]])
     # a float ambient rank used to pass through as the free rank
     with pytest.raises(ValueError, match="ambient rank 2.5 is not an int"):
         cokernel_presentation(2.5, [])
@@ -253,11 +253,13 @@ def test_cokernel_invariance_under_column_signs_and_order():
         assert cokernel_presentation(ambient, flipped) == base
 
 
-def test_smith_normal_form_rejects_ragged_rows():
+def test_ragged_rows_are_rejected():
+    # a row whose length differs from the first row's is a dense column of
+    # the wrong length to cokernel_presentation
     for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [0]]):
-        with pytest.raises(ValueError, match="unequal length"):
-            smith_normal_form(rows)
-    assert smith_normal_form([[], []]) == []
+        with pytest.raises(ValueError, match="column of length"):
+            smith_diagonal(rows)
+    assert smith_diagonal([[], []]) == []
 
 
 def test_hermite_reduce_reads_off_classes():
