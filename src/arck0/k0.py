@@ -4,9 +4,9 @@ Two independent routes are provided.  ``compute_k0_cn`` presents the group as
 the free group on the standard tilting arcs modulo their exchange relations.
 ``euler_oracle`` is a brute-force cross-check: it takes every arc inside a
 finite window as a generator and imposes the Euler relation of every triangle
-induced by a crossing pair, plus the suspension relations [shift A] = -[A],
-and gives every window arc its coordinates over the basis (Y1, X2, ..., Xn)
-of ``standard_basis_arcs``.
+induced by a crossing pair, plus the suspension relations [shift A] = -[A].
+Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
+basis and give every arc its coordinates over them, in one helper.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint, check_size
 from .arcs import Arc
-from .snf import (
-    GroupPresentation,
-    VerificationError,
-    _echelon_columns,
-    _UnitEliminations,
-    cokernel_presentation,
-)
+from .snf import GroupPresentation, VerificationError, _UnitEliminations
 from .tilting import (
     InsufficientDepthError,
     build_standard_tilting,
@@ -42,7 +36,7 @@ class InsufficientWindowError(ValueError):
 
 @dataclass(frozen=True)
 class K0Report:
-    """The group Z^n together with truncation bookkeeping.
+    """The group Z^n with the class of every tilting arc, and truncation bookkeeping.
 
     ``frontier`` lists the arcs that were too deep to have both flanking
     triangles, so they have no exchange relation of their own.
@@ -51,6 +45,15 @@ class K0Report:
     presentation: GroupPresentation
     num_arcs: int
     frontier: tuple[str, ...]
+    # sparse class {basis index: coefficient} of every tilting arc
+    _classes: dict[Arc, dict[int, int]] = field(repr=False)
+
+    def class_of(self, arc: Arc) -> tuple[int, ...]:
+        """Class of one tilting arc; any other arc raises ValueError."""
+        cls = self._classes.get(arc)
+        if cls is None:
+            raise ValueError(f"arc {arc} is not a tilting arc")
+        return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
 def compute_k0_cn(
@@ -58,22 +61,26 @@ def compute_k0_cn(
 ) -> K0Report:
     """Group of the n-accumulation-point model via exchange relations.
 
-    Builds the standard tilting truncated at ``depth``, assembles one relation
-    per interior arc and presents the cokernel over the full truncated arc
-    basis.  The paper's theorem says it is free of rank n for every depth >= 2
-    and any anchors; any other group raises VerificationError.
+    The free group on the standard tilting arcs truncated at ``depth``
+    modulo one relation per interior arc.  The paper's theorem says it is
+    free on the tilting's Y1, X2, ..., Xn (Z1 for n = 1; at default anchors
+    ``standard_basis_arcs(n)``) for every depth >= 2 and any anchors; else
+    VerificationError.  ``class_of`` reads coordinates over that basis.
     """
     check_size("depth", depth, 2, InsufficientDepthError)
     tilting = build_standard_tilting(n, anchor_offsets, depth)
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
-    presentation = cokernel_presentation(num_arcs, relations.values())
-    if presentation != GroupPresentation(n):
-        raise VerificationError(
-            f"exchange relations present {presentation}, not Z^{n}, for n={n}, depth={depth}"
-        )
+    elim = _UnitEliminations(num_arcs)
+    store: set = set()
+    for terms in relations.values():
+        elim.absorb([(i + 1, c) for i, c in terms.items()], store)
+    names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
+    basis = [tilting.names[name] + 1 for name in names]
+    classes = elim.basis_classes(store, basis, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
+    arcs = dict(zip(tilting.arcs, [classes[r] for r in elim.rep[1 : num_arcs + 1]]))
     frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
-    return K0Report(presentation, num_arcs, frontier)
+    return K0Report(GroupPresentation(n), num_arcs, frontier, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +98,8 @@ class OracleQuotient:
 
     window: int
     presentation: GroupPresentation
-    # coordinates of every window arc, in lex order of the arcs' window-point index pairs
-    _classes: dict[Arc, tuple[int, ...]] = field(repr=False)
+    # {basis index: coefficient} of every window arc, in lex order of index pairs
+    _classes: dict[Arc, dict[int, int]] = field(repr=False)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -100,10 +107,10 @@ class OracleQuotient:
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
         """Class of one window arc; any other arc raises InsufficientWindowError."""
-        reduced = self._classes.get(arc)
-        if reduced is None:
+        cls = self._classes.get(arc)
+        if cls is None:
             raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
-        return reduced
+        return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:
@@ -138,11 +145,9 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     skips a top partner met from the other side only compares indices, nor
     the group; it only changes which generators survive.
 
-    Coordinates come from one echelon of the residual relations and, per
-    basis arc t, its vector over the survivors plus a 1 at tag row
-    num_live + t.  The basis generates iff every survivor row has pivot 1
-    and is free iff no tag row has one, else VerificationError; then the
-    pivot column of row p is survivor p plus its coordinates on the tag rows.
+    The residual columns then certify the basis ``standard_basis_arcs(n)``
+    and give every window arc its coordinates
+    (``_UnitEliminations.basis_classes``).
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
@@ -214,22 +219,8 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                     if absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns):
                         ra, rkj, rik = rep[a], rep[kj], rep[ik]
 
-    position, core = elim.residual(columns)
-    num_live = len(position)
-    for t, arc in enumerate(standard_basis_arcs(n)):
-        code = rep[rows[points.index(arc.a)][points.index(arc.b)]]
-        column = {num_live + t: 1}
-        if code:
-            column[position[abs(code)]] = 1 if code > 0 else -1
-        core.append(column)
-    pivots = _echelon_columns(core)
-    if pivots.keys() != set(range(num_live)) or any(col[p] != 1 for p, col in pivots.items()):
-        problem = "satisfy a relation" if max(pivots) >= num_live else "do not generate"
-        raise VerificationError(f"the basis arc classes {problem} in euler_oracle({n}, {window})")
-    classes = {0: (0,) * n}  # signed generator code -> coordinates
-    for g, p in position.items():
-        classes[g] = tuple(pivots[p].get(r, 0) for r in range(num_live, num_live + n))
-        classes[-g] = tuple(-v for v in classes[g])
+    basis = [rows[points.index(arc.a)][points.index(arc.b)] for arc in standard_basis_arcs(n)]
+    classes = elim.basis_classes(columns, basis, f"euler_oracle({n}, {window})")
     arcs = {Arc(points[i], points[j]): classes[rep[rows[i][j]]] for i, j in pairs}
     return OracleQuotient(window, GroupPresentation(n), arcs)
 

@@ -162,7 +162,7 @@ def test_verify_wrong_fountain_class_fails_line_6(capsys, monkeypatch):
         oracle = host_oracle(n, window)
         arc = Arc(MarkedPoint(0, -window), MarkedPoint(0, 4 - window))
         assert any(oracle.class_of(arc))
-        classes = {**oracle._classes, arc: (0,) * (2 * n)}
+        classes = {**oracle._classes, arc: {}}
         return OracleQuotient(oracle.window, oracle.presentation, classes)
 
     monkeypatch.setattr(cli, "verify_f_oracle", zeroed_fountain_arc)
@@ -197,7 +197,8 @@ def test_verify_wrong_f_matrix_exits_1(capsys, monkeypatch):
 
 def test_verification_error_exits_1(capsys, monkeypatch):
     # without the deepest exchange relation the truncated relations present
-    # Z^4 for n = 3, which compute_k0_cn must reject rather than report
+    # Z^4 for n = 3, which the three basis arcs do not generate, so
+    # compute_k0_cn must raise rather than report
     from arck0 import k0
     from arck0.k0 import VerificationError
 
@@ -209,7 +210,7 @@ def test_verification_error_exits_1(capsys, monkeypatch):
         return terms
 
     monkeypatch.setattr(k0, "palu_relations", drop_deepest)
-    message = "exchange relations present Z^4, not Z^3, for n=3, depth=3"
+    message = "the basis arc classes do not generate in compute_k0_cn(3, None, 3)"
     with pytest.raises(VerificationError) as raised:
         k0.compute_k0_cn(3, None, 3)
     assert str(raised.value) == message
@@ -223,9 +224,10 @@ def test_smith_round_cap_exits_1(capsys, monkeypatch):
     from arck0 import k0, snf
 
     assert k0.VerificationError is snf.VerificationError
-    # an echelon step that never reaches a diagonal runs into the round cap
+    # an echelon step that never reaches a diagonal runs into the round cap;
+    # the completion is the pipeline that runs the Smith loop
     monkeypatch.setattr(snf, "_echelon_columns", lambda columns: {0: {0: 2, 1: 1}})
-    code, out, err = run(capsys, ["k0", "--n", "3"])
+    code, out, err = run(capsys, ["k0-completed", "--n", "3"])
     assert code == 1
     assert out == ""
     assert err == "error: Smith reduction did not converge in 256 rounds"

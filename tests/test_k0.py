@@ -185,37 +185,49 @@ def test_compute_k0_cn_nonuniform_anchors():
 @pytest.mark.parametrize("n", [100, 200])
 def test_compute_k0_cn_smith_core_grows_linearly(n, monkeypatch):
     # the survivors of unit elimination are numbered so that the exchange
-    # core stays banded: its echelon pivots hold O(n) entries and take O(n)
-    # subtractions (in increasing order both grew as n squared: 10,292
-    # entries and 9,859 subtractions at n = 100)
+    # core stays banded: the echelon of the core and its basis tag columns
+    # takes about 5n subtractions and leaves about 10n pivot entries, and
+    # doubling n about doubles both (in increasing order the subtractions
+    # grew as n squared: 17,853 at n = 100 and 70,703 at n = 200)
     from arck0 import snf
 
     subtract, echelon = snf._subtract, snf._echelon_columns
-    calls, entries = [0], [0]
 
-    def counting_subtract(*args):
-        calls[0] += 1
-        return subtract(*args)
+    def work(size):
+        calls, entries = [0], [0]
 
-    def counting_echelon(columns):
-        pivots = echelon(columns)
-        entries[0] += sum(len(col) for col in pivots.values())
-        return pivots
+        def counting_subtract(*args):
+            calls[0] += 1
+            return subtract(*args)
 
-    monkeypatch.setattr(snf, "_subtract", counting_subtract)
-    monkeypatch.setattr(snf, "_echelon_columns", counting_echelon)
-    assert compute_k0_cn(n, None, 16).presentation == GroupPresentation(n)
-    assert 0 < entries[0] <= 8 * n
-    assert calls[0] <= n
+        def counting_echelon(columns):
+            pivots = echelon(columns)
+            entries[0] += sum(len(col) for col in pivots.values())
+            return pivots
+
+        with monkeypatch.context() as m:
+            m.setattr(snf, "_subtract", counting_subtract)
+            m.setattr(snf, "_echelon_columns", counting_echelon)
+            assert compute_k0_cn(size, None, 16).presentation == GroupPresentation(size)
+        return calls[0], entries[0]
+
+    calls, entries = work(n)
+    assert 0 < entries <= 10 * n
+    assert calls <= 5 * n
+    double_calls, double_entries = work(2 * n)
+    assert double_calls <= 2.2 * calls
+    assert double_entries <= 2.2 * entries
 
 
 @pytest.mark.parametrize("n", [200, 1000])
 def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
-    # at a large n and a small depth two scans can turn quadratic: the
-    # Hermite normalization walking every pivot row for each column, and
-    # _flank scanning the ~n neighbours of the fan vertex z1 for each fan
-    # arc.  The pivot rows visited (heap pops) and _flank's membership tests
-    # on the neighbour index both stay within a constant times the arc count
+    # at a large n and a small depth three things can turn quadratic: the
+    # Hermite normalization walking every pivot row for each column, _flank
+    # scanning the ~n neighbours of the fan vertex z1 for each fan arc, and
+    # a readout of n coordinates per arc.  The pivot rows visited (heap
+    # pops), _flank's membership tests on the neighbour index and the
+    # nonzero coordinates stored all stay within a constant times the arc
+    # count (28,957 coordinates over 9,997 arcs at n = 1000)
     from arck0 import k0, snf
 
     visits, tests = [0], [0]
@@ -242,6 +254,7 @@ def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
     assert report.presentation == GroupPresentation(n)
     assert 0 < visits[0] <= report.num_arcs
     assert 0 < tests[0] <= 8 * report.num_arcs
+    assert 0 < sum(map(len, report._classes.values())) <= 4 * report.num_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -456,38 +469,64 @@ def test_oracle_rejects_a_basis_that_is_not_one(replace, problem, monkeypatch, c
     assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-def _tilting_coordinates(t, relations):
-    """Coordinates of every tilting arc over Y1, X2, ..., Xn, read off the relations.
-
-    One column per basis arc, a 1 at its own arc row and a 1 at a tag row
-    after the arc rows, joins the relations; Hermite-reducing an arc then
-    leaves only tag entries, minus its coordinates, when the basis generates.
-    """
-    from arck0.snf import _echelon_columns, _hermite_reduce
-
-    size = len(t.arcs)
-    basis = [t.arc_index(arc) for arc in standard_basis_arcs(t.model.num_segments)]
-    tagged = [*relations.values(), *({b: 1, size + k: 1} for k, b in enumerate(basis))]
-    pivots = _echelon_columns(tagged)
-    coordinates = []
-    for i in range(size):
-        reduced = _hermite_reduce(pivots, {i: 1})
-        assert all(r >= size for r in reduced), t.arcs[i]
-        coordinates.append(tuple(-reduced.get(size + k, 0) for k in range(len(basis))))
-    return coordinates
-
-
-@pytest.mark.parametrize("n,depth,window", [(2, 3, 6), (3, 3, 6), (4, 2, 5)])
+@pytest.mark.parametrize("n,depth,window", [(1, 4, 6), (2, 3, 6), (3, 3, 6), (4, 2, 5)])
 def test_exchange_route_coordinates_match_oracle(n, depth, window):
     # the two routes agree arc by arc: the coordinates the exchange
     # relations give every tilting arc, frontier arcs included, are the
     # oracle's
     t = build_standard_tilting(n, None, depth)
-    relations = palu_relations(t)
-    assert len(relations) < len(t.arcs)  # the frontier arcs have none
+    assert len(palu_relations(t)) < len(t.arcs)  # the frontier arcs have none
+    report = compute_k0_cn(n, None, depth)
     o = euler_oracle(n, window)
-    for arc, coordinates in zip(t.arcs, _tilting_coordinates(t, relations)):
-        assert o.class_of(arc) == coordinates, arc
+    for arc in t.arcs:
+        assert report.class_of(arc) == o.class_of(arc), arc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tilting_basis_is_the_standard_basis(n):
+    # at the default anchors compute_k0_cn certifies the tilting's Y1, X2,
+    # ..., Xn (Z1 for n = 1), which are the arcs of standard_basis_arcs(n)
+    t = build_standard_tilting(n, None, 2)
+    names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
+    assert tuple(t.arcs[t.names[name]] for name in names) == standard_basis_arcs(n)
+    report = compute_k0_cn(n, None, 2)
+    assert [report.class_of(arc) for arc in standard_basis_arcs(n)] == _unit_vectors(n)
+
+
+def _drop_deepest(tilting, relations):
+    del relations[max(relations)]
+
+
+def _identify_y1_with_x2(tilting, relations):
+    # one more relation, [Y1] - [X2], under a key that is no arc index
+    relations[-1] = {tilting.names["Y1"]: 1, tilting.names["X2"]: -1}
+
+
+@pytest.mark.parametrize(
+    "change,problem",
+    [(_drop_deepest, "do not generate"), (_identify_y1_with_x2, "satisfy a relation")],
+)
+def test_exchange_route_rejects_a_basis_that_is_not_one(change, problem, monkeypatch, capsys):
+    # without the deepest relation the group is Z^4 for n = 3, which the
+    # three basis arcs do not generate; with Y1 = X2 it is Z^2, in which
+    # they satisfy a relation
+    from arck0 import cli, k0
+
+    relations = k0.palu_relations
+
+    def changed_relations(tilting):
+        terms = relations(tilting)
+        change(tilting, terms)
+        return terms
+
+    monkeypatch.setattr(k0, "palu_relations", changed_relations)
+    message = f"the basis arc classes {problem} in compute_k0_cn(3, None, 3)"
+    with pytest.raises(VerificationError) as raised:
+        compute_k0_cn(3, None, 3)
+    assert str(raised.value) == message
+    assert cli.main(["k0", "--n", "3", "--depth", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):

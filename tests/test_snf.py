@@ -278,6 +278,25 @@ def test_hermite_reduce_reads_off_classes():
     assert cls((1, 0)) == cls((0, 1)) != cls((0, 0))
 
 
+def test_basis_classes_certify_a_free_basis():
+    # Z^3 / <x1 + x2 + x3> is free on x1, x2 with x3 = -x1 - x2; a basis
+    # that misses a generator or carries a relation raises, naming the caller
+    from arck0.snf import VerificationError
+
+    def classes(basis):
+        elim = _UnitEliminations(3)
+        store: set = set()
+        assert not elim.absorb([(1, 1), (2, 1), (3, 1)], store)
+        found = elim.basis_classes(store, basis, "here")
+        return {c: found[elim.rep[c]] for c in (1, 2, 3)}
+
+    assert classes([1, 2]) == {1: {0: 1}, 2: {1: 1}, 3: {0: -1, 1: -1}}
+    assert classes([-3, 2]) == {1: {0: 1, 1: -1}, 2: {1: 1}, 3: {0: -1}}
+    for basis, problem in (([1], "do not generate"), ([1, 2, 3], "satisfy a relation")):
+        with pytest.raises(VerificationError, match=f"^the basis arc classes {problem} in here$"):
+            classes(basis)
+
+
 def test_hermite_reduce_random_lattices():
     # reduce(x) is constant on cosets, and two vectors reduce alike exactly
     # when their difference lies in the lattice, i.e. appending it as a

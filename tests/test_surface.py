@@ -41,7 +41,7 @@ PUBLIC = [
 # the fields of each result type, so that a dropped field cannot come back
 # unnoticed; each one is read by the package, the CLI or the benchmark
 FIELDS = {
-    "K0Report": ["presentation", "num_arcs", "frontier"],
+    "K0Report": ["presentation", "num_arcs", "frontier", "_classes"],
     "OracleQuotient": ["window", "presentation", "_classes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
@@ -58,7 +58,7 @@ TRACED = [
     ("tilting", "build_standard_tilting", ["tilting", "k0", "cli"]),
     ("tilting", "palu_relations", ["tilting", "k0"]),
     ("tilting", "mutate", ["tilting"]),
-    ("snf", "cokernel_presentation", ["snf", "k0", "completion"]),
+    ("snf", "cokernel_presentation", ["snf", "completion"]),
 ]
 
 
@@ -95,6 +95,12 @@ def test_oracle_quotient_public_attributes():
     oracle = arck0.euler_oracle(1, 2)
     public = {name for name in dir(oracle) if not name.startswith("_")}
     assert public == {"window", "presentation", "arcs", "class_of"}
+
+
+def test_k0_report_public_attributes():
+    report = arck0.compute_k0_cn(1, None, 2)
+    public = {name for name in dir(report) if not name.startswith("_")}
+    assert public == {"presentation", "num_arcs", "frontier", "class_of"}
 
 
 def test_traced_layer_functions_exist():
