@@ -58,12 +58,17 @@ def compute_k0_completed(n: int) -> GroupPresentation:
 
 
 def verify_f_oracle(n: int, window: int) -> OracleQuotient:
-    """Check the generator-class formula against the Euler oracle on the host.
+    """Check the completion's closed forms against the Euler oracle on the host.
 
-    The oracle of the 2n-segment host gives each kernel generator arc its
-    coordinates over the host basis (Y1, X2, ..., X2n); they must equal the
-    columns of ``f_matrix(n)`` exactly, signs included, or VerificationError
-    is raised.  Returns the host oracle, for further checks on its window.
+    Three checks on the oracle of the 2n-segment host, each raising
+    VerificationError that names it and its first offending arc or segment:
+    the coordinates of the kernel generators over the host basis (Y1, X2,
+    ..., X2n) equal the columns of ``f_matrix(n)`` exactly, signs included;
+    every same-segment window arc has the coordinates
+    ``class_same_segment(2n, arc)``; and the one-sided fountain of every
+    host segment s, W(i) from (s, -window) over i interior points, has
+    [W(i)] = (i % 2)[W(1)] for i = 1..2*window-1 and [W(1)] != 0.
+    Returns the host oracle.
     """
     check_size("n", n, 1)
     oracle = euler_oracle(2 * n, window)
@@ -72,4 +77,19 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
+    for arc in oracle.arcs:
+        if arc.same_segment and oracle.class_of(arc) != class_same_segment(2 * n, arc):
+            raise VerificationError(
+                f"same-segment closed form differs from host oracle coordinates "
+                f"{oracle.class_of(arc)} of arc {arc.to_json()}"
+            )
+    for s in range(2 * n):
+        start = MarkedPoint(s, -window)
+        w1 = oracle.class_of(Arc(start, MarkedPoint(s, 2 - window)))
+        for i in range(1, 2 * window):
+            cls = oracle.class_of(Arc(start, MarkedPoint(s, i + 1 - window)))
+            if not any(w1) or cls != tuple(i % 2 * v for v in w1):
+                raise VerificationError(
+                    f"fountain parity fails on host segment {s}: [W({i})] = {cls}, [W(1)] = {w1}"
+                )
     return oracle

@@ -20,7 +20,7 @@ from math import gcd
 
 
 class VerificationError(RuntimeError):
-    """An internal consistency check on a computed presentation failed."""
+    """An internal consistency check failed."""
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from operator import itemgetter
 
 from .circle import CircleModel, MarkedPoint, check_size
 from .arcs import Arc
+from .snf import VerificationError
 
 _MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
 
@@ -78,7 +79,7 @@ class StandardTilting:
 
 
 def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
-    """Raise AssertionError naming a crossing pair if any two arcs cross.
+    """Raise VerificationError naming a crossing pair if any two arcs cross.
 
     In lex order each arc is an interval [a, b].  Sorted by (a, -b), the arcs
     still open at a point form a stack of nested intervals, innermost on top.
@@ -96,7 +97,7 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
         while stack and stack[-1].b <= arc.a:
             stack.pop()
         if stack and arc.b > stack[-1].b:
-            raise AssertionError(f"crossing arcs in tilting set: {stack[-1]} x {arc}")
+            raise VerificationError(f"crossing arcs in tilting set: {stack[-1]} x {arc}")
         stack.append(arc)
 
 
@@ -227,9 +228,9 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     a side missing from the index is a boundary edge (a zero object) and
     drops out, and the four sides are distinct arcs.  Fewer than two thirds
     (the truncation cut off a flanking triangle) come with no terms.  Two
-    thirds on one side of m (m and the other diagonal do not cross) raise
-    ValueError, more than two raise AssertionError; neither happens in a
-    non-crossing set.
+    thirds on one side of m (m and the other diagonal do not cross) and more
+    than two thirds both raise ValueError: neither happens in a non-crossing
+    set, so either means a tilting built without the non-crossing check.
     """
     p, q = t.arcs[i]
     at_p, at_q = t._neighbours[p], t._neighbours[q]
@@ -245,7 +246,7 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     if len(thirds) < 2:
         return tuple(thirds), {}
     if len(thirds) > 2:
-        raise AssertionError(f"more than two triangles flank {t.arcs[i]}")
+        raise ValueError(f"more than two triangles flank {t.arcs[i]}")
     v1, v3 = thirds if p < thirds[0] < q else thirds[::-1]
     if not p < v1 < q or p < v3 < q:
         raise ValueError(

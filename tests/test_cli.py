@@ -132,6 +132,9 @@ def test_exchange_frontier_is_bad_input(capsys):
     assert code == 2 and "insufficient depth" in err
 
 
+BASIS = "free basis Y1, X2..Xn (Z1 for n = 1) modulo exchange relations"
+
+
 def test_verify_passes(capsys):
     # the contract the benchmark checks, at its sizes: exactly six lines,
     # each a PASS
@@ -141,8 +144,8 @@ def test_verify_passes(capsys):
         code, out, err = run(capsys, ["verify", "--n", str(n), "--window", str(window)])
         assert (code, err) == (0, "")
         assert out.splitlines() == [
-            f"PASS  exchange relations present Z^n at depths 2, 3, 4 ({free})",
-            "PASS  exchange relations present Z^n at anchor offsets -3 and 5",
+            f"PASS  {BASIS} at depths 2, 3, 4 ({free})",
+            f"PASS  {BASIS} at anchor offsets -3 and 5",
             f"PASS  completion shape Z^n x (Z/2)^(n-1) ({completed})",
             "PASS  host oracle coordinates of the kernel generators equal f_matrix",
             "PASS  same-segment closed form equals host oracle coordinates",
@@ -150,33 +153,102 @@ def test_verify_passes(capsys):
         ]
 
 
-def test_verify_wrong_fountain_class_fails_line_6(capsys, monkeypatch):
-    # zero the class of W(3), the odd fountain arc from (0, -window) over
-    # three interior points: the fountain line and the closed-form line,
-    # which also reads every same-segment arc, print FAIL and verify exits 1
-    from arck0 import Arc, MarkedPoint, OracleQuotient, cli
+def assert_verify_fails(capsys, argv, message):
+    # a failed check is one error: line on stderr and nothing on stdout
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
-    host_oracle = cli.verify_f_oracle
 
-    def zeroed_fountain_arc(n, window):
+def doctored_oracle(monkeypatch, arc, cls):
+    """Make the host oracle give ``arc`` the class ``cls`` (as {basis index: coefficient})."""
+    from arck0 import OracleQuotient, completion
+
+    host_oracle = completion.euler_oracle
+
+    def doctored(n, window):
         oracle = host_oracle(n, window)
-        arc = Arc(MarkedPoint(0, -window), MarkedPoint(0, 4 - window))
-        assert any(oracle.class_of(arc))
-        classes = {**oracle._classes, arc: {}}
-        return OracleQuotient(oracle.window, oracle.presentation, classes)
+        assert arc in oracle.arcs and cls != oracle._classes[arc]
+        return OracleQuotient(oracle.window, oracle.presentation, {**oracle._classes, arc: cls})
 
-    monkeypatch.setattr(cli, "verify_f_oracle", zeroed_fountain_arc)
-    code, out, err = run(capsys, ["verify", "--n", "1", "--window", "4"])
-    assert (code, err) == (1, "")
-    assert out.splitlines()[3:] == [
-        "PASS  host oracle coordinates of the kernel generators equal f_matrix",
-        "FAIL  same-segment closed form equals host oracle coordinates",
-        "FAIL  iterated fountain classes match parity",
-    ]
+    monkeypatch.setattr(completion, "euler_oracle", doctored)
+
+
+def test_verify_wrong_same_segment_class_exits_1(capsys, monkeypatch):
+    # (1, -1)-(1, 1) is neither a kernel generator nor a fountain arc, so
+    # only the same-segment check reads it
+    from arck0 import Arc, MarkedPoint, VerificationError, verify_f_oracle
+
+    arc = Arc(MarkedPoint(1, -1), MarkedPoint(1, 1))
+    doctored_oracle(monkeypatch, arc, {0: 5})
+    message = (
+        "same-segment closed form differs from host oracle coordinates (5, 0) "
+        "of arc [[1, -1], [1, 1]]"
+    )
+    with pytest.raises(VerificationError) as raised:
+        verify_f_oracle(1, 4)
+    assert str(raised.value) == message
+    assert_verify_fails(capsys, ["verify", "--n", "1", "--window", "4"], message)
+
+
+def test_verify_wrong_fountain_parity_exits_1(capsys, monkeypatch):
+    # zero the class of W(3), the odd fountain arc from (0, -4) over three
+    # interior points; every fountain arc is a same-segment arc, so the
+    # closed form is made to agree with the doctored oracle and only the
+    # parity check fails
+    from arck0 import Arc, MarkedPoint, VerificationError, completion, verify_f_oracle
+
+    arc = Arc(MarkedPoint(0, -4), MarkedPoint(0, 0))
+    doctored_oracle(monkeypatch, arc, {})
+    closed_form = completion.class_same_segment
+
+    def agreeing(n, other):
+        return (0,) * n if other == arc else closed_form(n, other)
+
+    monkeypatch.setattr(completion, "class_same_segment", agreeing)
+    message = "fountain parity fails on host segment 0: [W(3)] = (0, 0), [W(1)] = (1, 1)"
+    with pytest.raises(VerificationError) as raised:
+        verify_f_oracle(1, 4)
+    assert str(raised.value) == message
+    assert_verify_fails(capsys, ["verify", "--n", "1", "--window", "4"], message)
+
+
+def test_verify_wrong_completion_exits_1(capsys, monkeypatch):
+    # the completion without its torsion is Z^2: the shape check fails
+    from arck0 import GroupPresentation, VerificationError, cli
+
+    monkeypatch.setattr(cli, "compute_k0_completed", lambda n: GroupPresentation(n))
+    message = "completion shape Z^n x (Z/2)^(n-1) fails: K0 of the completion for n=2 is Z^2"
+    argv = ["verify", "--n", "2", "--window", "4"]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(VerificationError) as raised:
+        args.func(args)
+    assert str(raised.value) == message
+    assert_verify_fails(capsys, argv, message)
+
+
+def test_crossing_tilting_exits_1(capsys, monkeypatch):
+    # a tilting with a crossing arc is an internal fault: the non-crossing
+    # check raises VerificationError, not a traceback
+    from arck0 import Arc, MarkedPoint, tilting
+
+    built = tilting.StandardTilting
+
+    def with_crossing_arc(model, arcs, names, leapfrogs):
+        # (0, 1)-(2, 0) crosses the polygon edge Z1 = (0, 0)-(1, 0)
+        crossing = Arc(MarkedPoint(0, 1), MarkedPoint(2, 0))
+        return built(model, (*arcs, crossing), names, leapfrogs)
+
+    monkeypatch.setattr(tilting, "StandardTilting", with_crossing_arc)
+    code = main(["k0", "--n", "3", "--depth", "3"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err.startswith("error: crossing arcs in tilting set: ")
+    assert out.err.count("\n") == 1
 
 
 def test_verify_wrong_f_matrix_exits_1(capsys, monkeypatch):
-    # the host oracle check raises, so verify prints no PASS/FAIL line
+    # the host oracle check raises, so verify prints no PASS line
     from arck0 import completion
 
     f_matrix = completion.f_matrix
@@ -246,7 +318,7 @@ def test_bad_anchor_count(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "render"])
 def test_format_only_where_the_handler_reads_it(capsys, command):
-    # verify always prints its PASS/FAIL lines and render always SVG
+    # verify always prints its PASS lines and render always SVG
     with pytest.raises(SystemExit) as err:
         main([command, "--n", "1", "--format", "json"])
     assert err.value.code == 2

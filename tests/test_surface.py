@@ -2,7 +2,9 @@
 functions the benchmark tracer wraps."""
 
 import ast
+import builtins
 import dataclasses
+import importlib
 from pathlib import Path
 
 import arck0
@@ -113,3 +115,33 @@ def test_traced_layer_functions_exist():
     # the tracer looks these modules up even though their counters read 0
     assert arck0.arcs.__name__ == "arck0.arcs"
     assert arck0.circle.__name__ == "arck0.circle"
+
+
+def test_every_raise_is_a_class_the_cli_maps_to_an_exit_code():
+    # cli.main turns ValueError into exit 2 and VerificationError into exit 1,
+    # each with one error: line; any other class would end in a traceback.
+    # A ValueError subclass must be the package's own, and check_size's
+    # ``error`` parameter is typed as one.
+    others = []
+    for path in sorted(ROOT.glob("src/arck0/*.py")):
+        module = importlib.import_module(
+            "arck0" if path.stem == "__init__" else f"arck0.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            # a bare raise or a raised attribute has no name, and fails
+            name = getattr(exc, "id", None)
+            if (path.name, name) == ("circle.py", "error"):
+                cls = ValueError
+            else:
+                cls = vars(module).get(name) or vars(builtins).get(name)
+            if not (
+                cls in (ValueError, arck0.VerificationError)
+                or isinstance(cls, type)
+                and issubclass(cls, ValueError)
+                and cls.__module__.startswith("arck0.")
+            ):
+                others.append(f"{path.name}:{node.lineno} raises {name}")
+    assert others == []

@@ -9,6 +9,7 @@ from arck0 import (
     CircleModel,
     MarkedPoint,
     StandardTilting,
+    VerificationError,
     build_standard_tilting,
     compute_k0_cn,
     exchange_pair,
@@ -402,7 +403,7 @@ def test_non_crossing_check_matches_pairwise_reference():
             ext1_dim(model, x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]
         )
         if crossing:
-            with pytest.raises(AssertionError) as info:
+            with pytest.raises(VerificationError) as info:
                 _assert_non_crossing(model, tuple(arcs))
             named = {
                 f"crossing arcs in tilting set: {x} x {y}": (x, y) for x in arcs for y in arcs
@@ -486,7 +487,7 @@ def test_flank_checks_on_crossing_sets():
         [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3))],
     ):
         t = unchecked_tilting(pairs)
-        with pytest.raises(AssertionError):
+        with pytest.raises(VerificationError):
             _assert_non_crossing(t.model, t.arcs)
         with pytest.raises(ValueError, match="do not cross"):
             palu_relations(t)
@@ -496,7 +497,7 @@ def test_flank_checks_on_crossing_sets():
     t = unchecked_tilting(
         [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3)), ((0, 0), (0, 2)), ((0, 2), (0, 4))]
     )
-    with pytest.raises(AssertionError, match="more than two triangles flank"):
+    with pytest.raises(ValueError, match="more than two triangles flank"):
         palu_relations(t)
-    with pytest.raises(AssertionError, match="more than two triangles flank"):
+    with pytest.raises(ValueError, match="more than two triangles flank"):
         exchange_pair(t, 0)
