@@ -29,7 +29,7 @@ class Arc(_Endpoints):
     A validated named tuple: hashing, equality, ordering and the ``a``/``b``
     getters are the tuple's own, so an arc equals the plain pair of its
     endpoints.  Every construction, ``_make`` and ``_replace`` included,
-    goes through ``__new__``.
+    goes through ``__new__``.  Its str is its JSON form, as the CLI reads it.
     """
 
     __slots__ = ()
@@ -56,6 +56,9 @@ class Arc(_Endpoints):
 
     def to_json(self) -> list[list[int]]:
         return [self.a.to_json(), self.b.to_json()]
+
+    def __str__(self) -> str:
+        return str(self.to_json())
 
     @classmethod
     def from_json(cls, data) -> "Arc":

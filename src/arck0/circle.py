@@ -33,6 +33,9 @@ class MarkedPoint(NamedTuple):
     def to_json(self) -> list[int]:
         return [self.segment, self.offset]
 
+    def __str__(self) -> str:
+        return str(self.to_json())
+
 
 @dataclass(frozen=True)
 class CircleModel:

@@ -6,7 +6,9 @@ its message flattened and cut after 200 characters.  An input too large to
 compute (a tilting, window or completion matrix past the library's caps) is
 bad input, rejected before any work starts.  ``verify`` has no failure
 path of its own: each of its six checks raises VerificationError unless it
-holds, so it prints six PASS lines or nothing on stdout.
+holds, so it prints six PASS lines or nothing on stdout.  Each ``_cmd_*``
+handler returns its JSON payload (None without ``--format``) and its text;
+``main`` alone picks one and writes it to stdout or to ``--out``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def _one_line(exc: Exception) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, ending in one newline, to the file ``out`` or else to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -73,46 +77,31 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
-def _cmd_k0(args: argparse.Namespace) -> int:
+def _cmd_k0(args: argparse.Namespace) -> tuple[dict, str]:
     report = compute_k0_cn(args.n, _parse_anchors(args.anchors), args.depth)
-    if args.format == "json":
-        _emit(json.dumps(report.presentation.to_json()), args.out)
-    else:
-        lines = [
-            f"K0 for n={args.n}, depth={args.depth}: {report.presentation}",
-            f"arcs {report.num_arcs}, relations {report.num_arcs - len(report.frontier)}, "
-            f"frontier {len(report.frontier)}",
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    arcs, frontier = len(report.arcs), len(report.frontier)
+    text = (
+        f"K0 for n={args.n}, depth={args.depth}: {report.presentation}\n"
+        f"arcs {arcs}, relations {arcs - frontier}, frontier {frontier}"
+    )
+    return report.presentation.to_json(), text
 
 
-def _cmd_k0_completed(args: argparse.Namespace) -> int:
+def _cmd_k0_completed(args: argparse.Namespace) -> tuple[dict, str]:
     presentation = compute_k0_completed(args.n)
-    if args.format == "json":
-        _emit(json.dumps(presentation.to_json()), args.out)
-    else:
-        _emit(f"K0 of the completion for n={args.n}: {presentation}", args.out)
-    return 0
+    return presentation.to_json(), f"K0 of the completion for n={args.n}: {presentation}"
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, str]:
     oracle = euler_oracle(args.n, args.window)
-    if args.format == "json":
-        _emit(json.dumps(oracle.presentation.to_json()), args.out)
-    else:
-        _emit(
-            f"Euler oracle for n={args.n}, window={args.window}: {oracle.presentation} "
-            f"({len(oracle.arcs)} arcs)",
-            args.out,
-        )
-    return 0
+    text = f"Euler oracle for n={args.n}, window={args.window}: {oracle.presentation}"
+    return oracle.presentation.to_json(), f"{text} ({len(oracle.arcs)} arcs)"
 
 
-def _cmd_exchange(args: argparse.Namespace) -> int:
+def _cmd_exchange(args: argparse.Namespace) -> tuple[dict, str]:
     tilting = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth)
     name = args.arc
     if name in tilting.names:
@@ -134,15 +123,11 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         "b_m": [a.to_json() for a in pair.b_m],
         "b_m_star": [a.to_json() for a in pair.b_m_star],
     }
-    if args.format == "json":
-        _emit(json.dumps(payload), args.out)
-    else:
-        labels = ("m     ", "m*    ", "B_m   ", "B_m*  ")
-        _emit("\n".join(f"{k} = {v}" for k, v in zip(labels, payload.values())), args.out)
-    return 0
+    labels = ("m     ", "m*    ", "B_m   ", "B_m*  ")
+    return payload, "\n".join(f"{k} = {v}" for k, v in zip(labels, payload.values()))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[None, str]:
     n = args.n
     # the oracle first: its size caps reject a large n before any k0 runs.
     # Every check raises VerificationError (exit 1, one error: line) unless
@@ -166,23 +151,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "PASS  same-segment closed form equals host oracle coordinates",
         "PASS  iterated fountain classes match parity",
     ]
-    _emit("\n".join(lines), args.out)
-    return 0
+    return None, "\n".join(lines)
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
     model = CircleModel(args.n)
-    arcs: list[Arc] = []
+    arcs: tuple[Arc, ...] = ()
     if args.depth is not None:
-        tilting = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth)
-        arcs = list(tilting.arcs)
+        arcs = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth).arcs
     elif args.arcs:
         items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
-        arcs = [_parse_arc(item) for item in items]
-    _emit(render_svg(model, arcs, args.window), args.out)
-    return 0
+        arcs = tuple(map(_parse_arc, items))
+    return None, render_svg(model, arcs, args.window)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every subcommand takes --out; --format is added only where the handler reads it
+    # every subcommand takes --out; --format is added only where the handler
+    # returns a JSON payload
     def common(p: argparse.ArgumentParser, window_default: int | None = None) -> None:
         p.add_argument("--out", default=None, help="write output to this path")
         if window_default is not None:
@@ -253,13 +236,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        payload, text = args.func(args)
+        _emit(text if payload is None or args.format == "text" else json.dumps(payload), args.out)
+    except (ValueError, VerificationError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"error: {_one_line(exc)}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
+    return 0
 
 
 if __name__ == "__main__":

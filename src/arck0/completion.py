@@ -81,7 +81,7 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         if arc.same_segment and oracle.class_of(arc) != class_same_segment(2 * n, arc):
             raise VerificationError(
                 f"same-segment closed form differs from host oracle coordinates "
-                f"{oracle.class_of(arc)} of arc {arc.to_json()}"
+                f"{oracle.class_of(arc)} of arc {arc}"
             )
     for s in range(2 * n):
         start = MarkedPoint(s, -window)

@@ -163,7 +163,8 @@ class _UnitEliminations:
     object.  Every surviving generator g is its own representative and keeps
     the list of generators it stands for, so an identification rewrites the
     smaller of the two lists; eliminating a generator through a unit column
-    leaves the quotient group unchanged.
+    leaves the quotient group unchanged.  ``compute_k0_cn`` and
+    ``euler_oracle`` number their arcs as the generators 1..N.
     """
 
     def __init__(self, size: int):
@@ -245,8 +246,8 @@ class _UnitEliminations:
         live = {g: i for i, g in enumerate(sorted(self.members, reverse=True))}
         return live, [{live[g]: v for g, v in col} for col in sorted(store)]
 
-    def basis_classes(self, store: set, basis: Sequence[int], where: str) -> dict[int, dict]:
-        """Sparse classes over a free basis of the quotient, or VerificationError.
+    def basis_classes(self, store: set, basis: Sequence[int], where: str) -> list[dict[int, int]]:
+        """Sparse classes of generators 1..N over a free basis, or VerificationError.
 
         ``basis`` lists the basis elements' signed codes.  Coordinates come
         from one echelon of the residual core and, per basis element t, its
@@ -254,8 +255,7 @@ class _UnitEliminations:
         generates iff every survivor row has pivot 1 and is free iff no tag row
         has one, else VerificationError names ``where``; then the pivot column
         of row p is survivor p plus its coordinates on the tag rows.  Returns
-        {signed code: {basis index: coefficient}} for 0 and every survivor and
-        its negative, so ``classes[rep[c]]`` is the class of any code c.
+        the class {basis index: coefficient} of each generator 1..N, in order.
         """
         position, core = self.residual(store)
         num_live = len(position)
@@ -272,7 +272,7 @@ class _UnitEliminations:
         for g, p in position.items():
             classes[g] = cls = {r - num_live: v for r, v in pivots[p].items() if r >= num_live}
             classes[-g] = {t: -v for t, v in cls.items()}
-        return classes
+        return [classes[r] for r in self.rep[1 : len(self.rep) // 2 + 1]]
 
 
 def cokernel_presentation(

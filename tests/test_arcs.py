@@ -58,6 +58,9 @@ def test_arc_is_a_validated_named_tuple():
     assert repr(arc) == (
         "Arc(a=MarkedPoint(segment=0, offset=3), b=MarkedPoint(segment=1, offset=5))"
     )
+    # messages name arcs and points in the JSON form the CLI reads
+    assert str(arc) == f"{arc}" == "[[0, 3], [1, 5]]"
+    assert str(arc.a) == "[0, 3]"
     assert hash(arc) == hash((arc.a, arc.b))
     assert arc == (P(0, 3), P(1, 5))
     arcs = [A((1, 0), (1, 2)), A((0, 0), (1, 0)), A((0, 0), (0, 3)), A((0, -4), (1, 7))]

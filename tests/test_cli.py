@@ -128,8 +128,12 @@ def test_exchange_unknown_arc(capsys):
 
 
 def test_exchange_frontier_is_bad_input(capsys):
-    code, _, err = run(capsys, ["exchange", "--n", "1", "--depth", "2", "--arc", "L1[4]"])
-    assert code == 2 and "insufficient depth" in err
+    # the arc is named in its JSON form, as --arc reads it
+    for depth, anchors, arc in ((2, "0", "[[0, -3], [0, 3]]"), (12, "5", "[[0, -8], [0, 18]]")):
+        argv = ["exchange", "--n", "1", "--depth", str(depth), "--anchors", anchors]
+        code, out, err = run(capsys, [*argv, "--arc", f"L1[{2 * depth}]"])
+        assert (code, out) == (2, "")
+        assert err == f"error: insufficient depth: arc {arc} has only 1 flanking triangle(s)"
 
 
 BASIS = "free basis Y1, X2..Xn (Z1 for n = 1) modulo exchange relations"
@@ -242,9 +246,11 @@ def test_crossing_tilting_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(tilting, "StandardTilting", with_crossing_arc)
     code = main(["k0", "--n", "3", "--depth", "3"])
     out = capsys.readouterr()
-    assert (code, out.out) == (1, "")
-    assert out.err.startswith("error: crossing arcs in tilting set: ")
-    assert out.err.count("\n") == 1
+    assert (code, out.out, out.err) == (
+        1,
+        "",
+        "error: crossing arcs in tilting set: [[0, 0], [1, -1]] x [[0, 1], [2, 0]]\n",
+    )
 
 
 def test_verify_wrong_f_matrix_exits_1(capsys, monkeypatch):
@@ -334,6 +340,27 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"free_rank": 2, "invariant_factors": []}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["k0", "--n", "2", "--depth", "3"],
+        ["k0-completed", "--n", "2", "--format", "json"],
+        ["oracle", "--n", "2", "--window", "2"],
+        ["exchange", "--n", "3", "--arc", "Z1", "--format", "json"],
+        ["verify", "--n", "1", "--window", "4"],
+        ["render", "--n", "2", "--depth", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_gets_exactly_what_stdout_gets(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == stdout
+
+
 def test_render_cli(tmp_path, capsys):
     target = tmp_path / "fig.svg"
     code, _, _ = run(
@@ -378,11 +405,7 @@ def test_render_rejects_malformed_arcs(capsys, arcs, message):
         ("nope", "Expecting value: line 1 column 1 (char 0)"),
         ("[[[0,0]]]", "not enough values to unpack (expected 2, got 1)"),
         ("[[[5,0],[0,3]]]", "segment 5 out of range [0, 2)"),
-        (
-            "[[[0,0],[0,1]]]",
-            "degenerate arc between MarkedPoint(segment=0, offset=0) "
-            "and MarkedPoint(segment=0, offset=1)",
-        ),
+        ("[[[0,0],[0,1]]]", "degenerate arc between [0, 0] and [0, 1]"),
     ],
 )
 def test_render_arc_errors_keep_their_message(capsys, arcs, message):

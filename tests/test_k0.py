@@ -152,7 +152,8 @@ def test_size_table_covers_every_public_size_parameter():
 def test_compute_k0_cn_frontier_report():
     report = compute_k0_cn(3, None, 2)
     assert len(report.frontier) == 3  # the deepest arc of each zigzag
-    assert report.num_arcs == 15
+    assert report.arcs == build_standard_tilting(3, None, 2).arcs
+    assert len(report.arcs) == 15
     assert len(palu_relations(build_standard_tilting(3, None, 2))) == 12
     assert report.presentation == GroupPresentation(3)
     for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
@@ -252,9 +253,10 @@ def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
     monkeypatch.setattr(k0, "build_standard_tilting", counting_build)
     report = compute_k0_cn(n, None, 4)
     assert report.presentation == GroupPresentation(n)
-    assert 0 < visits[0] <= report.num_arcs
-    assert 0 < tests[0] <= 8 * report.num_arcs
-    assert 0 < sum(map(len, report._classes.values())) <= 4 * report.num_arcs
+    num_arcs = len(report.arcs)
+    assert 0 < visits[0] <= num_arcs
+    assert 0 < tests[0] <= 8 * num_arcs
+    assert 0 < sum(map(len, report._classes.values())) <= 4 * num_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +300,30 @@ def test_oracle_class_examples(oracle_c1_w6):
     assert any(o.class_of(A((0, 0), (0, 2))))
 
 
-def test_oracle_suspension_antisymmetry(oracle_c2_w6):
-    o = oracle_c2_w6
+@pytest.mark.parametrize("n,window", [(1, 2), (2, 6), (3, 3), (4, 2)])
+def test_oracle_suspension_antisymmetry(n, window):
+    # window 2 has the fewest suspension relations (unit columns)
+    o = euler_oracle(n, window)
     for arc in o.arcs:
         if min(arc.a[1], arc.b[1]) > -o.window:
             assert o.class_of(suspend(arc, 1)) == tuple(-v for v in o.class_of(arc))
+
+
+def test_oracle_stores_few_columns(monkeypatch):
+    # absorbed before the scan, the suspension unit columns shrink the
+    # triangle columns: at (4, 4) 454 are stored, 2,267 without them
+    from arck0 import snf
+
+    stored = []
+    basis_classes = snf._UnitEliminations.basis_classes
+
+    def counting(self, store, basis, where):
+        stored.append(len(store))
+        return basis_classes(self, store, basis, where)
+
+    monkeypatch.setattr(snf._UnitEliminations, "basis_classes", counting)
+    euler_oracle(4, 4)
+    assert 0 < stored[0] <= 600
 
 
 def test_oracle_rank_stabilizes_immediately():

@@ -279,20 +279,27 @@ def test_hermite_reduce_reads_off_classes():
 
 
 def test_basis_classes_certify_a_free_basis():
-    # Z^3 / <x1 + x2 + x3> is free on x1, x2 with x3 = -x1 - x2; a basis
-    # that misses a generator or carries a relation raises, naming the caller
+    # Z^5 / <x4, x2 + x5, x1 + x2 + x3> is free on x1, x2, with x3 = -x1 - x2,
+    # x4 eliminated to zero and x5 = -x2; the classes come in generator
+    # order, and a basis that misses a generator or carries a relation
+    # raises, naming the caller
     from arck0.snf import VerificationError
 
     def classes(basis):
-        elim = _UnitEliminations(3)
+        elim = _UnitEliminations(5)
         store: set = set()
+        assert elim.absorb([(4, 1)], store)
+        assert elim.absorb([(2, 1), (5, 1)], store)
         assert not elim.absorb([(1, 1), (2, 1), (3, 1)], store)
-        found = elim.basis_classes(store, basis, "here")
-        return {c: found[elim.rep[c]] for c in (1, 2, 3)}
+        return elim.basis_classes(store, basis, "here")
 
-    assert classes([1, 2]) == {1: {0: 1}, 2: {1: 1}, 3: {0: -1, 1: -1}}
-    assert classes([-3, 2]) == {1: {0: 1, 1: -1}, 2: {1: 1}, 3: {0: -1}}
-    for basis, problem in (([1], "do not generate"), ([1, 2, 3], "satisfy a relation")):
+    assert classes([1, 2]) == [{0: 1}, {1: 1}, {0: -1, 1: -1}, {}, {1: -1}]
+    assert classes([-3, 5]) == [{0: 1, 1: 1}, {1: -1}, {0: -1}, {}, {1: 1}]
+    for basis, problem in (
+        ([1], "do not generate"),
+        ([1, 2, 3], "satisfy a relation"),
+        ([1, 4], "satisfy a relation"),
+    ):
         with pytest.raises(VerificationError, match=f"^the basis arc classes {problem} in here$"):
             classes(basis)
 
