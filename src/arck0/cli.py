@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a verification or internal consistency check
 failed, 2 bad input.  Either failure prints one ``error:`` line on stderr,
-its message flattened and cut after 200 characters.  An input too large to
+its message flattened and cut after 200 characters.  A command line the
+parser rejects is bad input like any other: ``_Parser.error`` raises
+ValueError instead of printing usage and exiting.  An input too large to
 compute (a tilting, window or completion matrix past the library's caps) is
 bad input, rejected before any work starts.  ``verify`` has no failure
 path of its own: each of its six checks raises VerificationError unless it
@@ -167,8 +169,15 @@ def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
     return None, render_svg(model, arcs, args.window)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arck0",
         description="Exact arc combinatorics and Grothendieck-group computations.",
     )
@@ -234,8 +243,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         payload, text = args.func(args)
         _emit(text if payload is None or args.format == "text" else json.dumps(payload), args.out)
     except (ValueError, VerificationError) as exc:

@@ -13,7 +13,14 @@ from __future__ import annotations
 from .circle import MarkedPoint, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
-from .k0 import OracleQuotient, class_same_segment, euler_oracle
+from .k0 import (
+    _MAX_ORACLE_ARCS,
+    InsufficientWindowError,
+    OracleQuotient,
+    _window_arcs,
+    class_same_segment,
+    euler_oracle,
+)
 
 _MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
 
@@ -68,9 +75,17 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     ``class_same_segment(2n, arc)``; and the one-sided fountain of every
     host segment s, W(i) from (s, -window) over i interior points, has
     [W(i)] = (i % 2)[W(1)] for i = 1..2*window-1 and [W(1)] != 0.
-    Returns the host oracle.
+    Returns the host oracle.  A host window of more than 34,000 arcs raises
+    ValueError up front, naming ``n`` and its 2n-segment host.
     """
     check_size("n", n, 1)
+    check_size("window", window, 2, InsufficientWindowError)
+    num_arcs = _window_arcs(2 * n, window)
+    if num_arcs > _MAX_ORACLE_ARCS:
+        raise ValueError(
+            f"n={n}, window={window}: its {2 * n}-segment host gives {num_arcs} window arcs, "
+            f"more than {_MAX_ORACLE_ARCS}"
+        )
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
     if coordinates != f_matrix(n):

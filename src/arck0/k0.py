@@ -115,6 +115,16 @@ class OracleQuotient:
         return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
+def _window_arcs(n: int, window: int) -> int:
+    """Number of arcs of the n-segment circle with offsets in [-window, window].
+
+    Every pair of the n(2w+1) window points except the 2w adjacent pairs of
+    each segment.
+    """
+    size = n * (2 * window + 1)
+    return size * (size - 1) // 2 - 2 * n * window
+
+
 def euler_oracle(n: int, window: int) -> OracleQuotient:
     """Brute-force presentation over every arc with offsets in [-window, window].
 
@@ -156,15 +166,13 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     """
     check_size("window", window, 2, InsufficientWindowError)
     model = CircleModel(n)
-    # every pair of the n(2w+1) window points except the 2w adjacent pairs
-    # of each segment
-    size = n * (2 * window + 1)
-    num_arcs = size * (size - 1) // 2 - 2 * n * window
+    num_arcs = _window_arcs(n, window)
     if num_arcs > _MAX_ORACLE_ARCS:
         raise ValueError(
             f"n={n}, window={window} gives {num_arcs} window arcs, more than {_MAX_ORACLE_ARCS}"
         )
     points = list(model.points_in_window(window))
+    size = len(points)
 
     # rows[i][j] is the generator number of the arc (i, j), 1..N in pairs order
     rows = [[0] * size for _ in range(size)]

@@ -42,10 +42,22 @@ class InsufficientDepthError(ValueError):
 class StandardTilting:
     """An indexed maximal non-crossing arc set with one leapfrog per accumulation point.
 
-    ``names`` maps symbolic labels (``Z1``, ``Y2``, ``X3``, ``L1[4]``, ...) to
-    arc indices; several labels may share an index (e.g. ``X2`` and ``Z1``).
-    ``leapfrogs[b]`` lists the arc indices of the zigzag converging to the
-    accumulation point between segments b and b+1.
+    ``names`` maps the construction labels to arc indices.  With z1..zn the
+    anchors, on segments 0..n-1, and label numbers taken mod n:
+
+    - ``Z1..Zn``, the polygon edges: Zi joins zi and z(i+1).  For n = 1, Z1
+      joins the two neighbours of z1; for n = 2, Z1 and Z2 are one arc.
+    - ``X2..Xn``, the fan arcs: Xi joins z1 and zi.  For n >= 2, ``X2`` and
+      ``Xn`` are ``Z1`` and ``Zn``; the diagonals ``X3..X(n-1)`` exist only
+      for n >= 4.
+    - ``L<i>[<t>]``, the zigzag arcs: step t = 0..2*depth of the leapfrog
+      converging to the accumulation point between the segments of z(i-1)
+      and zi, rooted at ``L<i>[0]`` = Z(i-1).
+    - ``Y1..Yn``, the first zigzag steps: Y(i-1) is ``L<i>[1]``.
+
+    Several labels may share an index.  ``leapfrogs[b]`` lists the arc
+    indices of the zigzag converging to the accumulation point between
+    segments b and b+1.
     """
 
     model: CircleModel

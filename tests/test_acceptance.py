@@ -2,7 +2,24 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  All checks are exact
 integer equalities; the randomized suites draw at least 500 cases each from
-seeded generators.
+seeded generators.  The criteria:
+
+1. ``compute_k0_cn`` gives Z^n for n = 1..6 at depths 2, 4 and 8.
+2. ``compute_k0_completed`` gives Z^n x (Z/2)^(n-1) for n = 1..6.
+3. The polygon and fan exchange relations of the n = 5, depth 4 tilting
+   are exactly their closed forms, both ways.
+4. Parity on ``euler_oracle(1, 8)``: the fountain classes satisfy
+   [W(i)] = (i % 2)[W(1)] with [W(1)] != 0, and exactly the arcs with an
+   even number of interior points have class zero.
+5. ``verify_f_oracle`` passes at (n, window) = (1, 6), (2, 6), (5, 4) and
+   (6, 4); at n = 5 and 6 the host basis arcs have the unit coordinates and
+   each ``f_matrix`` column is its kernel generator's oracle coordinates.
+6. Six randomized suites: crossing symmetry (6a), crossing under suspension
+   (6b), suspension negating an oracle class (6c), mutation as an
+   involution (6d) that keeps the set non-crossing (6e), and the Smith
+   chain against the naive reference (6f).
+7. Z^n for n = 1..4 at uniform anchor offsets -3, 0 and 5 and depths 2..8,
+   and at mixed per-segment offsets.
 """
 
 import itertools

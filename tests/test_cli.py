@@ -69,15 +69,20 @@ def test_library_rejects_bad_sizes(capsys, argv, message):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+    code = main(["frobnicate"])
+    out = capsys.readouterr()
+    choices = "'k0', 'k0-completed', 'oracle', 'exchange', 'verify', 'render'"
+    assert (code, out.out, out.err) == (
+        2,
+        "",
+        f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n",
+    )
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["k0", "--n", "2", "--frobnicate"])
-    assert err.value.code == 2
+    code = main(["k0", "--n", "2", "--frobnicate"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "error: unrecognized arguments: --frobnicate\n")
 
 
 def test_oracle_json(capsys):
@@ -325,10 +330,9 @@ def test_bad_anchor_count(capsys):
 @pytest.mark.parametrize("command", ["verify", "render"])
 def test_format_only_where_the_handler_reads_it(capsys, command):
     # verify always prints its PASS lines and render always SVG
-    with pytest.raises(SystemExit) as err:
-        main([command, "--n", "1", "--format", "json"])
-    assert err.value.code == 2
-    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    code = main([command, "--n", "1", "--format", "json"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "error: unrecognized arguments: --format json\n")
 
 
 def test_output_file(tmp_path, capsys):
@@ -492,7 +496,7 @@ DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
         ),
         pytest.param(
             ["verify", "--n", "30", "--window", "2"],
-            "n=60, window=2 gives 44610 window arcs, more than 34000",
+            "n=30, window=2: its 60-segment host gives 44610 window arcs, more than 34000",
             id="verify-n",
         ),
     ],
@@ -531,8 +535,10 @@ def _cut(prefix):
             _cut("marked point [0, '"),
         ),
         (["render", "--n", "2", "--arcs", "{\n}"], "--arcs must be a JSON list of arcs, got { }"),
+        # the parser's own errors take the same path
+        (["k0", "--n", LONG], _cut("argument --n: invalid int value: '")),
     ],
-    ids=["long-anchors", "long-arcs-object", "long-coordinate", "multi-line-arcs"],
+    ids=["long-anchors", "long-arcs-object", "long-coordinate", "multi-line-arcs", "long-bad-n"],
 )
 def test_error_is_one_short_line(capsys, argv, message):
     code = main(argv)
@@ -552,10 +558,7 @@ def test_main_reuses_parser_across_calls(capsys):
     ]
 
     def call(args):
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(args)
         out = capsys.readouterr()
         return code, out.out, out.err
 

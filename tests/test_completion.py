@@ -171,3 +171,30 @@ def test_completed_cokernel_invariant_under_column_changes():
         cols[0] = [-v for v in cols[0]]
         cols.reverse()
         assert cokernel_presentation(2 * n, cols) == base
+
+
+def test_verify_f_oracle_size_cap_names_n_and_its_host(monkeypatch):
+    from arck0 import completion
+
+    count = len(verify_f_oracle(2, 2).arcs)
+    monkeypatch.setattr(completion, "_MAX_ORACLE_ARCS", count - 1)
+    message = f"^n=2, window=2: its 4-segment host gives {count} window arcs, more than {count - 1}$"
+    with pytest.raises(ValueError, match=message):
+        verify_f_oracle(2, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_even_same_segment_classes_span_the_completion_kernel(n):
+    # the kernel is spanned by the classes of all same-segment arcs on the
+    # even host segments, not only by the n generators f_matrix holds
+    from arck0 import cokernel_presentation, euler_oracle
+
+    oracle = euler_oracle(2 * n, 4)
+    even = [arc for arc in oracle.arcs if arc.a[0] % 2 == 0 and arc.b[0] % 2 == 0]
+    same = [oracle.class_of(arc) for arc in even if arc.same_segment]
+    assert cokernel_presentation(2 * n, same) == compute_k0_completed(n)
+    if n >= 2:
+        # negative control: the even-to-even cross-segment arcs kill the torsion
+        cross = [oracle.class_of(arc) for arc in even if not arc.same_segment]
+        assert cross
+        assert cokernel_presentation(2 * n, same + cross) == GroupPresentation(n)
