@@ -16,14 +16,25 @@ from typing import Iterator, NamedTuple
 
 
 def check_size(name: str, value: int, minimum: int, error: type[ValueError] = ValueError) -> None:
-    """The one size rule: ValueError unless ``value`` is an int, else ``error`` below ``minimum``.
+    """The one lower-bound rule: ValueError unless ``value`` is an int, ``error`` below ``minimum``.
 
     The type comes first, so None, a float, a bool or a str never reaches the comparison.
+    Upper bounds go through ``check_cap``.
     """
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an int")
     if value < minimum:
         raise error(f"need {name} >= {minimum}, got {value}")
+
+
+def check_cap(what: str, count: int, unit: str, cap: int) -> None:
+    """The one upper-bound rule: ValueError when ``what`` gives a ``count`` over ``cap``.
+
+    Each caller checks its cap where the work it bounds happens, before any of
+    it starts; every cap message is formatted here.
+    """
+    if count > cap:
+        raise ValueError(f"{what} gives {count} {unit}, more than {cap}")
 
 
 class MarkedPoint(NamedTuple):

@@ -182,6 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arc combinatorics and Grothendieck-group computations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads "--anchors -3,0,5" as a missing value and a new option
+    anchors = "comma-separated offsets, one per segment; --anchors=-3,0,5 if the first is negative"
 
     # every subcommand takes --out; --format is added only where the handler
     # returns a JSON payload
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("k0", help="group of the n-point model via exchange relations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--anchors", default=None, help="comma-separated anchor offsets")
+    p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_k0)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exchange", help="exchange pair of a named tilting arc")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--anchors", default=None)
+    p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--arc", required=True, help="arc name (e.g. Z1) or JSON endpoints")
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
@@ -226,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw the circle and an arc family as SVG")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None, help="render the standard tilting")
-    p.add_argument("--anchors", default=None)
-    p.add_argument("--arcs", default=None, help="JSON list of arcs to draw")
+    drawn = p.add_mutually_exclusive_group()  # _cmd_render draws one or the other
+    drawn.add_argument("--depth", type=int, default=None, help="render the standard tilting")
+    p.add_argument("--anchors", default=None, help=anchors)
+    drawn.add_argument("--arcs", default=None, help="JSON list of arcs to draw")
     common(p, window_default=6)
     p.set_defaults(func=_cmd_render)
 

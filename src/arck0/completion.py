@@ -10,14 +10,13 @@ Only that cokernel is computed here; the localisation itself is not modelled.
 
 from __future__ import annotations
 
-from .circle import MarkedPoint, check_size
+from .circle import MarkedPoint, check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import (
-    _MAX_ORACLE_ARCS,
     InsufficientWindowError,
     OracleQuotient,
-    _window_arcs,
+    _check_oracle_arcs,
     class_same_segment,
     euler_oracle,
 )
@@ -43,25 +42,20 @@ def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
     Returns the n columns, each of length 2n: the same-segment class of each
     kernel generator arc on the 2n-segment host.  Column 1 is [X2] + [Y1];
-    column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].
+    column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].  A matrix of more than
+    2,000,000 entries raises ValueError up front.
     """
     check_size("n", n, 1)
+    check_cap(f"n={n}", 2 * n * n, "matrix entries", _MAX_COMPLETED_ENTRIES)
     return tuple(
         class_same_segment(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1)
     )
 
 
 def compute_k0_completed(n: int) -> GroupPresentation:
-    """Group of the completion: Z^2n modulo the kernel generator classes.
-
-    A 2n x n matrix of more than 2,000,000 entries raises ValueError up front.
-    """
-    check_size("n", n, 1)
-    if 2 * n * n > _MAX_COMPLETED_ENTRIES:
-        raise ValueError(
-            f"n={n} gives a {2 * n} x {n} matrix, more than {_MAX_COMPLETED_ENTRIES} entries"
-        )
-    return cokernel_presentation(2 * n, f_matrix(n))
+    """Group of the completion: Z^2n modulo the columns of ``f_matrix(n)``, whose cap it shares."""
+    columns = f_matrix(n)
+    return cokernel_presentation(2 * n, columns)
 
 
 def verify_f_oracle(n: int, window: int) -> OracleQuotient:
@@ -80,12 +74,7 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     """
     check_size("n", n, 1)
     check_size("window", window, 2, InsufficientWindowError)
-    num_arcs = _window_arcs(2 * n, window)
-    if num_arcs > _MAX_ORACLE_ARCS:
-        raise ValueError(
-            f"n={n}, window={window}: its {2 * n}-segment host gives {num_arcs} window arcs, "
-            f"more than {_MAX_ORACLE_ARCS}"
-        )
+    _check_oracle_arcs(f"n={n}, window={window}: its {2 * n}-segment host", 2 * n, window)
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))
     if coordinates != f_matrix(n):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import CircleModel, MarkedPoint, check_size
+from .circle import CircleModel, MarkedPoint, check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, _UnitEliminations
 from .tilting import (
@@ -115,14 +115,14 @@ class OracleQuotient:
         return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
-def _window_arcs(n: int, window: int) -> int:
-    """Number of arcs of the n-segment circle with offsets in [-window, window].
+def _check_oracle_arcs(what: str, n: int, window: int) -> None:
+    """ValueError naming ``what`` when an oracle window holds over ``_MAX_ORACLE_ARCS`` arcs.
 
-    Every pair of the n(2w+1) window points except the 2w adjacent pairs of
-    each segment.
+    The n-segment window holds every pair of its n(2w+1) points except the
+    2w adjacent pairs of each segment.
     """
     size = n * (2 * window + 1)
-    return size * (size - 1) // 2 - 2 * n * window
+    check_cap(what, size * (size - 1) // 2 - 2 * n * window, "window arcs", _MAX_ORACLE_ARCS)
 
 
 def euler_oracle(n: int, window: int) -> OracleQuotient:
@@ -166,11 +166,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     """
     check_size("window", window, 2, InsufficientWindowError)
     model = CircleModel(n)
-    num_arcs = _window_arcs(n, window)
-    if num_arcs > _MAX_ORACLE_ARCS:
-        raise ValueError(
-            f"n={n}, window={window} gives {num_arcs} window arcs, more than {_MAX_ORACLE_ARCS}"
-        )
+    _check_oracle_arcs(f"n={n}, window={window}", n, window)
     points = list(model.points_in_window(window))
     size = len(points)
 

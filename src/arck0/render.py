@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .circle import CircleModel, MarkedPoint, check_size
+from .circle import CircleModel, MarkedPoint, check_cap, check_size
 from .arcs import Arc
 
 SIZE = 480
@@ -50,10 +50,9 @@ def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
 
     A window of more than 100,000 points raises ValueError up front.
     """
+    n = model.num_segments
     check_size("window", window, 1)
-    points = model.num_segments * (2 * window + 1)
-    if points > _MAX_POINTS:
-        raise ValueError(f"window {window} has {points} points, more than {_MAX_POINTS}")
+    check_cap(f"n={n}, window={window}", n * (2 * window + 1), "window points", _MAX_POINTS)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .circle import CircleModel, MarkedPoint, check_size
+from .circle import CircleModel, MarkedPoint, check_cap, check_size
 from .arcs import Arc
 from .snf import VerificationError
 
@@ -143,10 +143,7 @@ def build_standard_tilting(
     # n ladders of 2*depth+1 arcs rooted at the polygon edges, n-3 fan
     # diagonals, and one arc fewer for n = 2, whose two edges coincide
     num_arcs = n * (2 * depth + 1) + max(n - 3, 0) - (n == 2)
-    if num_arcs > _MAX_TILTING_ARCS:
-        raise ValueError(
-            f"n={n}, depth={depth} gives {num_arcs} tilting arcs, more than {_MAX_TILTING_ARCS}"
-        )
+    check_cap(f"n={n}, depth={depth}", num_arcs, "tilting arcs", _MAX_TILTING_ARCS)
     model = CircleModel(n)
     offsets = _anchor_offsets(n, anchor_offsets)
     anchors = tuple(MarkedPoint(s, o) for s, o in enumerate(offsets))
@@ -258,7 +255,7 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     if len(thirds) < 2:
         return tuple(thirds), {}
     if len(thirds) > 2:
-        raise ValueError(f"more than two triangles flank {t.arcs[i]}")
+        raise ValueError(f"{len(thirds)} triangles flank {t.arcs[i]}, not two")
     v1, v3 = thirds if p < thirds[0] < q else thirds[::-1]
     if not p < v1 < q or p < v3 < q:
         raise ValueError(

@@ -1,6 +1,21 @@
+import re
+
 import pytest
 
-from arck0 import CircleModel, MarkedPoint
+from arck0 import (
+    CircleModel,
+    MarkedPoint,
+    build_standard_tilting,
+    completion,
+    compute_k0_completed,
+    euler_oracle,
+    f_matrix,
+    k0,
+    render,
+    render_svg,
+    tilting,
+    verify_f_oracle,
+)
 from geometry_reference import cyclic_key
 
 
@@ -49,3 +64,70 @@ def test_points_in_window_order_and_count():
 
 def test_point_json():
     assert P(1, -4).to_json() == [1, -4]
+
+
+def _tilting(n, depth):
+    return build_standard_tilting(n, None, depth)
+
+
+def _render(n, window):
+    return render_svg(CircleModel(n), [], window)
+
+
+def _entries(n):
+    return sum(map(len, f_matrix(n)))
+
+
+# each capped entry point: the module holding its cap, the cap, the exact
+# count of the work the cap bounds, the subject and unit of its message
+# (formatted with the size and twice its n), and the sizes to try
+CAPS = [
+    pytest.param(
+        _tilting, tilting, "_MAX_TILTING_ARCS", lambda n, d: len(_tilting(n, d).arcs),
+        "n={}, depth={}", "tilting arcs", [(n, d) for n in range(1, 8) for d in (1, 2, 5)],
+        id="build_standard_tilting",
+    ),
+    pytest.param(
+        euler_oracle, k0, "_MAX_ORACLE_ARCS", lambda n, w: len(euler_oracle(n, w).arcs),
+        "n={}, window={}", "window arcs", [(1, 2), (1, 5), (2, 2), (3, 3), (4, 2)],
+        id="euler_oracle",
+    ),
+    pytest.param(
+        verify_f_oracle, k0, "_MAX_ORACLE_ARCS", lambda n, w: len(verify_f_oracle(n, w).arcs),
+        "n={0}, window={1}: its {2}-segment host", "window arcs", [(1, 2), (1, 4), (2, 2)],
+        id="verify_f_oracle",
+    ),
+    pytest.param(
+        f_matrix, completion, "_MAX_COMPLETED_ENTRIES", _entries,
+        "n={}", "matrix entries", [(1,), (2,), (3,), (7,)],
+        id="f_matrix",
+    ),
+    pytest.param(
+        compute_k0_completed, completion, "_MAX_COMPLETED_ENTRIES", _entries,
+        "n={}", "matrix entries", [(1,), (2,), (3,), (7,)],
+        id="compute_k0_completed",
+    ),
+    pytest.param(
+        _render, render, "_MAX_POINTS", lambda n, w: _render(n, w).count('class="tick"'),
+        "n={}, window={}", "window points", [(1, 1), (2, 3), (3, 5)],
+        id="render_svg",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,module,cap,count,subject,unit,sizes", CAPS)
+def test_every_cap_admits_its_exact_count(
+    monkeypatch, call, module, cap, count, subject, unit, sizes
+):
+    # the count checked up front is the real one: a cap at the count admits
+    # the call, one below rejects it through check_cap with the exact message
+    for size in sizes:
+        exact = count(*size)
+        what = subject.format(*size, 2 * size[0])
+        message = f"{what} gives {exact} {unit}, more than {exact - 1}"
+        with monkeypatch.context() as m:
+            m.setattr(module, cap, exact)
+            call(*size)
+            m.setattr(module, cap, exact - 1)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(*size)

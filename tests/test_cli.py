@@ -316,6 +316,14 @@ def test_smith_round_cap_exits_1(capsys, monkeypatch):
     assert err == "error: Smith reduction did not converge in 256 rounds"
 
 
+def test_anchors_starting_with_a_minus_need_the_equals_form(capsys):
+    # argparse reads "--anchors -3,0,5" as a missing value, as the help says
+    code, out, _ = run(capsys, ["k0", "--n", "3", "--anchors=-3,0,5"])
+    assert (code, out.splitlines()[0]) == (0, "K0 for n=3, depth=4: Z^3")
+    code, out, err = run(capsys, ["k0", "--n", "3", "--anchors", "-3,0,5"])
+    assert (code, out, err) == (2, "", "error: argument --anchors: expected one argument")
+
+
 def test_bad_anchor_count(capsys):
     code, out, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
     assert (code, out, err) == (2, "", "error: expected 2 anchor offsets, got 3")
@@ -374,6 +382,17 @@ def test_render_cli(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("<?xml")
     assert text.count('class="accumulation"') == 4
+
+
+@pytest.mark.parametrize("first,second", [("depth", "arcs"), ("arcs", "depth")])
+def test_render_takes_depth_or_arcs_not_both(capsys, first, second):
+    # render draws one of the two; the other must not be dropped without a word
+    values = {"depth": "2", "arcs": "[[[0,0],[0,2]]]"}
+    argv = ["render", "--n", "2", f"--{first}", values[first], f"--{second}", values[second]]
+    code = main(argv)
+    out = capsys.readouterr()
+    message = f"error: argument --{second}: not allowed with argument --{first}\n"
+    assert (code, out.out, out.err) == (2, "", message)
 
 
 def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
@@ -452,22 +471,6 @@ def test_exchange_quotes_a_long_arc_by_its_start(capsys):
     assert err == "error: arc '[[0,0]," + " " * 73 + "'... is not in the tilting set"
 
 
-def test_render_rejects_a_window_too_large_to_draw():
-    # in a subprocess with a timeout: without the bound it would run for hours
-    proc = subprocess.run(
-        [sys.executable, "-m", "arck0.cli", "render", "--n", "1", "--window", "100000000000"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        timeout=30,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "error: window 100000000000 has 200000000001 points, more than 100000\n"
-    )
-
-
 DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
 
 
@@ -491,13 +494,18 @@ DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
         ),
         pytest.param(
             ["k0-completed", "--n", "100000"],
-            "n=100000 gives a 200000 x 100000 matrix, more than 2000000 entries",
+            "n=100000 gives 20000000000 matrix entries, more than 2000000",
             id="k0-completed-n",
         ),
         pytest.param(
             ["verify", "--n", "30", "--window", "2"],
             "n=30, window=2: its 60-segment host gives 44610 window arcs, more than 34000",
             id="verify-n",
+        ),
+        pytest.param(
+            ["render", "--n", "1", "--window", "100000000000"],
+            "n=1, window=100000000000 gives 200000000001 window points, more than 100000",
+            id="render-window",
         ),
     ],
 )

@@ -130,13 +130,19 @@ def test_compute_k0_completed_rejects_bad_n():
         compute_k0_completed(0)
 
 
-def test_compute_k0_completed_size_cap(monkeypatch):
+def test_f_matrix_holds_the_completed_cap(monkeypatch):
+    # compute_k0_completed builds its matrix through f_matrix alone, so both
+    # stop past n = 1000 with one message, before any column is built
     from arck0 import completion
 
-    monkeypatch.setattr(completion, "_MAX_COMPLETED_ENTRIES", 18)
-    assert compute_k0_completed(3) == GroupPresentation(3, (2, 2))
-    with pytest.raises(ValueError, match="n=4 gives a 8 x 4 matrix, more than 18 entries"):
-        compute_k0_completed(4)
+    def no_column(n, i):
+        raise AssertionError(f"column {i} built for n={n}")
+
+    monkeypatch.setattr(completion, "kernel_generator_arc", no_column)
+    message = "^n=1001 gives 2004002 matrix entries, more than 2000000$"
+    for call in (f_matrix, compute_k0_completed):
+        with pytest.raises(ValueError, match=message):
+            call(1001)
 
 
 @pytest.mark.parametrize("n,window", [(1, 6), (2, 6), (3, 4), (4, 4)])
@@ -171,16 +177,6 @@ def test_completed_cokernel_invariant_under_column_changes():
         cols[0] = [-v for v in cols[0]]
         cols.reverse()
         assert cokernel_presentation(2 * n, cols) == base
-
-
-def test_verify_f_oracle_size_cap_names_n_and_its_host(monkeypatch):
-    from arck0 import completion
-
-    count = len(verify_f_oracle(2, 2).arcs)
-    monkeypatch.setattr(completion, "_MAX_ORACLE_ARCS", count - 1)
-    message = f"^n=2, window=2: its 4-segment host gives {count} window arcs, more than {count - 1}$"
-    with pytest.raises(ValueError, match=message):
-        verify_f_oracle(2, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,5 +1,3 @@
-import pytest
-
 from arck0 import Arc, CircleModel, MarkedPoint, build_standard_tilting, render_svg
 from arck0.render import point_fraction, point_xy
 
@@ -54,9 +52,3 @@ def test_order_preserving_embedding():
     fracs = [point_fraction(model, p, window) for p in model.points_in_window(window)]
     assert fracs == sorted(fracs)
     assert all(0 < f < 1 for f in fracs)
-
-
-def test_window_point_cap():
-    # n(2W+1) tick marks: 2 x 50001 is over the 100,000 cap, checked before drawing
-    with pytest.raises(ValueError, match="window 25000 has 100002 points, more than 100000"):
-        render_svg(CircleModel(2), [], 25000)

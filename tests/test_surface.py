@@ -145,3 +145,34 @@ def test_every_raise_is_a_class_the_cli_maps_to_an_exit_code():
             ):
                 others.append(f"{path.name}:{node.lineno} raises {name}")
     assert others == []
+
+
+def test_every_cap_goes_through_check_cap():
+    # one bounded-work rule: a _MAX_* cap is read only where it is passed to
+    # circle.check_cap, so each cap is checked in the module that owns it
+    # (k0's oracle cap inside its one helper), and only check_cap formats a
+    # "more than" message
+    stray = []
+    for path in sorted(ROOT.glob("src/arck0/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        passed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_cap":
+                passed.update(map(id, [*node.args, *(k.value for k in node.keywords)]))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id.startswith("_MAX_"):
+                if isinstance(node.ctx, ast.Load) and id(node) not in passed:
+                    stray.append(f"{path.name}:{node.lineno} reads {node.id}")
+            elif isinstance(node, ast.ImportFrom):
+                stray += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_MAX_")
+                ]
+            elif isinstance(node, ast.Raise) and path.name != "circle.py":
+                if any(
+                    isinstance(part, ast.Constant) and "more than" in str(part.value)
+                    for part in ast.walk(node)
+                ):
+                    stray.append(f"{path.name}:{node.lineno} raises a cap message")
+    assert stray == []

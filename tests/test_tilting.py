@@ -114,22 +114,6 @@ def test_anchor_offsets_must_be_a_list_or_tuple(anchors):
     assert build_standard_tilting(2, (3, -1), 2).arcs == build_standard_tilting(2, [3, -1], 2).arcs
 
 
-def test_size_cap_uses_the_exact_arc_count(monkeypatch):
-    # the closed form checked up front is the real count: a cap at the count
-    # admits the build, one below rejects it before any arc is made
-    from arck0 import tilting
-
-    for n in range(1, 8):
-        for depth in (1, 2, 5):
-            count = len(build_standard_tilting(n, None, depth).arcs)
-            with monkeypatch.context() as m:
-                m.setattr(tilting, "_MAX_TILTING_ARCS", count)
-                build_standard_tilting(n, None, depth)
-                m.setattr(tilting, "_MAX_TILTING_ARCS", count - 1)
-                with pytest.raises(ValueError, match=f"gives {count} tilting arcs, more than"):
-                    build_standard_tilting(n, None, depth)
-
-
 def test_build_is_pairwise_non_crossing():
     for n, depth, offsets in [(1, 3, None), (2, 2, [4, -1]), (4, 2, [0, 2, -3, 1]), (5, 3, None)]:
         t = build_standard_tilting(n, offsets, depth)
@@ -497,7 +481,8 @@ def test_flank_checks_on_crossing_sets():
     t = unchecked_tilting(
         [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3)), ((0, 0), (0, 2)), ((0, 2), (0, 4))]
     )
-    with pytest.raises(ValueError, match="more than two triangles flank"):
+    message = r"^3 triangles flank \[\[0, 0\], \[0, 4\]\], not two$"
+    with pytest.raises(ValueError, match=message):
         palu_relations(t)
-    with pytest.raises(ValueError, match="more than two triangles flank"):
+    with pytest.raises(ValueError, match=message):
         exchange_pair(t, 0)
