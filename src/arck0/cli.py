@@ -161,6 +161,8 @@ def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
     arcs: tuple[Arc, ...] = ()
     if args.depth is not None:
         arcs = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth).arcs
+    elif args.anchors is not None:
+        raise ValueError("argument --anchors: not allowed without argument --depth")
     elif args.arcs:
         items = _load_json(args.arcs)
         if not isinstance(items, list):

@@ -7,11 +7,11 @@ Leapfrogs are truncated at a finite depth; arcs whose flanking triangles are
 both available are "interior" and contribute exchange relations, the deepest
 arcs are "frontier" and contribute none.
 
-Non-crossing is checked as bracket nesting.  Cutting the circle behind the
-last segment makes lex order on ``(segment, offset)`` the anticlockwise
-order, so every arc (stored with ``a < b``) is an interval ``[a, b]`` and two
-arcs cross exactly when their intervals overlap without nesting.  One
-ordering and one stack pass decide a whole arc set.
+A tilting checks its arcs when it is made, non-crossing as bracket nesting.
+Cutting the circle behind the last segment makes lex order on ``(segment,
+offset)`` the anticlockwise order, so every arc (stored with ``a < b``) is an
+interval ``[a, b]`` and two arcs cross exactly when their intervals overlap
+without nesting.  One ordering and one stack pass decide a whole arc set.
 
 Exchange relations are read off a point-neighbour index: each endpoint maps
 to the other endpoint of every incident arc, and that to the arc's index.
@@ -40,7 +40,11 @@ class InsufficientDepthError(ValueError):
 
 @dataclass(frozen=True)
 class StandardTilting:
-    """An indexed maximal non-crossing arc set with one leapfrog per accumulation point.
+    """An indexed non-crossing arc set with one leapfrog per accumulation point.
+
+    However it is made, it checks its arcs: an endpoint off ``model`` raises
+    ValueError, a crossing pair or a repeated arc VerificationError.
+    Maximality is not checked, and a truncated tilting is not maximal.
 
     ``names`` maps the construction labels to arc indices.  With z1..zn the
     anchors, on segments 0..n-1, and label numbers taken mod n:
@@ -70,6 +74,7 @@ class StandardTilting:
     _label: dict[int, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _assert_non_crossing(self.model, self.arcs)
         neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = {}
         for i, arc in enumerate(self.arcs):
             neighbours.setdefault(arc.a, {})[arc.b] = i
@@ -91,13 +96,14 @@ class StandardTilting:
 
 
 def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
-    """Raise VerificationError naming a crossing pair if any two arcs cross.
+    """Raise VerificationError naming a crossing pair or a repeated arc, if any.
 
     In lex order each arc is an interval [a, b].  Sorted by (a, -b), the arcs
     still open at a point form a stack of nested intervals, innermost on top.
     A new arc first closes every interval ending at or before its start
-    (sharing an endpoint is not a crossing); it crosses an open interval iff
-    it ends beyond the innermost one, which then is a crossing partner.
+    (sharing an endpoint is not a crossing); it repeats an open interval iff
+    it equals the innermost one, and crosses one iff it ends beyond the
+    innermost one, which then is a crossing partner.
     Each endpoint is validated once; sorting by -b, then stably by a, gives (a, -b).
     """
     for p in set().union(*arcs):
@@ -108,6 +114,8 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
     for arc in ordered:
         while stack and stack[-1].b <= arc.a:
             stack.pop()
+        if stack and arc == stack[-1]:
+            raise VerificationError(f"repeated arc in tilting set: {arc}")
         if stack and arc.b > stack[-1].b:
             raise VerificationError(f"crossing arcs in tilting set: {stack[-1]} x {arc}")
         stack.append(arc)
@@ -195,9 +203,7 @@ def build_standard_tilting(
         for t, idx in enumerate(ladder):
             names[f"L{acc}[{t}]"] = idx
 
-    tilting = StandardTilting(model, tuple(index), names, tuple(leapfrogs))
-    _assert_non_crossing(model, tilting.arcs)
-    return tilting
+    return StandardTilting(model, tuple(index), names, tuple(leapfrogs))
 
 
 @dataclass(frozen=True)
@@ -225,8 +231,7 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     q never qualify, and a neighbour of a point is never adjacent to it, so
     no third is found twice.  Adjacent points are plain ``(segment,
     offset)`` tuples, which hash and compare like MarkedPoints; ``Arc``
-    wraps them.  Endpoints are not re-validated: the non-crossing check did
-    that when the tilting was built.
+    wraps them.
 
     With two thirds returns ``((v1, v3), terms)``, v1 strictly between
     v0 = m.a and v2 = m.b in lex order, so that ``(v0, v1, v2, v3)`` is the
@@ -236,10 +241,10 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     has v0 or v2 as an endpoint, so its index is one neighbour-index lookup;
     a side missing from the index is a boundary edge (a zero object) and
     drops out, and the four sides are distinct arcs.  Fewer than two thirds
-    (the truncation cut off a flanking triangle) come with no terms.  Two
-    thirds on one side of m (m and the other diagonal do not cross) and more
-    than two thirds both raise ValueError: neither happens in a non-crossing
-    set, so either means a tilting built without the non-crossing check.
+    (the truncation cut off a flanking triangle) come with no terms.  The
+    tilting checked its arcs when it was made: endpoints are not re-validated,
+    and each side of m holds at most one third, as two, r then r' along it
+    from p to q, would make {p, r'} and {r, q} cross.
     """
     p, q = t.arcs[i]
     at_p, at_q = t._neighbours[p], t._neighbours[q]
@@ -254,13 +259,7 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
             thirds.append(r)
     if len(thirds) < 2:
         return tuple(thirds), {}
-    if len(thirds) > 2:
-        raise ValueError(f"{len(thirds)} triangles flank {t.arcs[i]}, not two")
     v1, v3 = thirds if p < thirds[0] < q else thirds[::-1]
-    if not p < v1 < q or p < v3 < q:
-        raise ValueError(
-            f"arcs do not cross: both triangles flanking {t.arcs[i]} lie on one side"
-        )
     terms: dict[int, int] = {}
     for j, sign in ((at_q.get(v1), 1), (at_p.get(v3), 1), (at_p.get(v1), -1), (at_q.get(v3), -1)):
         if j is not None:
@@ -313,6 +312,4 @@ def mutate(t: StandardTilting, m_index: int) -> StandardTilting:
     primary = t.name_of(m_index)
     new_names = {name: i for name, i in t.names.items() if i != m_index}
     new_names[primary + "*"] = m_index
-    mutated = StandardTilting(t.model, tuple(new_arcs), new_names, t.leapfrogs)
-    _assert_non_crossing(t.model, mutated.arcs)
-    return mutated
+    return StandardTilting(t.model, tuple(new_arcs), new_names, t.leapfrogs)

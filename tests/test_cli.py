@@ -395,6 +395,16 @@ def test_render_takes_depth_or_arcs_not_both(capsys, first, second):
     assert (code, out.out, out.err) == (2, "", message)
 
 
+@pytest.mark.parametrize("drawn", [[], ["--arcs", "[[[0,0],[0,2]]]"]], ids=["alone", "arcs"])
+def test_render_anchors_need_depth(capsys, drawn):
+    # the anchors place the tilting of --depth; without it they are bad
+    # input, not dropped without a word
+    code = main(["render", "--n", "2", "--anchors", "7,7,7,7", *drawn])
+    out = capsys.readouterr()
+    message = "error: argument --anchors: not allowed without argument --depth\n"
+    assert (code, out.out, out.err) == (2, "", message)
+
+
 def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, ["k0", "--n", "2", "--out", str(target)])

@@ -18,7 +18,8 @@ from arck0 import (
     standard_basis_arcs,
 )
 from arck0.arcs import is_degenerate_pair
-from arck0.tilting import InsufficientDepthError, _assert_non_crossing
+from arck0 import tilting
+from arck0.tilting import InsufficientDepthError
 from geometry_reference import ext1_dim, induced_triangles, shares_endpoint
 
 
@@ -364,9 +365,10 @@ def test_mutate_keeps_set_non_crossing():
 
 
 def test_non_crossing_check_matches_pairwise_reference():
-    # the bracket check against the pairwise ext1_dim loop, on small random
-    # arc sets: offsets in [-2, 2] make shared endpoints common, half the
-    # sets are grown greedily so that they stay non-crossing
+    # the construction check against the pairwise ext1_dim loop, on small
+    # random arc sets: offsets in [-2, 2] make shared endpoints common, half
+    # the sets are grown greedily so that they stay non-crossing, and a draw
+    # may repeat an arc
     rng = random.Random(1729)
     seen = Counter()
     for _ in range(6000):
@@ -386,23 +388,31 @@ def test_non_crossing_check_matches_pairwise_reference():
         crossing = any(
             ext1_dim(model, x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]
         )
-        if crossing:
+        repeated = len(set(arcs)) < len(arcs)
+        if crossing or repeated:
             with pytest.raises(VerificationError) as info:
-                _assert_non_crossing(model, tuple(arcs))
-            named = {
-                f"crossing arcs in tilting set: {x} x {y}": (x, y) for x in arcs for y in arcs
+                StandardTilting(model, tuple(arcs), {}, ())
+            # the message names a fault the set has: a crossing pair or a repeat
+            faults = {f"repeated arc in tilting set: {x}" for x in arcs if arcs.count(x) > 1}
+            faults |= {
+                f"crossing arcs in tilting set: {x} x {y}"
+                for x in arcs
+                for y in arcs
+                if ext1_dim(model, x, y)
             }
-            x, y = named[str(info.value)]
-            assert ext1_dim(model, x, y) == 1
+            assert str(info.value) in faults
         else:
-            _assert_non_crossing(model, tuple(arcs))
+            StandardTilting(model, tuple(arcs), {}, ())
         seen["crossing" if crossing else "non-crossing"] += 1
+        seen["repeated"] += repeated
         if any(shares_endpoint(x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]):
             seen["shared endpoint"] += 1
         if n > 1 and any(a.a[0] == 0 and a.b[0] == n - 1 for a in arcs):
             seen["wraps"] += 1
     for kind in ("crossing", "non-crossing", "shared endpoint", "wraps"):
         assert seen[kind] >= 1000, (kind, seen)
+    # repeats are rarer: 766 of these 6000 sets have one
+    assert seen["repeated"] >= 500, seen
 
 
 def scan_thirds(t):
@@ -457,32 +467,68 @@ def test_palu_relations_match_induced_triangles():
         assert sizes[kind] >= 20, sizes
 
 
-def unchecked_tilting(pairs):
-    # a StandardTilting built directly, skipping the non-crossing check
-    arcs = tuple(A(p, q) for p, q in pairs)
-    return StandardTilting(CircleModel(1), arcs, {}, ())
-
-
-def test_flank_checks_on_crossing_sets():
-    # both thirds of the first arc lie on one side of it, so it and the other
-    # diagonal do not cross: there is no exchange, and no relation is returned
-    for pairs in (
-        [((0, 0), (0, 3)), ((0, 1), (0, 3)), ((0, 0), (0, 2))],
-        [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3))],
+def test_sets_without_an_exchange_are_rejected_at_construction():
+    # in the first two sets both triangles flanking the first arc lie on one
+    # side of it, in the last three triangles flank it: that arc has no
+    # exchange, and each set crosses, so a direct call rejects it
+    for pairs, crossing in (
+        (
+            [((0, 0), (0, 3)), ((0, 1), (0, 3)), ((0, 0), (0, 2))],
+            "[[0, 0], [0, 2]] x [[0, 1], [0, 3]]",
+        ),
+        (
+            [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3))],
+            "[[0, 0], [0, 3]] x [[0, 1], [0, 4]]",
+        ),
+        (
+            [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3))]
+            + [((0, 0), (0, 2)), ((0, 2), (0, 4))],
+            "[[0, 0], [0, 2]] x [[0, 1], [0, 4]]",
+        ),
     ):
-        t = unchecked_tilting(pairs)
-        with pytest.raises(VerificationError):
-            _assert_non_crossing(t.model, t.arcs)
-        with pytest.raises(ValueError, match="do not cross"):
-            palu_relations(t)
-        with pytest.raises(ValueError, match="do not cross"):
-            exchange_pair(t, 0)
-    # (0,1), (0,2) and (0,3) each complete a triangle on (0,0)-(0,4)
-    t = unchecked_tilting(
-        [((0, 0), (0, 4)), ((0, 1), (0, 4)), ((0, 0), (0, 3)), ((0, 0), (0, 2)), ((0, 2), (0, 4))]
-    )
-    message = r"^3 triangles flank \[\[0, 0\], \[0, 4\]\], not two$"
-    with pytest.raises(ValueError, match=message):
-        palu_relations(t)
-    with pytest.raises(ValueError, match=message):
-        exchange_pair(t, 0)
+        arcs = tuple(A(p, q) for p, q in pairs)
+        with pytest.raises(VerificationError) as info:
+            StandardTilting(CircleModel(1), arcs, {}, ())
+        assert str(info.value) == f"crossing arcs in tilting set: {crossing}"
+
+
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        pytest.param(
+            A((0, 1), (2, 0)),  # crosses the polygon edge Z1 = (0, 0)-(1, 0)
+            VerificationError,
+            "crossing arcs in tilting set: [[0, 0], [1, -1]] x [[0, 1], [2, 0]]",
+            id="crossing",
+        ),
+        pytest.param(
+            A((0, 0), (1, 0)),  # Z1 again
+            VerificationError,
+            "repeated arc in tilting set: [[0, 0], [1, 0]]",
+            id="repeated",
+        ),
+        pytest.param(
+            A((5, 0), (5, 2)), ValueError, "segment 5 out of range [0, 3)", id="off-circle"
+        ),
+    ],
+)
+@pytest.mark.parametrize("how", ["direct", "build", "mutate"])
+def test_every_way_of_making_a_tilting_checks_it(monkeypatch, how, bad, error, message):
+    # the check runs when a StandardTilting is made: a direct call,
+    # build_standard_tilting and mutate (at Z2, so Z1 stays) each hand it
+    # their arcs plus ``bad``
+    t = build_standard_tilting(3, None, 2)
+    made = tilting.StandardTilting
+
+    def with_bad_arc(model, arcs, names, leapfrogs):
+        return made(model, (*arcs, bad), names, leapfrogs)
+
+    monkeypatch.setattr(tilting, "StandardTilting", with_bad_arc)
+    with pytest.raises(error) as info:
+        if how == "direct":
+            with_bad_arc(t.model, t.arcs, t.names, t.leapfrogs)
+        elif how == "build":
+            build_standard_tilting(3, None, 2)
+        else:
+            mutate(t, t.names["Z2"])
+    assert str(info.value) == message
