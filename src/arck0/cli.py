@@ -50,12 +50,17 @@ def _parse_arc(data) -> Arc:
     """The arc of decoded JSON ``[[segment, offset], [segment, offset]]``.
 
     Every malformed input raises ValueError: Arc's own errors keep their
-    message and a wrong shape or type is reported as a malformed arc.
+    message, and a wrong shape or type reads ``malformed arc <json>``.
     """
+    malformed = f"malformed arc {json.dumps(data)}"
+    try:
+        (_, _), (_, _) = data
+    except (TypeError, ValueError) as exc:
+        raise ValueError(malformed) from exc
     try:
         return Arc.from_json(data)
     except TypeError as exc:
-        raise ValueError(f"malformed arc {json.dumps(data)}") from exc
+        raise ValueError(malformed) from exc
 
 
 def _quoted(text: str) -> str:

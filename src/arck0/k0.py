@@ -75,12 +75,11 @@ def compute_k0_cn(
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
     elim = _UnitEliminations(num_arcs)
-    store: set = set()
     for terms in relations.values():
-        elim.absorb([(i + 1, c) for i, c in terms.items()], store)
+        elim.absorb([(i + 1, c) for i, c in terms.items()])
     names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
     basis = [tilting.names[name] + 1 for name in names]
-    classes = elim.basis_classes(store, basis, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
+    classes = elim.basis_classes(basis, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
     frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
     return K0Report(GroupPresentation(n), frontier, dict(zip(tilting.arcs, classes)))
 
@@ -183,12 +182,11 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     elim = _UnitEliminations(len(pairs))
     rep, absorb = elim.rep, elim.absorb
-    columns: set[tuple[tuple[int, int], ...]] = set()
     top = [o == window for _, o in points]
     for i, j in pairs:
         if not (top[i] or top[j]):
             # [shift A] + [A] = 0: both endpoints move one point anticlockwise
-            absorb(((rows[i][j], 1), (rows[i + 1][j + 1], 1)), columns)
+            absorb(((rows[i][j], 1), (rows[i + 1][j + 1], 1)))
     seen: set[tuple[int, int, int, int]] = set()
     tops = sorted((p for p in pairs if top[p[0]] or top[p[1]]), key=lambda p: p[1] - p[0])
     for i, j in tops:
@@ -202,7 +200,10 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
         for k in range(i + 1, j):
             row_k = rows[k]
             kj, ik = row_k[j], row_i[k]
-            # rep only changes when absorb applies a unit move
+            # read once per k: a unit move in the l loop can leave these
+            # stale, but a stale code still resolves through rep to the
+            # current one inside absorb, and a seen key built from it names
+            # a relation already in the lattice
             ra, rkj, rik = rep[a], rep[kj], rep[ik]
             for l in after if top[k] else outside:
                 rb = rep[row_k[l]]
@@ -211,19 +212,16 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                 if key not in seen:
                     seen.add(key)
                     x, y, u, v = key
-                    if absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns):
-                        ra, rkj, rik = rep[a], rep[kj], rep[ik]
-                        rb = rep[row_k[l]]
+                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)))
                 # triangle b -> (+)({i,k}, {j,l}) -> a: [a] + [b] - [ik] - [jl]
                 key = (ra, rb, rik, rep[row_j[l]])
                 if key not in seen:
                     seen.add(key)
                     x, y, u, v = key
-                    if absorb(((x, 1), (y, 1), (u, -1), (v, -1)), columns):
-                        ra, rkj, rik = rep[a], rep[kj], rep[ik]
+                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)))
 
     basis = [rows[points.index(arc.a)][points.index(arc.b)] for arc in standard_basis_arcs(n)]
-    classes = elim.basis_classes(columns, basis, f"euler_oracle({n}, {window})")
+    classes = elim.basis_classes(basis, f"euler_oracle({n}, {window})")
     arcs = (Arc(points[i], points[j]) for i, j in pairs)
     return OracleQuotient(window, GroupPresentation(n), dict(zip(arcs, classes)))
 

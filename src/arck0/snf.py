@@ -18,6 +18,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from .circle import check_size
+
 
 class VerificationError(RuntimeError):
     """An internal consistency check failed."""
@@ -36,16 +38,10 @@ class GroupPresentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
-        if type(self.free_rank) is not int:
-            raise ValueError(f"free rank {self.free_rank!r} is not an int")
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        check_size("free rank", self.free_rank, 0)
         factors = self.invariant_factors
         for i, d in enumerate(factors):
-            if type(d) is not int:
-                raise ValueError(f"invariant factor {d!r} is not an int")
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+            check_size("invariant factor", d, 2)
             if i + 1 < len(factors) and factors[i + 1] % d:
                 raise ValueError(f"broken divisibility chain: {d} does not divide {factors[i + 1]}")
 
@@ -163,23 +159,26 @@ class _UnitEliminations:
     object.  Every surviving generator g is its own representative and keeps
     the list of generators it stands for, so an identification rewrites the
     smaller of the two lists; eliminating a generator through a unit column
-    leaves the quotient group unchanged.  ``compute_k0_cn`` and
-    ``euler_oracle`` number their arcs as the generators 1..N.
+    leaves the quotient group unchanged.  A unit move is exactly one
+    ``members`` pop.  The object owns ``store``, the columns that were not
+    unit relations when absorbed.  ``compute_k0_cn`` and ``euler_oracle``
+    number their arcs as the generators 1..N.
     """
 
     def __init__(self, size: int):
         self.rep = [*range(size + 1), *range(-size, 0)]
         self.members = {g: [g] for g in range(1, size + 1)}
+        self.store: set[tuple[tuple[int, int], ...]] = set()
 
-    def absorb(self, column, store: set[tuple[tuple[int, int], ...]]) -> bool:
+    def absorb(self, column) -> None:
         """Reduce one relation column and apply it if it is a unit relation.
 
         ``column`` holds (signed code, coefficient) terms.  After resolving
         every code, a zero column is dropped, a unit column (+/-x or
         +/-x +/- y) is applied at once as a Tietze move, and anything else
         goes into ``store`` over generator numbers with its leading
-        coefficient made positive.  Returns True iff a unit move was applied.
-        Cancelled terms leave the accumulator, so it is the reduced column.
+        coefficient made positive.  Cancelled terms leave the accumulator,
+        so it is the reduced column.
         """
         rep = self.rep
         acc: dict[int, int] = {}
@@ -197,7 +196,7 @@ class _UnitEliminations:
             if v == 1 or v == -1:
                 for m in self.members.pop(g):
                     rep[m] = rep[-m] = 0
-                return True
+                return
         elif len(acc) == 2:
             [(a, va), (b, vb)] = acc.items()
             if (va == 1 or va == -1) and (vb == 1 or vb == -1):
@@ -214,19 +213,20 @@ class _UnitEliminations:
                     rep[m] = v
                     rep[-m] = -v
                     into.append(m)
-                return True
+                return
         elif not acc:
-            return False
+            return
         items = sorted(acc.items())
         if items[0][1] < 0:
             items = [(g, -v) for g, v in items]
-        store.add(tuple(items))
-        return False
+        self.store.add(tuple(items))
 
-    def residual(self, store: set) -> tuple[dict[int, int], list[dict[int, int]]]:
+    def residual(self) -> tuple[dict[int, int], list[dict[int, int]]]:
         """Re-absorb stored columns until no unit move applies; return the core.
 
-        Columns stored early were reduced against fewer unit moves.  Returns
+        Columns stored early were reduced against fewer unit moves, so each
+        pass re-absorbs the whole store into a fresh one, and the first pass
+        that pops no ``members`` entry is the last.  Returns
         {generator: live position}, numbering the survivors in decreasing
         order, and the remaining columns over those positions, sorted.
 
@@ -235,18 +235,16 @@ class _UnitEliminations:
         increasing order filled every pivot column, so the subtractions
         grew as n squared (17,853 at n = 100, against 497 in this order).
         """
-        while True:
-            work: set = set()
-            changed = False
+        survivors = None
+        while survivors != len(self.members):
+            survivors = len(self.members)
+            store, self.store = self.store, set()
             for col in store:
-                changed |= self.absorb(col, work)
-            store = work
-            if not changed:
-                break
+                self.absorb(col)
         live = {g: i for i, g in enumerate(sorted(self.members, reverse=True))}
-        return live, [{live[g]: v for g, v in col} for col in sorted(store)]
+        return live, [{live[g]: v for g, v in col} for col in sorted(self.store)]
 
-    def basis_classes(self, store: set, basis: Sequence[int], where: str) -> list[dict[int, int]]:
+    def basis_classes(self, basis: Sequence[int], where: str) -> list[dict[int, int]]:
         """Sparse classes of generators 1..N over a free basis, or VerificationError.
 
         ``basis`` lists the basis elements' signed codes.  Coordinates come
@@ -257,7 +255,7 @@ class _UnitEliminations:
         of row p is survivor p plus its coordinates on the tag rows.  Returns
         the class {basis index: coefficient} of each generator 1..N, in order.
         """
-        position, core = self.residual(store)
+        position, core = self.residual()
         num_live = len(position)
         for t, code in enumerate(basis):
             column = {num_live + t: 1}
@@ -295,15 +293,10 @@ def cokernel_presentation(
     row in every other column, so row operations clear its column without
     touching the rest, and it is split off before the next round.
     """
-    if type(ambient_rank) is not int:
-        raise ValueError(f"ambient rank {ambient_rank!r} is not an int")
-    if ambient_rank < 0:
-        raise ValueError("ambient rank must be nonnegative")
+    check_size("ambient rank", ambient_rank, 0)
     elim = _UnitEliminations(ambient_rank)
-    store: set = set()
     for c in columns:
-        # the dict test first: the ABC check costs as much as a short column
-        if isinstance(c, dict) or isinstance(c, Mapping):
+        if isinstance(c, Mapping):
             entries = c.items()
         elif len(c) != ambient_rank:
             raise ValueError(f"column of length {len(c)}, expected {ambient_rank}")
@@ -319,8 +312,8 @@ def cokernel_presentation(
                 if not 0 <= i < ambient_rank:
                     raise ValueError("column index out of range")
                 terms.append((i + 1, v))
-        elim.absorb(terms, store)
-    live, work = elim.residual(store)
+        elim.absorb(terms)
+    live, work = elim.residual()
     units = ambient_rank - len(live)
     for _ in range(256):
         pivots = _echelon_columns(work)

@@ -59,9 +59,10 @@ class StandardTilting:
       and zi, rooted at ``L<i>[0]`` = Z(i-1).
     - ``Y1..Yn``, the first zigzag steps: Y(i-1) is ``L<i>[1]``.
 
-    Several labels may share an index.  ``leapfrogs[b]`` lists the arc
-    indices of the zigzag converging to the accumulation point between
-    segments b and b+1.
+    Several labels may share an index.  ``leapfrogs[b]`` records the
+    positions, fixed at construction, of the zigzag converging to the
+    accumulation point between segments b and b+1; ``mutate`` keeps them, so
+    after a mutation a position may hold the new arc, not a zigzag step.
     """
 
     model: CircleModel
@@ -198,8 +199,7 @@ def build_standard_tilting(
             ladder.append(add(Arc(lo, hi)))
         leapfrogs.append(tuple(ladder))
         acc = ((b + 1) % n) + 1
-        y = ((acc - 2) % n) + 1
-        names[f"Y{y}"] = ladder[1]
+        names[f"Y{b + 1}"] = ladder[1]
         for t, idx in enumerate(ladder):
             names[f"L{acc}[{t}]"] = idx
 

@@ -110,17 +110,19 @@ class ReferenceUnitEliminations:
     """Plain copy of the unit-elimination step, to check the production one against.
 
     Same state as ``snf._UnitEliminations``: ``rep`` maps every signed code
-    to the signed code it stands for (0 once eliminated) and ``members``
-    lists the generators each survivor stands for.  ``absorb`` sums the
-    resolved terms, filters out the zeros, then tests the unit cases on the
-    filtered list.
+    to the signed code it stands for (0 once eliminated), ``members``
+    lists the generators each survivor stands for and ``store`` holds the
+    columns that were not unit relations.  ``absorb`` sums the resolved
+    terms, filters out the zeros, then tests the unit cases on the filtered
+    list.
     """
 
     def __init__(self, size):
         self.rep = [*range(size + 1), *range(-size, 0)]
         self.members = {g: [g] for g in range(1, size + 1)}
+        self.store = set()
 
-    def absorb(self, column, store):
+    def absorb(self, column):
         rep = self.rep
         acc = {}
         for code, coef in column:
@@ -131,11 +133,11 @@ class ReferenceUnitEliminations:
                 acc[-r] = acc.get(-r, 0) - coef
         items = [(g, v) for g, v in acc.items() if v]
         if not items:
-            return False
+            return
         if len(items) == 1 and abs(items[0][1]) == 1:
             for m in self.members.pop(items[0][0]):
                 rep[m] = rep[-m] = 0
-            return True
+            return
         if len(items) == 2 and abs(items[0][1]) == 1 and abs(items[1][1]) == 1:
             (a, va), (b, vb) = items
             s = -va * vb
@@ -149,9 +151,8 @@ class ReferenceUnitEliminations:
                 rep[m] = v
                 rep[-m] = -v
                 into.append(m)
-            return True
+            return
         items.sort()
         if items[0][1] < 0:
             items = [(g, -v) for g, v in items]
-        store.add(tuple(items))
-        return False
+        self.store.add(tuple(items))

@@ -179,9 +179,9 @@ def test_unit_heavy_sparse_lattices_against_reference():
 
 
 def test_group_presentation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need free rank >= 0, got -1$"):
         GroupPresentation(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need invariant factor >= 2, got 1$"):
         GroupPresentation(0, (1,))
     with pytest.raises(ValueError):
         GroupPresentation(0, (4, 2))
@@ -236,6 +236,8 @@ def test_non_int_entries_are_rejected():
         cokernel_presentation(2.5, [])
     with pytest.raises(ValueError, match="ambient rank True is not an int"):
         cokernel_presentation(True, [{0: 2}])
+    with pytest.raises(ValueError, match=r"^need ambient rank >= 0, got -1$"):
+        cokernel_presentation(-1, [])
     assert cokernel_presentation(2, [{1: 2}]) == GroupPresentation(1, (2,))
 
 
@@ -287,11 +289,14 @@ def test_basis_classes_certify_a_free_basis():
 
     def classes(basis):
         elim = _UnitEliminations(5)
-        store: set = set()
-        assert elim.absorb([(4, 1)], store)
-        assert elim.absorb([(2, 1), (5, 1)], store)
-        assert not elim.absorb([(1, 1), (2, 1), (3, 1)], store)
-        return elim.basis_classes(store, basis, "here")
+        elim.absorb([(4, 1)])
+        assert (list(elim.members), elim.rep[4], elim.store) == ([1, 2, 3, 5], 0, set())
+        elim.absorb([(2, 1), (5, 1)])
+        assert (list(elim.members), elim.rep[2], elim.store) == ([1, 3, 5], -5, set())
+        elim.absorb([(1, 1), (2, 1), (3, 1)])
+        assert list(elim.members) == [1, 3, 5]
+        assert elim.store == {((1, 1), (3, 1), (5, -1))}
+        return elim.basis_classes(basis, "here")
 
     assert classes([1, 2]) == [{0: 1}, {1: 1}, {0: -1, 1: -1}, {}, {1: -1}]
     assert classes([-3, 5]) == [{0: 1, 1: 1}, {1: -1}, {0: -1}, {}, {1: 1}]
@@ -422,18 +427,31 @@ def _absorb_streams(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_absorb_streams())
 def test_absorb_matches_reference(stream):
-    # the same return value, rep, members (in order) and store after every
-    # call, then again while the stored columns are re-absorbed
+    # the same rep, members (in order) and store after every call, then
+    # again while the stored columns are re-absorbed into fresh stores; a
+    # unit move pops exactly one members entry, anything else pops none
     size, columns = stream
     elim, ref = _UnitEliminations(size), ReferenceUnitEliminations(size)
 
-    def absorb_all(columns, store, ref_store):
+    def is_unit(column):
+        acc: dict[int, int] = {}
+        for code, coef in column:
+            if r := ref.rep[code]:
+                acc[abs(r)] = acc.get(abs(r), 0) + (coef if r > 0 else -coef)
+        values = [v for v in acc.values() if v]
+        return len(values) in (1, 2) and all(v in (1, -1) for v in values)
+
+    def absorb_all(columns):
         for column in columns:
-            assert elim.absorb(column, store) == ref.absorb(column, ref_store)
+            before, unit = len(elim.members), is_unit(column)
+            assert elim.absorb(column) is None
+            ref.absorb(column)
             assert elim.rep == ref.rep
             assert list(elim.members.items()) == list(ref.members.items())
-            assert store == ref_store
+            assert elim.store == ref.store
+            assert before - len(elim.members) == unit
 
-    store, ref_store = set(), set()
-    absorb_all(columns, store, ref_store)
-    absorb_all(sorted(store), set(), set())
+    absorb_all(columns)
+    stored = sorted(elim.store)
+    elim.store, ref.store = set(), set()
+    absorb_all(stored)

@@ -177,6 +177,35 @@ def test_leapfrog_endpoints_monotone():
                 assert shares_endpoint(prev, cur)
 
 
+def test_labels_follow_the_docstring():
+    # with label numbers mod n: Zi joins zi and z(i+1), L<i>[0] is Z(i-1),
+    # Y(i-1) is L<i>[1], and leapfrogs[b] is the zigzag L<i> converging
+    # between segments b and b+1, i.e. i = b+2
+    for n in range(1, 9):
+        label = lambda i: (i - 1) % n + 1
+        for depth in (1, 2, 3):
+            t = build_standard_tilting(n, None, depth)
+            steps = range(2 * depth + 1)
+            assert set(t.names) == {
+                *(f"{c}{i}" for c in "ZY" for i in range(1, n + 1)),
+                *(f"X{i}" for i in range(2, n + 1)),
+                *(f"L{i}[{s}]" for i in range(1, n + 1) for s in steps),
+            }
+            for i in range(1, n + 1):
+                ends = ((0, -1), (0, 1)) if n == 1 else ((i - 1, 0), (i % n, 0))
+                assert t.arcs[t.names[f"Z{i}"]] == A(*ends)
+                assert t.names[f"L{i}[0]"] == t.names[f"Z{label(i - 1)}"]
+                assert t.names[f"Y{label(i - 1)}"] == t.names[f"L{i}[1]"]
+            assert t.leapfrogs == tuple(
+                tuple(t.names[f"L{label(b + 2)}[{s}]"] for s in steps) for b in range(n)
+            )
+    # mutate keeps the positions recorded at construction
+    t = build_standard_tilting(3, None, 2)
+    m = mutate(t, 4)
+    assert m.leapfrogs == t.leapfrogs and 4 in t.leapfrogs[0]
+    assert m.arcs[4] == A((0, 0), (1, -2)) and m.name_of(4) == "L2[2]*"
+
+
 def test_exchange_pair_n3():
     t = build_standard_tilting(3, None, 4)
     pair = exchange_pair(t, t.names["Z1"])
