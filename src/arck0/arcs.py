@@ -59,9 +59,3 @@ class Arc(_Endpoints):
 
     def __str__(self) -> str:
         return str(self.to_json())
-
-    @classmethod
-    def from_json(cls, data) -> "Arc":
-        (s0, o0), (s1, o1) = data
-        return cls(MarkedPoint(s0, o0), MarkedPoint(s1, o1))
-

@@ -46,26 +46,20 @@ def _load_json(text: str):
         raise ValueError("JSON nested too deeply") from exc
 
 
-def _parse_arc(data) -> Arc:
-    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]``.
+def _parse_arc(data, model: CircleModel) -> Arc:
+    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]`` on ``model``.
 
-    Every malformed input raises ValueError: Arc's own errors keep their
-    message, and a wrong shape or type reads ``malformed arc <json>``.
+    The one decoder of an arc from outside: a wrong shape raises ValueError
+    ``malformed arc <json>``, then ``model.check_point`` checks each point,
+    and only then is the Arc built, so no bool or float is read as an int.
     """
-    malformed = f"malformed arc {json.dumps(data)}"
     try:
         (_, _), (_, _) = data
     except (TypeError, ValueError) as exc:
-        raise ValueError(malformed) from exc
-    try:
-        return Arc.from_json(data)
-    except TypeError as exc:
-        raise ValueError(malformed) from exc
-
-
-def _quoted(text: str) -> str:
-    """``text`` quoted, or its first 80 characters quoted and ``...``: one short line."""
-    return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+        raise ValueError(f"malformed arc {json.dumps(data)}") from exc
+    for p in data:
+        model.check_point(p)
+    return Arc(*data)
 
 
 def _one_line(exc: Exception) -> str:
@@ -115,13 +109,9 @@ def _cmd_exchange(args: argparse.Namespace) -> tuple[dict, str]:
         index = tilting.names[name]
     else:
         try:
-            arc = _parse_arc(_load_json(name))
-            tilting.model.check_point(arc.a)
-            tilting.model.check_point(arc.b)
+            arc = _parse_arc(_load_json(name), tilting.model)
         except ValueError as exc:
-            raise ValueError(f"unknown arc {_quoted(name)}") from exc
-        if arc not in tilting:
-            raise ValueError(f"arc {_quoted(name)} is not in the tilting set")
+            raise ValueError(f"unknown arc {name!r}") from exc
         index = tilting.arc_index(arc)
     pair = exchange_pair(tilting, index)
     payload = {
@@ -172,7 +162,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
         items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
-        arcs = tuple(map(_parse_arc, items))
+        arcs = tuple(_parse_arc(item, model) for item in items)
     return None, render_svg(model, arcs, args.window)
 
 

@@ -87,7 +87,11 @@ class StandardTilting:
         object.__setattr__(self, "_label", label)
 
     def arc_index(self, arc: Arc) -> int:
-        return self._neighbours[arc.a][arc.b]
+        """Index of ``arc`` in ``arcs``; an arc the tilting does not hold raises ValueError."""
+        index = self._neighbours.get(arc.a, {}).get(arc.b)
+        if index is None:
+            raise ValueError(f"arc {arc} is not in the tilting set")
+        return index
 
     def __contains__(self, arc: Arc) -> bool:
         return arc.b in self._neighbours.get(arc.a, ())
@@ -268,6 +272,12 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
 
 
 def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
+    """The exchange pair of the arc at ``m_index``, an int in ``range(len(t.arcs))``.
+
+    Any other index raises ValueError, a frontier arc InsufficientDepthError.
+    """
+    if type(m_index) is not int or not 0 <= m_index < len(t.arcs):
+        raise ValueError(f"arc index {m_index!r} out of range [0, {len(t.arcs)})")
     m = t.arcs[m_index]
     thirds, terms = _flank(t, m_index)
     if len(thirds) < 2:
@@ -305,6 +315,7 @@ def mutate(t: StandardTilting, m_index: int) -> StandardTilting:
     The swap happens in place in the index order, so mutating twice at the
     same position restores the original arc set.  Labels pointing at the old
     arc are dropped and the new arc is labelled with a trailing ``*``.
+    A bad ``m_index`` or a frontier arc raises what ``exchange_pair`` raises.
     """
     pair = exchange_pair(t, m_index)
     new_arcs = list(t.arcs)

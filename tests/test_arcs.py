@@ -37,7 +37,7 @@ def test_arc_canonical_order_and_json():
     arc = A((1, 5), (0, 3))
     assert arc.a == P(0, 3) and arc.b == P(1, 5)
     assert arc.to_json() == [[0, 3], [1, 5]]
-    assert Arc.from_json(arc.to_json()) == arc
+    assert Arc(*arc.to_json()) == arc
 
 
 def test_arc_wraps_plain_pairs():

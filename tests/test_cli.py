@@ -127,9 +127,9 @@ def test_exchange_by_json_arc(capsys):
 def test_exchange_unknown_arc(capsys):
     code, _, err = run(capsys, ["exchange", "--n", "3", "--depth", "3", "--arc", "Q7"])
     assert code == 2 and "error" in err
-    # a valid arc outside the tilting is named as such
+    # a valid arc outside the tilting is named as such, in its JSON form
     code, _, err = run(capsys, ["exchange", "--n", "2", "--arc", "[[0,0],[0,2]]"])
-    assert code == 2 and err == "error: arc '[[0,0],[0,2]]' is not in the tilting set"
+    assert code == 2 and err == "error: arc [[0, 0], [0, 2]] is not in the tilting set"
 
 
 def test_exchange_frontier_is_bad_input(capsys):
@@ -423,7 +423,11 @@ def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
         ("[[[0],[1,0]]]", "malformed arc [[0], [1, 0]]"),
         ('[{"a":1}]', 'malformed arc {"a": 1}'),
         ("7", "--arcs must be a JSON list of arcs, got 7"),
-        ('[[["a",0],[0,2]]]', 'malformed arc [["a", 0], [0, 2]]'),
+        # the points are checked before the arc is built: a bool or float
+        # coordinate is no int, not a degenerate arc
+        ('[[["a",0],[0,2]]]', "marked point ['a', 0] needs integer coordinates"),
+        ("[[[true,0],[1,0]]]", "marked point [True, 0] needs integer coordinates"),
+        ("[[[0,0],[0,1.0]]]", "marked point [0, 1.0] needs integer coordinates"),
         ("{}", "--arcs must be a JSON list of arcs, got {}"),
         ('[[["a",0],["b",1]]]', "marked point ['a', 0] needs integer coordinates"),
         pytest.param("[" * 100000 + "]" * 100000, "JSON nested too deeply", id="too-deep"),
@@ -468,20 +472,20 @@ def test_exchange_malformed_arc_is_unknown(capsys, arc):
     code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
     assert code == 2
     assert out == ""
-    if len(arc) > 80:
-        # a long argument is quoted by its first 80 characters only
-        assert err == "error: unknown arc '" + "[" * 80 + "'..."
+    if len(arc) > 200:
+        # a long argument is cut, with the rest of the line, after 200 characters
+        assert err == "error: unknown arc '" + "[" * 187 + "..."
     else:
         assert err == f"error: unknown arc {arc!r}"
 
 
-def test_exchange_quotes_a_long_arc_by_its_start(capsys):
-    # padded with spaces, a valid arc outside the tilting is a long argument
+def test_exchange_names_a_padded_arc_in_json_form(capsys):
+    # padded with spaces, a valid arc outside the tilting is named as decoded
     arc = "[[0,0]," + " " * 100000 + "[0,2]]"
     code, out, err = run(capsys, ["exchange", "--n", "2", "--arc", arc])
     assert code == 2
     assert out == ""
-    assert err == "error: arc '[[0,0]," + " " * 73 + "'... is not in the tilting set"
+    assert err == "error: arc [[0, 0], [0, 2]] is not in the tilting set"
 
 
 DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"

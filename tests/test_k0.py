@@ -156,6 +156,8 @@ def test_compute_k0_cn_frontier_report():
     assert len(report.arcs) == 15
     assert len(palu_relations(build_standard_tilting(3, None, 2))) == 12
     assert report.presentation == GroupPresentation(3)
+    with pytest.raises(ValueError, match=r"arc \[\[0, 0\], \[0, 2\]\] is not a tilting arc"):
+        report.class_of(A((0, 0), (0, 2)))
     for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
         frontier = compute_k0_cn(n, None, depth).frontier
         assert sorted(frontier) == sorted(f"L{b}[{2 * depth}]" for b in range(1, n + 1))

@@ -247,6 +247,26 @@ def test_exchange_pair_frontier_raises():
         exchange_pair(t, deepest)
 
 
+@pytest.mark.parametrize("index", [-7, -1, 9, True, 1.0, "3", None])
+def test_exchange_pair_and_mutate_reject_a_bad_index(index):
+    # a negative index would swap an arc and leave its labels behind; a bool
+    # would pick arc 1
+    t = build_standard_tilting(2, None, 2)
+    message = re.escape(f"arc index {index!r} out of range [0, 9)")
+    for call in (exchange_pair, mutate):
+        with pytest.raises(ValueError, match=message):
+            call(t, index)
+
+
+def test_arc_index_names_an_arc_outside_the_tilting():
+    t = build_standard_tilting(2, None, 2)
+    assert t.arc_index(A((1, 0), (0, 0))) == t.names["Z1"]
+    for arc in (A((0, 0), (0, 2)), A((5, 0), (6, 1))):
+        assert arc not in t
+        with pytest.raises(ValueError, match=re.escape(f"arc {arc} is not in the tilting set")):
+            t.arc_index(arc)
+
+
 def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
     # _flank hands plain (segment, offset) tuples to Arc for thirds adjacent
     # to an endpoint; every arc that leaves the package wraps them
