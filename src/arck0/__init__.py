@@ -17,10 +17,11 @@ from .k0 import (
     K0Report,
     OracleQuotient,
     VerificationError,
-    class_same_segment,
+    arc_class,
     compute_k0_cn,
     euler_oracle,
     standard_basis_arcs,
+    verify_exchange_route,
 )
 from .completion import (
     compute_k0_completed,
@@ -47,10 +48,11 @@ __all__ = [
     "K0Report",
     "OracleQuotient",
     "VerificationError",
-    "class_same_segment",
+    "arc_class",
     "compute_k0_cn",
     "euler_oracle",
     "standard_basis_arcs",
+    "verify_exchange_route",
     "compute_k0_completed",
     "f_matrix",
     "kernel_generator_arc",

@@ -50,10 +50,6 @@ class Arc(_Endpoints):
     def _make(cls, iterable) -> "Arc":
         return cls(*iterable)
 
-    @property
-    def same_segment(self) -> bool:
-        return self.a[0] == self.b[0]
-
     def to_json(self) -> list[list[int]]:
         return [self.a.to_json(), self.b.to_json()]
 

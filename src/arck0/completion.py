@@ -17,7 +17,8 @@ from .k0 import (
     InsufficientWindowError,
     OracleQuotient,
     _check_oracle_arcs,
-    class_same_segment,
+    _first_misfit,
+    arc_class,
     euler_oracle,
 )
 
@@ -40,16 +41,15 @@ def kernel_generator_arc(n: int, i: int) -> Arc:
 def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Classes of the kernel generators over the host basis (Y1, X2, ..., X2n).
 
-    Returns the n columns, each of length 2n: the same-segment class of each
-    kernel generator arc on the 2n-segment host.  Column 1 is [X2] + [Y1];
-    column i >= 2 is 2[X(2i-1)] - [X2] - [Y1].  A matrix of more than
-    2,000,000 entries raises ValueError up front.
+    Returns the n columns, each of length 2n: ``arc_class(2n, arc)`` of each
+    kernel generator arc.  Generator i joins (2i-2, -2) and (2i-2, 0), two
+    even offsets on host segment 2i-2, so its class is 2u_(2i-2): column 1
+    is [Y1] + [X2], and column i >= 2 is 2[X(2i-1)] - [Y1] - [X2].  A matrix
+    of more than 2,000,000 entries raises ValueError up front.
     """
     check_size("n", n, 1)
     check_cap(f"n={n}", 2 * n * n, "matrix entries", _MAX_COMPLETED_ENTRIES)
-    return tuple(
-        class_same_segment(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1)
-    )
+    return tuple(arc_class(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1))
 
 
 def compute_k0_completed(n: int) -> GroupPresentation:
@@ -61,14 +61,11 @@ def compute_k0_completed(n: int) -> GroupPresentation:
 def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     """Check the completion's closed forms against the Euler oracle on the host.
 
-    Three checks on the oracle of the 2n-segment host, each raising
-    VerificationError that names it and its first offending arc or segment:
-    the coordinates of the kernel generators over the host basis (Y1, X2,
-    ..., X2n) equal the columns of ``f_matrix(n)`` exactly, signs included;
-    every same-segment window arc has the coordinates
-    ``class_same_segment(2n, arc)``; and the one-sided fountain of every
-    host segment s, W(i) from (s, -window) over i interior points, has
-    [W(i)] = (i % 2)[W(1)] for i = 1..2*window-1 and [W(1)] != 0.
+    Two checks on the oracle of the 2n-segment host, each raising
+    VerificationError that names it and its first offending arc: the
+    coordinates of the kernel generators over the host basis (Y1, X2, ...,
+    X2n) equal the columns of ``f_matrix(n)`` exactly, signs included; and
+    every window arc has the coordinates ``arc_class(2n, arc)``.
     Returns the host oracle.  A host window of more than 34,000 arcs raises
     ValueError up front, naming ``n`` and its 2n-segment host.
     """
@@ -81,19 +78,10 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
-    for arc in oracle.arcs:
-        if arc.same_segment and oracle.class_of(arc) != class_same_segment(2 * n, arc):
-            raise VerificationError(
-                f"same-segment closed form differs from host oracle coordinates "
-                f"{oracle.class_of(arc)} of arc {arc}"
-            )
-    for s in range(2 * n):
-        start = MarkedPoint(s, -window)
-        w1 = oracle.class_of(Arc(start, MarkedPoint(s, 2 - window)))
-        for i in range(1, 2 * window):
-            cls = oracle.class_of(Arc(start, MarkedPoint(s, i + 1 - window)))
-            if not any(w1) or cls != tuple(i % 2 * v for v in w1):
-                raise VerificationError(
-                    f"fountain parity fails on host segment {s}: [W({i})] = {cls}, [W(1)] = {w1}"
-                )
+    arc = _first_misfit(oracle)
+    if arc is not None:
+        raise VerificationError(
+            f"closed form {arc_class(2 * n, arc)} differs from host oracle coordinates "
+            f"{oracle.class_of(arc)} of arc {arc}"
+        )
     return oracle

@@ -7,6 +7,9 @@ finite window as a generator and imposes the Euler relation of every triangle
 induced by a crossing pair, plus the suspension relations [shift A] = -[A].
 Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
 basis and give every arc its coordinates over them, in one helper.
+``arc_class`` is the closed form of every arc's class, a sum of two endpoint
+weights; ``verify_exchange_route`` checks the first route against it, and
+``completion.verify_f_oracle`` the second.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint, check_cap, check_size
 from .arcs import Arc
-from .snf import GroupPresentation, VerificationError, _UnitEliminations
+from .snf import GroupPresentation, VerificationError, _UnitEliminations, cokernel_presentation
 from .tilting import (
     InsufficientDepthError,
     build_standard_tilting,
@@ -39,11 +42,14 @@ class K0Report:
     """The group Z^n with the class of every tilting arc, and truncation bookkeeping.
 
     ``frontier`` lists the arcs that were too deep to have both flanking
-    triangles, so they have no exchange relation of their own.
+    triangles, so they have no exchange relation of their own.  ``basis``
+    holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1) that ``class_of``
+    reads coordinates over.
     """
 
     presentation: GroupPresentation
     frontier: tuple[str, ...]
+    basis: tuple[Arc, ...]
     # sparse class {basis index: coefficient} of every tilting arc, in tilting order
     _classes: dict[Arc, dict[int, int]] = field(repr=False)
 
@@ -78,10 +84,17 @@ def compute_k0_cn(
     for terms in relations.values():
         elim.absorb([(i + 1, c) for i, c in terms.items()])
     names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
-    basis = [tilting.names[name] + 1 for name in names]
-    classes = elim.basis_classes(basis, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
+    basis = [tilting.names[name] for name in names]
+    classes = elim.basis_classes(
+        [i + 1 for i in basis], f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})"
+    )
     frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
-    return K0Report(GroupPresentation(n), frontier, dict(zip(tilting.arcs, classes)))
+    return K0Report(
+        GroupPresentation(n),
+        frontier,
+        tuple(tilting.arcs[i] for i in basis),
+        dict(zip(tilting.arcs, classes)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +240,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
 
 # ---------------------------------------------------------------------------
-# closed-form class computations for same-segment arcs
+# the closed form of every arc's class
 
 
 def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
@@ -245,33 +258,103 @@ def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
     return (y1,) + xs
 
 
-def class_same_segment(n: int, arc: Arc) -> tuple[int, ...]:
-    """Coefficients of a same-segment arc's class over the basis (Y1, X2, ..., Xn).
+def _doubled_weight(n: int, segment: int, offset: int) -> dict[int, int]:
+    """2φ(segment, offset) = (-1)^offset 2u_segment, sparse over the basis of ``arc_class``."""
+    sign = -1 if offset & 1 else 1
+    if n == 1:
+        return {0: -sign}
+    if segment == 0:
+        return {0: sign, 1: sign}
+    weight = {0: -sign, 1: -sign}
+    weight[segment] = weight.get(segment, 0) + 2 * sign
+    return weight
 
-    Zero when the arc has an even number of interior points.  Otherwise the
-    class is +/-([X2] + [Y1]) on the anchor z1's segment and
-    +/-(2[Xi] - [X2] - [Y1]) on segment i-1, the sign being the parity of the
-    clockwise shift aligning the arc's upper endpoint onto offset 0
-    (the aligned copy is the one whose suspension crosses the suspended fan
-    arc, which fixes the choice between the two shifts sharing an endpoint).
+
+def _closed_form(n: int, arc: Arc) -> dict[int, int]:
+    """Sparse class of ``arc``: (2φ(a) + 2φ(b)) / 2, whose doubled entries are all even."""
+    total = _doubled_weight(n, *arc.a)
+    for t, v in _doubled_weight(n, *arc.b).items():
+        total[t] = total.get(t, 0) + v
+    return {t: v // 2 for t, v in total.items() if v}
+
+
+def arc_class(n: int, arc: Arc) -> tuple[int, ...]:
+    """Coefficients of the class of any arc over the basis (Y1, X2, ..., Xn), Z1 for n = 1.
+
+    Each marked point (s, o) has the weight φ(s, o) = (-1)^o u_s, where
+    2u_0 = [Y1] + [X2] and 2u_s = 2[X(s+1)] - [Y1] - [X2] for s >= 1
+    (X(s+1) sits at basis index s), and 2u_0 = -[Z1] for n = 1.  The class
+    of {p, q} is φ(p) + φ(q).  The halves cancel on every arc, so it is
+    computed as (2φ(p) + 2φ(q)) / 2 in integers.  So a same-segment arc
+    with an even number of interior points has class 0, and shifting an
+    arc by one marked point negates its class.  An endpoint off the
+    n-segment circle raises ValueError.
     """
-    check_size("n", n, 2)  # the basis includes X2
     model = CircleModel(n)
     model.check_point(arc.a)
     model.check_point(arc.b)
-    if arc.a[0] != arc.b[0]:
-        raise ValueError(f"cross-segment arc {arc} has no same-segment class")
     coeffs = [0] * n
-    interior = arc.b[1] - arc.a[1] - 1
-    if interior % 2 == 0:
-        return tuple(coeffs)
-    segment = arc.a[0]
-    sign = -1 if arc.b[1] % 2 else 1
-    if segment == 0:
-        coeffs[0] += sign  # Y1
-        coeffs[1] += sign  # X2
-    else:
-        coeffs[segment] += 2 * sign  # X(segment+1) sits at basis index segment
-        coeffs[0] -= sign
-        coeffs[1] -= sign
+    for t, v in _closed_form(n, arc).items():
+        coeffs[t] = v
     return tuple(coeffs)
+
+
+def _first_misfit(
+    result: K0Report | OracleQuotient, rows: list[dict[int, int]] | None = None
+) -> Arc | None:
+    """The first arc of ``result`` whose class is not its closed form, else None.
+
+    A class is read through ``rows``, the closed forms of the basis it is
+    written over, when they are given: the class {t: c_t} stands for
+    sum c_t rows[t], and the rows must be unimodular.  The closed form
+    depends only on the segments and offset parities of the endpoints, so
+    the first arc of each such key is compared with it, and every later arc
+    of the key with the first one's class: with unimodular rows, two
+    classes read the same exactly when they are equal.
+    """
+    n = result.presentation.free_rank
+    first: dict[tuple[int, int, int, int], dict[int, int]] = {}
+    for arc, cls in result._classes.items():
+        (s, o), (s2, o2) = arc
+        key = (s, o & 1, s2, o2 & 1)
+        seen = first.get(key)
+        if seen is not None:
+            if cls != seen:
+                return arc
+            continue
+        first[key] = cls
+        if rows is not None:
+            mapped: dict[int, int] = {}
+            for t, c in cls.items():
+                for u, v in rows[t].items():
+                    mapped[u] = mapped.get(u, 0) + c * v
+            cls = {u: v for u, v in mapped.items() if v}
+        if cls != _closed_form(n, arc):
+            return arc
+    return None
+
+
+def verify_exchange_route(
+    n: int, anchor_offsets: list[int] | None = None, depth: int = 4
+) -> K0Report:
+    """``compute_k0_cn(n, anchor_offsets, depth)``, checked against ``arc_class``.
+
+    Two things must hold, else VerificationError names the shape and, for
+    the second, its first bad arc.  The closed forms M of the report's
+    basis are unimodular (``cokernel_presentation(n, M)`` is the zero
+    group), so they are a basis too; and every tilting arc's closed form is
+    ``class_of(arc)`` times M.  A wrong exchange relation gives some arc a
+    class that is not its closed form.  Returns the report.
+    """
+    report = compute_k0_cn(n, anchor_offsets, depth)
+    where = f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})"
+    rows = [_closed_form(n, arc) for arc in report.basis]
+    if cokernel_presentation(n, rows) != GroupPresentation(0):
+        raise VerificationError(f"closed forms of the basis arcs are not unimodular in {where}")
+    arc = _first_misfit(report, rows)
+    if arc is not None:
+        raise VerificationError(
+            f"exchange-route class {report.class_of(arc)} of arc {arc} is not its closed form "
+            f"{arc_class(n, arc)} in {where}"
+        )
+    return report

@@ -144,21 +144,29 @@ def test_exchange_frontier_is_bad_input(capsys):
 BASIS = "free basis Y1, X2..Xn (Z1 for n = 1) modulo exchange relations"
 
 
+VERIFY_LINES = [
+    "PASS  host oracle coordinates of the kernel generators equal f_matrix",
+    "PASS  closed form equals host oracle coordinates on every window arc",
+    "PASS  exchange-route classes equal the closed form at depths 2, 3, 4 "
+    "and anchor offsets -3 and 5",
+]
+
+
 def test_verify_passes(capsys):
     # the contract the benchmark checks, at its sizes: exactly six lines,
-    # each a PASS
-    for (n, free, completed), window in itertools.product(
-        ((1, "Z", "Z"), (2, "Z^2", "Z^2 x Z/2")), (4, 5, 6)
-    ):
+    # each a PASS; n = 3 runs the closed form's weights of segments s >= 2
+    # through the fan diagonal X3 of line 6
+    for (n, free, completed), window in [
+        *itertools.product(((1, "Z", "Z"), (2, "Z^2", "Z^2 x Z/2")), (4, 5, 6)),
+        ((3, "Z^3", "Z^3 x Z/2 x Z/2"), 4),
+    ]:
         code, out, err = run(capsys, ["verify", "--n", str(n), "--window", str(window)])
         assert (code, err) == (0, "")
         assert out.splitlines() == [
             f"PASS  {BASIS} at depths 2, 3, 4 ({free})",
             f"PASS  {BASIS} at anchor offsets -3 and 5",
             f"PASS  completion shape Z^n x (Z/2)^(n-1) ({completed})",
-            "PASS  host oracle coordinates of the kernel generators equal f_matrix",
-            "PASS  same-segment closed form equals host oracle coordinates",
-            "PASS  iterated fountain classes match parity",
+            *VERIFY_LINES,
         ]
 
 
@@ -183,43 +191,103 @@ def doctored_oracle(monkeypatch, arc, cls):
     monkeypatch.setattr(completion, "euler_oracle", doctored)
 
 
+def assert_line_5_fails(capsys, monkeypatch, n, arc, cls, message):
+    from arck0 import VerificationError, verify_f_oracle
+
+    doctored_oracle(monkeypatch, arc, cls)
+    with pytest.raises(VerificationError) as raised:
+        verify_f_oracle(n, 4)
+    assert str(raised.value) == message
+    assert_verify_fails(capsys, ["verify", "--n", str(n), "--window", "4"], message)
+
+
 def test_verify_wrong_same_segment_class_exits_1(capsys, monkeypatch):
-    # (1, -1)-(1, 1) is neither a kernel generator nor a fountain arc, so
-    # only the same-segment check reads it
-    from arck0 import Arc, MarkedPoint, VerificationError, verify_f_oracle
+    # (1, -1)-(1, 1) is no kernel generator, so only line 5 reads it
+    from arck0 import Arc, MarkedPoint
 
     arc = Arc(MarkedPoint(1, -1), MarkedPoint(1, 1))
-    doctored_oracle(monkeypatch, arc, {0: 5})
     message = (
-        "same-segment closed form differs from host oracle coordinates (5, 0) "
+        "closed form (1, -1) differs from host oracle coordinates (5, 0) "
         "of arc [[1, -1], [1, 1]]"
     )
+    assert_line_5_fails(capsys, monkeypatch, 1, arc, {0: 5}, message)
+
+
+def test_verify_wrong_cross_segment_class_exits_1(capsys, monkeypatch):
+    # line 5 reads every window arc, cross-segment ones too.  The doctored
+    # arc is the first with its endpoints' segments and offset parities, so
+    # it is compared with the closed form itself; the same-segment arc
+    # above is compared with the first arc of its key
+    from arck0 import Arc, MarkedPoint
+
+    arc = Arc(MarkedPoint(1, -4), MarkedPoint(3, -3))
+    message = (
+        "closed form (0, 1, 0, -1) differs from host oracle coordinates (0, 0, 0, 0) "
+        "of arc [[1, -4], [3, -3]]"
+    )
+    assert_line_5_fails(capsys, monkeypatch, 2, arc, {}, message)
+
+
+def flank_sign_mutant(monkeypatch):
+    """Negate the +{v3,v0} term of every exchange relation that ``tilting._flank`` reads off."""
+    from arck0 import tilting
+
+    flank = tilting._flank
+
+    def mutant(t, i):
+        thirds, terms = flank(t, i)
+        if len(thirds) == 2:
+            j = t._neighbours[t.arcs[i].a].get(thirds[1])
+            if j is not None:
+                terms[j] = -terms[j]
+        return thirds, terms
+
+    monkeypatch.setattr(tilting, "_flank", mutant)
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (1, "exchange-route class (1,) of arc [[0, -2], [0, 2]] is not its closed form (-1,) "
+            "in compute_k0_cn(1, None, 2)"),
+        (2, "exchange-route class (0, 1) of arc [[0, 1], [1, -1]] is not its closed form (0, -1) "
+            "in compute_k0_cn(2, None, 2)"),
+    ],
+    ids=["n1", "n2"],
+)
+def test_verify_wrong_exchange_relation_exits_1(capsys, monkeypatch, n, message):
+    # a sign error in one term of the exchange relations still gives Z^n
+    # with a free basis, but not the closed form's classes: line 6 fails on
+    # every shape it checks
+    from arck0 import VerificationError, compute_k0_cn, verify_exchange_route
+
+    flank_sign_mutant(monkeypatch)
+    for anchors, depth in [(None, 2), (None, 3), (None, 4), ([-3] * n, 3), ([5] * n, 3)]:
+        assert compute_k0_cn(n, anchors, depth).presentation.free_rank == n
+        with pytest.raises(VerificationError, match="is not its closed form"):
+            verify_exchange_route(n, anchors, depth)
+    assert_verify_fails(capsys, ["verify", "--n", str(n), "--window", "4"], message)
+
+
+def test_verify_basis_that_is_not_unimodular_exits_1(capsys, monkeypatch):
+    # a report whose basis has closed forms of determinant 0 (X2 twice)
+    # fails line 6 before any class is compared
+    import dataclasses
+
+    from arck0 import VerificationError, k0, verify_exchange_route
+
+    compute = k0.compute_k0_cn
+
+    def doubled_x2(n, anchors, depth):
+        report = compute(n, anchors, depth)
+        return dataclasses.replace(report, basis=(report.basis[1], *report.basis[1:]))
+
+    monkeypatch.setattr(k0, "compute_k0_cn", doubled_x2)
+    message = "closed forms of the basis arcs are not unimodular in compute_k0_cn(2, None, 2)"
     with pytest.raises(VerificationError) as raised:
-        verify_f_oracle(1, 4)
+        verify_exchange_route(2, None, 2)
     assert str(raised.value) == message
-    assert_verify_fails(capsys, ["verify", "--n", "1", "--window", "4"], message)
-
-
-def test_verify_wrong_fountain_parity_exits_1(capsys, monkeypatch):
-    # zero the class of W(3), the odd fountain arc from (0, -4) over three
-    # interior points; every fountain arc is a same-segment arc, so the
-    # closed form is made to agree with the doctored oracle and only the
-    # parity check fails
-    from arck0 import Arc, MarkedPoint, VerificationError, completion, verify_f_oracle
-
-    arc = Arc(MarkedPoint(0, -4), MarkedPoint(0, 0))
-    doctored_oracle(monkeypatch, arc, {})
-    closed_form = completion.class_same_segment
-
-    def agreeing(n, other):
-        return (0,) * n if other == arc else closed_form(n, other)
-
-    monkeypatch.setattr(completion, "class_same_segment", agreeing)
-    message = "fountain parity fails on host segment 0: [W(3)] = (0, 0), [W(1)] = (1, 1)"
-    with pytest.raises(VerificationError) as raised:
-        verify_f_oracle(1, 4)
-    assert str(raised.value) == message
-    assert_verify_fails(capsys, ["verify", "--n", "1", "--window", "4"], message)
+    assert_verify_fails(capsys, ["verify", "--n", "2", "--window", "4"], message)
 
 
 def test_verify_wrong_completion_exits_1(capsys, monkeypatch):
@@ -422,6 +490,9 @@ def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
         ("[[[0,0],[1,0],[2,0]]]", "malformed arc [[0, 0], [1, 0], [2, 0]]"),
         ("[[[0],[1,0]]]", "malformed arc [[0], [1, 0]]"),
         ('[{"a":1}]', 'malformed arc {"a": 1}'),
+        # two-item points that are no JSON lists are no points
+        ('[{"ab": 1, "cd": 2}]', 'malformed arc {"ab": 1, "cd": 2}'),
+        ('[["ab", "cd"]]', 'malformed arc ["ab", "cd"]'),
         ("7", "--arcs must be a JSON list of arcs, got 7"),
         # the points are checked before the arc is built: a bool or float
         # coordinate is no int, not a degenerate arc

@@ -6,6 +6,7 @@ from arck0 import (
     GroupPresentation,
     MarkedPoint,
     VerificationError,
+    arc_class,
     compute_k0_completed,
     f_matrix,
     kernel_generator_arc,
@@ -75,6 +76,16 @@ def test_f_matrix_examples():
         assert sum(cols[0]) == 2
         for col in cols[1:]:
             assert sum(col) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_f_matrix_columns_are_closed_forms(n):
+    # column i is the closed form of kernel generator i on the 2n-segment
+    # host: 2u_0 = [Y1] + [X2] for i = 1, 2u_(2i-2) = 2[X(2i-1)] - [Y1] - [X2]
+    columns = f_matrix(n)
+    assert columns == tuple(arc_class(2 * n, kernel_generator_arc(n, i)) for i in range(1, n + 1))
+    for i, col in enumerate(columns[1:], 2):
+        assert col == tuple(-1 if t < 2 else 2 * (t == 2 * i - 2) for t in range(2 * n))
 
 
 def test_f_columns_are_oracle_kernel_generator_classes():
@@ -187,10 +198,10 @@ def test_even_same_segment_classes_span_the_completion_kernel(n):
 
     oracle = euler_oracle(2 * n, 4)
     even = [arc for arc in oracle.arcs if arc.a[0] % 2 == 0 and arc.b[0] % 2 == 0]
-    same = [oracle.class_of(arc) for arc in even if arc.same_segment]
+    same = [oracle.class_of(arc) for arc in even if arc.a[0] == arc.b[0]]
     assert cokernel_presentation(2 * n, same) == compute_k0_completed(n)
     if n >= 2:
         # negative control: the even-to-even cross-segment arcs kill the torsion
-        cross = [oracle.class_of(arc) for arc in even if not arc.same_segment]
+        cross = [oracle.class_of(arc) for arc in even if arc.a[0] != arc.b[0]]
         assert cross
         assert cokernel_presentation(2 * n, same + cross) == GroupPresentation(n)

@@ -12,14 +12,15 @@ from arck0 import (
     GroupPresentation,
     MarkedPoint,
     VerificationError,
+    arc_class,
     build_standard_tilting,
-    class_same_segment,
     cokernel_presentation,
     compute_k0_cn,
     euler_oracle,
     mutate,
     palu_relations,
     standard_basis_arcs,
+    verify_exchange_route,
 )
 from arck0.tilting import InsufficientDepthError
 from arck0.k0 import InsufficientWindowError
@@ -87,7 +88,12 @@ SIZES = [
     ("euler_oracle", "n", 1, ValueError, lambda v: euler_oracle(v, 2)),
     ("euler_oracle", "window", 2, InsufficientWindowError, lambda v: euler_oracle(2, v)),
     ("standard_basis_arcs", "n", 1, ValueError, standard_basis_arcs),
-    ("class_same_segment", "n", 2, ValueError, lambda v: class_same_segment(v, A((0, 0), (0, 2)))),
+    ("arc_class", "n", 1, ValueError, lambda v: arc_class(v, A((0, 0), (0, 2)))),
+    ("verify_exchange_route", "n", 1, ValueError, lambda v: verify_exchange_route(v, None, 2)),
+    (
+        "verify_exchange_route", "depth", 2, InsufficientDepthError,
+        lambda v: verify_exchange_route(2, None, v),
+    ),
     ("kernel_generator_arc", "n", 1, ValueError, lambda v: kernel_generator_arc(v, 1)),
     ("kernel_generator_arc", "i", 1, ValueError, lambda v: kernel_generator_arc(2, v)),
     ("f_matrix", "n", 1, ValueError, f_matrix),
@@ -502,7 +508,24 @@ def test_tilting_basis_is_the_standard_basis(n):
     names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
     assert tuple(t.arcs[t.names[name]] for name in names) == standard_basis_arcs(n)
     report = compute_k0_cn(n, None, 2)
+    assert report.basis == standard_basis_arcs(n)
     assert [report.class_of(arc) for arc in standard_basis_arcs(n)] == _unit_vectors(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exchange_route_classes_are_closed_forms(n):
+    # at default, uniform and random anchors the exchange route's class of
+    # every tilting arc, read over the report's basis, is its closed form
+    rng = random.Random(n)
+    shapes = [(None, 2), ([-3] * n, 3), ([5] * n, 4), ([rng.randint(-9, 9) for _ in range(n)], 5)]
+    for anchors, depth in shapes:
+        report = verify_exchange_route(n, anchors, depth)
+        assert report == compute_k0_cn(n, anchors, depth)
+        basis = [arc_class(n, arc) for arc in report.basis]
+        for arc in report.arcs:
+            coords = report.class_of(arc)
+            combined = tuple(sum(c * row[u] for c, row in zip(coords, basis)) for u in range(n))
+            assert combined == arc_class(n, arc), (anchors, depth, arc)
 
 
 def _drop_deepest(tilting, relations):
@@ -574,44 +597,64 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
 
 
 # ---------------------------------------------------------------------------
-# closed-form same-segment classes
+# the closed form of every arc's class
 
 
-def test_class_same_segment_examples():
-    # anchor segment: one interior point gives [X2] + [Y1]
-    assert class_same_segment(4, A((0, -2), (0, 0))) == (1, 1, 0, 0)
+def test_arc_class_examples():
+    # anchor segment: one interior point gives [Y1] + [X2]
+    assert arc_class(4, A((0, -2), (0, 0))) == (1, 1, 0, 0)
     # even interior count vanishes
-    assert class_same_segment(4, A((1, 0), (1, 3))) == (0, 0, 0, 0)
-    # other segments: 2[Xi] - [X2] - [Y1]
-    assert class_same_segment(4, A((2, -2), (2, 0))) == (-1, -1, 2, 0)
+    assert arc_class(4, A((1, 0), (1, 3))) == (0, 0, 0, 0)
+    # other segments: 2[Xi] - [Y1] - [X2]
+    assert arc_class(4, A((2, -2), (2, 0))) == (-1, -1, 2, 0)
+    # cross-segment arcs: the weights of the two endpoints add up
+    assert arc_class(4, A((0, 0), (2, 0))) == (0, 0, 1, 0)  # X3
+    assert arc_class(4, A((0, 0), (1, -1))) == (1, 0, 0, 0)  # Y1
+    assert arc_class(4, A((1, 0), (3, 1))) == (0, 1, 0, -1)
+    # n = 1: 2u_0 = -[Z1], so Z1 = (0, -1)-(0, 1) has class [Z1]
+    assert arc_class(1, A((0, -1), (0, 1))) == (1,)
+    assert arc_class(1, A((0, 0), (0, 2))) == (-1,)
+    assert arc_class(1, A((0, 0), (0, 3))) == (0,)
 
 
-def test_class_same_segment_sign_convention():
-    # shifting by one marked point negates the class
-    base = class_same_segment(3, A((2, -2), (2, 0)))
-    shifted = class_same_segment(3, A((2, -3), (2, -1)))
-    assert shifted == tuple(-v for v in base)
+def test_arc_class_sign_convention():
+    # shifting by one marked point negates the class, on one segment or two
+    for n, p, q in ((3, (2, -2), (2, 0)), (3, (0, 1), (2, -4)), (1, (0, -5), (0, -1))):
+        base = arc_class(n, A(p, q))
+        shifted = arc_class(n, A((p[0], p[1] - 1), (q[0], q[1] - 1)))
+        assert any(base) and shifted == tuple(-v for v in base)
 
 
-def test_class_same_segment_rejects_bad_input():
-    with pytest.raises(ValueError):
-        class_same_segment(3, A((0, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        class_same_segment(1, A((0, 0), (0, 2)))
+def test_arc_class_rejects_bad_input():
     # endpoints off the circle: a negative segment, and a segment >= n
     with pytest.raises(ValueError, match="segment -1 out of range"):
-        class_same_segment(2, A((-1, 0), (-1, 2)))
+        arc_class(2, A((-1, 0), (-1, 2)))
     with pytest.raises(ValueError, match="segment 2 out of range"):
-        class_same_segment(2, A((2, 0), (2, 2)))
+        arc_class(2, A((2, 0), (2, 2)))
+    with pytest.raises(ValueError, match="segment 1 out of range"):
+        arc_class(1, A((0, 0), (1, 0)))
+
+
+ARC_CLASS_SIZES = [(1, 6), (2, 6), (3, 6), (4, 5), (5, 4), (6, 4), (7, 3), (8, 3)]
+
+
+@pytest.mark.parametrize("n,window", ARC_CLASS_SIZES)
+def test_arc_class_matches_oracle(n, window):
+    # the closed form is the oracle's coordinates exactly, signs included,
+    # on every window arc, same-segment and cross-segment
+    o = euler_oracle(n, window)
+    for arc in o.arcs:
+        assert arc_class(n, arc) == o.class_of(arc), arc
+    same_segment = [arc for arc in o.arcs if arc.a[0] == arc.b[0]]
+    assert len(same_segment) == n * ((2 * window + 1) * window - 2 * window)
+    assert n == 1 or len(o.arcs) > len(same_segment)
 
 
 def _assert_same_segment_classes(o, n):
-    # the closed form is the oracle's coordinates exactly, signs included,
-    # on every same-segment window arc
-    same_segment = [arc for arc in o.arcs if arc.same_segment]
+    same_segment = [arc for arc in o.arcs if arc.a[0] == arc.b[0]]
     assert len(same_segment) == n * ((2 * o.window + 1) * o.window - 2 * o.window)
     for arc in same_segment:
-        assert o.class_of(arc) == class_same_segment(n, arc), arc
+        assert o.class_of(arc) == arc_class(n, arc), arc
 
 
 def test_class_same_segment_matches_oracle(oracle_c2_w6):

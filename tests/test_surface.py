@@ -29,10 +29,11 @@ PUBLIC = [
     "K0Report",
     "OracleQuotient",
     "VerificationError",
-    "class_same_segment",
+    "arc_class",
     "compute_k0_cn",
     "euler_oracle",
     "standard_basis_arcs",
+    "verify_exchange_route",
     "compute_k0_completed",
     "f_matrix",
     "kernel_generator_arc",
@@ -43,7 +44,7 @@ PUBLIC = [
 # the fields of each result type, so that a dropped field cannot come back
 # unnoticed; each one is read by the package, the CLI or the benchmark
 FIELDS = {
-    "K0Report": ["presentation", "frontier", "_classes"],
+    "K0Report": ["presentation", "frontier", "basis", "_classes"],
     "OracleQuotient": ["window", "presentation", "_classes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
@@ -102,7 +103,7 @@ def test_oracle_quotient_public_attributes():
 def test_k0_report_public_attributes():
     report = arck0.compute_k0_cn(1, None, 2)
     public = {name for name in dir(report) if not name.startswith("_")}
-    assert public == {"presentation", "frontier", "arcs", "class_of"}
+    assert public == {"presentation", "frontier", "basis", "arcs", "class_of"}
 
 
 def test_traced_layer_functions_exist():
