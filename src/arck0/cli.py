@@ -75,7 +75,7 @@ def _one_line(exc: Exception) -> str:
 def _emit(text: str, out: str | None) -> None:
     """Write ``text``, ending in one newline, to the file ``out`` or else to stdout."""
     text = text if text.endswith("\n") else text + "\n"
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -163,7 +163,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
         arcs = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth).arcs
     elif args.anchors is not None:
         raise ValueError("argument --anchors: not allowed without argument --depth")
-    elif args.arcs:
+    elif args.arcs is not None:
         items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")

@@ -16,8 +16,8 @@ from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import (
     InsufficientWindowError,
     OracleQuotient,
+    _check_closed_form,
     _check_oracle_arcs,
-    _first_misfit,
     arc_class,
     euler_oracle,
 )
@@ -62,10 +62,12 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     """Check the completion's closed forms against the Euler oracle on the host.
 
     Two checks on the oracle of the 2n-segment host, each raising
-    VerificationError that names it and its first offending arc: the
-    coordinates of the kernel generators over the host basis (Y1, X2, ...,
-    X2n) equal the columns of ``f_matrix(n)`` exactly, signs included; and
-    every window arc has the coordinates ``arc_class(2n, arc)``.
+    VerificationError: the coordinates of the kernel generators over the
+    host basis (Y1, X2, ..., X2n) equal the columns of ``f_matrix(n)``
+    exactly, signs included; and ``k0._check_closed_form`` finds the closed
+    forms of the host basis unimodular and every window arc's coordinates,
+    read over them, equal to ``arc_class(2n, arc)``.  A failure of the
+    second names ``euler_oracle(2n, window)`` and any offending arc.
     Returns the host oracle.  A host window of more than 34,000 arcs raises
     ValueError up front, naming ``n`` and its 2n-segment host.
     """
@@ -78,10 +80,5 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
-    arc = _first_misfit(oracle)
-    if arc is not None:
-        raise VerificationError(
-            f"closed form {arc_class(2 * n, arc)} differs from host oracle coordinates "
-            f"{oracle.class_of(arc)} of arc {arc}"
-        )
+    _check_closed_form(oracle, f"euler_oracle({2 * n}, {window})")
     return oracle

@@ -8,8 +8,9 @@ induced by a crossing pair, plus the suspension relations [shift A] = -[A].
 Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
 basis and give every arc its coordinates over them, in one helper.
 ``arc_class`` is the closed form of every arc's class, a sum of two endpoint
-weights; ``verify_exchange_route`` checks the first route against it, and
-``completion.verify_f_oracle`` the second.
+weights.  One check, ``_check_closed_form``, compares a result of either
+route with it: ``verify_exchange_route`` runs it on the first route, and
+``completion.verify_f_oracle`` on the second.
 """
 
 from __future__ import annotations
@@ -105,13 +106,15 @@ def compute_k0_cn(
 class OracleQuotient:
     """Finite-window quotient group with coordinates for every window arc.
 
-    The group is free on the classes of ``standard_basis_arcs(n)``, so
-    ``presentation`` is Z^n; a window arc's class is its n coordinates over
-    that basis, so equal classes give equal tuples at every window.
+    The group is free on the classes of ``basis``, the arcs
+    ``standard_basis_arcs(n)``, so ``presentation`` is Z^n; a window arc's
+    class is its n coordinates over that basis, so equal classes give equal
+    tuples at every window.
     """
 
     window: int
     presentation: GroupPresentation
+    basis: tuple[Arc, ...]
     # {basis index: coefficient} of every window arc, in lex order of index pairs
     _classes: dict[Arc, dict[int, int]] = field(repr=False)
 
@@ -233,10 +236,11 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
                     x, y, u, v = key
                     absorb(((x, 1), (y, 1), (u, -1), (v, -1)))
 
-    basis = [rows[points.index(arc.a)][points.index(arc.b)] for arc in standard_basis_arcs(n)]
-    classes = elim.basis_classes(basis, f"euler_oracle({n}, {window})")
+    basis = standard_basis_arcs(n)
+    codes = [rows[points.index(arc.a)][points.index(arc.b)] for arc in basis]
+    classes = elim.basis_classes(codes, f"euler_oracle({n}, {window})")
     arcs = (Arc(points[i], points[j]) for i, j in pairs)
-    return OracleQuotient(window, GroupPresentation(n), dict(zip(arcs, classes)))
+    return OracleQuotient(window, GroupPresentation(n), basis, dict(zip(arcs, classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,39 +303,41 @@ def arc_class(n: int, arc: Arc) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _first_misfit(
-    result: K0Report | OracleQuotient, rows: list[dict[int, int]] | None = None
-) -> Arc | None:
-    """The first arc of ``result`` whose class is not its closed form, else None.
+def _check_closed_form(result: K0Report | OracleQuotient, where: str) -> None:
+    """Raise VerificationError, naming ``where``, unless ``result`` is the closed form.
 
-    A class is read through ``rows``, the closed forms of the basis it is
-    written over, when they are given: the class {t: c_t} stands for
-    sum c_t rows[t], and the rows must be unimodular.  The closed form
-    depends only on the segments and offset parities of the endpoints, so
-    the first arc of each such key is compared with it, and every later arc
-    of the key with the first one's class: with unimodular rows, two
-    classes read the same exactly when they are equal.
+    The closed forms M of ``result.basis`` must be unimodular
+    (``cokernel_presentation(n, M)`` is the zero group), so they are a basis
+    too; and every class {t: c_t} of ``result``, read over them as
+    sum c_t M[t], must be its arc's closed form.  The closed form depends
+    only on the segments and offset parities of the endpoints, so the first
+    arc of each such key is compared with it, and every later arc of the
+    key with the first one's class: with unimodular M, two classes read the
+    same exactly when they are equal.
     """
     n = result.presentation.free_rank
+    rows = [_closed_form(n, arc) for arc in result.basis]
+    if cokernel_presentation(n, rows) != GroupPresentation(0):
+        raise VerificationError(f"closed forms of the basis arcs are not unimodular in {where}")
     first: dict[tuple[int, int, int, int], dict[int, int]] = {}
     for arc, cls in result._classes.items():
         (s, o), (s2, o2) = arc
         key = (s, o & 1, s2, o2 & 1)
         seen = first.get(key)
-        if seen is not None:
-            if cls != seen:
-                return arc
-            continue
-        first[key] = cls
-        if rows is not None:
+        if seen is None:
+            first[key] = cls
             mapped: dict[int, int] = {}
             for t, c in cls.items():
                 for u, v in rows[t].items():
                     mapped[u] = mapped.get(u, 0) + c * v
-            cls = {u: v for u, v in mapped.items() if v}
-        if cls != _closed_form(n, arc):
-            return arc
-    return None
+            fits = {u: v for u, v in mapped.items() if v} == _closed_form(n, arc)
+        else:
+            fits = cls == seen
+        if not fits:
+            raise VerificationError(
+                f"class {result.class_of(arc)} of arc {arc} is not its closed form "
+                f"{arc_class(n, arc)} in {where}"
+            )
 
 
 def verify_exchange_route(
@@ -339,22 +345,12 @@ def verify_exchange_route(
 ) -> K0Report:
     """``compute_k0_cn(n, anchor_offsets, depth)``, checked against ``arc_class``.
 
-    Two things must hold, else VerificationError names the shape and, for
-    the second, its first bad arc.  The closed forms M of the report's
-    basis are unimodular (``cokernel_presentation(n, M)`` is the zero
-    group), so they are a basis too; and every tilting arc's closed form is
-    ``class_of(arc)`` times M.  A wrong exchange relation gives some arc a
-    class that is not its closed form.  Returns the report.
+    ``_check_closed_form`` raises VerificationError, naming the shape, unless
+    the closed forms of the report's basis are unimodular and every tilting
+    arc's class, read over them, is its closed form.  A wrong exchange
+    relation gives some arc a class other than its closed form.  Returns
+    the report.
     """
     report = compute_k0_cn(n, anchor_offsets, depth)
-    where = f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})"
-    rows = [_closed_form(n, arc) for arc in report.basis]
-    if cokernel_presentation(n, rows) != GroupPresentation(0):
-        raise VerificationError(f"closed forms of the basis arcs are not unimodular in {where}")
-    arc = _first_misfit(report, rows)
-    if arc is not None:
-        raise VerificationError(
-            f"exchange-route class {report.class_of(arc)} of arc {arc} is not its closed form "
-            f"{arc_class(n, arc)} in {where}"
-        )
+    _check_closed_form(report, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
     return report

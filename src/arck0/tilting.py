@@ -93,9 +93,6 @@ class StandardTilting:
             raise ValueError(f"arc {arc} is not in the tilting set")
         return index
 
-    def __contains__(self, arc: Arc) -> bool:
-        return arc.b in self._neighbours.get(arc.a, ())
-
     def name_of(self, index: int) -> str:
         return self._label.get(index, f"arc{index}")
 

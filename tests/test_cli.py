@@ -179,14 +179,16 @@ def assert_verify_fails(capsys, argv, message):
 
 def doctored_oracle(monkeypatch, arc, cls):
     """Make the host oracle give ``arc`` the class ``cls`` (as {basis index: coefficient})."""
-    from arck0 import OracleQuotient, completion
+    import dataclasses
+
+    from arck0 import completion
 
     host_oracle = completion.euler_oracle
 
     def doctored(n, window):
         oracle = host_oracle(n, window)
         assert arc in oracle.arcs and cls != oracle._classes[arc]
-        return OracleQuotient(oracle.window, oracle.presentation, {**oracle._classes, arc: cls})
+        return dataclasses.replace(oracle, _classes={**oracle._classes, arc: cls})
 
     monkeypatch.setattr(completion, "euler_oracle", doctored)
 
@@ -207,8 +209,8 @@ def test_verify_wrong_same_segment_class_exits_1(capsys, monkeypatch):
 
     arc = Arc(MarkedPoint(1, -1), MarkedPoint(1, 1))
     message = (
-        "closed form (1, -1) differs from host oracle coordinates (5, 0) "
-        "of arc [[1, -1], [1, 1]]"
+        "class (5, 0) of arc [[1, -1], [1, 1]] is not its closed form (1, -1) "
+        "in euler_oracle(2, 4)"
     )
     assert_line_5_fails(capsys, monkeypatch, 1, arc, {0: 5}, message)
 
@@ -222,8 +224,8 @@ def test_verify_wrong_cross_segment_class_exits_1(capsys, monkeypatch):
 
     arc = Arc(MarkedPoint(1, -4), MarkedPoint(3, -3))
     message = (
-        "closed form (0, 1, 0, -1) differs from host oracle coordinates (0, 0, 0, 0) "
-        "of arc [[1, -4], [3, -3]]"
+        "class (0, 0, 0, 0) of arc [[1, -4], [3, -3]] is not its closed form (0, 1, 0, -1) "
+        "in euler_oracle(4, 4)"
     )
     assert_line_5_fails(capsys, monkeypatch, 2, arc, {}, message)
 
@@ -248,9 +250,9 @@ def flank_sign_mutant(monkeypatch):
 @pytest.mark.parametrize(
     "n,message",
     [
-        (1, "exchange-route class (1,) of arc [[0, -2], [0, 2]] is not its closed form (-1,) "
+        (1, "class (1,) of arc [[0, -2], [0, 2]] is not its closed form (-1,) "
             "in compute_k0_cn(1, None, 2)"),
-        (2, "exchange-route class (0, 1) of arc [[0, 1], [1, -1]] is not its closed form (0, -1) "
+        (2, "class (0, 1) of arc [[0, 1], [1, -1]] is not its closed form (0, -1) "
             "in compute_k0_cn(2, None, 2)"),
     ],
     ids=["n1", "n2"],
@@ -269,23 +271,31 @@ def test_verify_wrong_exchange_relation_exits_1(capsys, monkeypatch, n, message)
     assert_verify_fails(capsys, ["verify", "--n", str(n), "--window", "4"], message)
 
 
-def test_verify_basis_that_is_not_unimodular_exits_1(capsys, monkeypatch):
-    # a report whose basis has closed forms of determinant 0 (X2 twice)
-    # fails line 6 before any class is compared
+@pytest.mark.parametrize("route", ["oracle", "exchange"])
+def test_verify_basis_that_is_not_unimodular_exits_1(capsys, monkeypatch, route):
+    # a host oracle (line 5) or report (line 6) whose basis has closed forms
+    # of determinant 0 (X2 twice) fails before any class is compared
     import dataclasses
 
-    from arck0 import VerificationError, k0, verify_exchange_route
+    from arck0 import VerificationError, completion, k0, verify_exchange_route, verify_f_oracle
 
-    compute = k0.compute_k0_cn
+    module, name, check, where = {
+        "oracle": (completion, "euler_oracle", lambda: verify_f_oracle(2, 4), "euler_oracle(4, 4)"),
+        "exchange": (
+            k0, "compute_k0_cn", lambda: verify_exchange_route(2, None, 2),
+            "compute_k0_cn(2, None, 2)",
+        ),
+    }[route]
+    build = getattr(module, name)
 
-    def doubled_x2(n, anchors, depth):
-        report = compute(n, anchors, depth)
-        return dataclasses.replace(report, basis=(report.basis[1], *report.basis[1:]))
+    def doubled_x2(*args):
+        result = build(*args)
+        return dataclasses.replace(result, basis=(result.basis[1], *result.basis[1:]))
 
-    monkeypatch.setattr(k0, "compute_k0_cn", doubled_x2)
-    message = "closed forms of the basis arcs are not unimodular in compute_k0_cn(2, None, 2)"
+    monkeypatch.setattr(module, name, doubled_x2)
+    message = f"closed forms of the basis arcs are not unimodular in {where}"
     with pytest.raises(VerificationError) as raised:
-        verify_exchange_route(2, None, 2)
+        check()
     assert str(raised.value) == message
     assert_verify_fails(capsys, ["verify", "--n", "2", "--window", "4"], message)
 
@@ -482,6 +492,13 @@ def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_output_to_empty_path_is_bad_input(capsys):
+    # an empty --out names no file; it is not read as "no --out"
+    code, out, err = run(capsys, ["k0", "--n", "2", "--out", ""])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write : No such file or directory"
+
+
 @pytest.mark.parametrize(
     "arcs,message",
     [
@@ -515,6 +532,8 @@ def test_render_rejects_malformed_arcs(capsys, arcs, message):
     "arcs,message",
     [
         ("nope", "Expecting value: line 1 column 1 (char 0)"),
+        # an empty --arcs is no JSON, not an empty list
+        ("", "Expecting value: line 1 column 1 (char 0)"),
         ("[[[5,0],[0,3]]]", "segment 5 out of range [0, 2)"),
         ("[[[0,0],[0,1]]]", "degenerate arc between [0, 0] and [0, 1]"),
     ],

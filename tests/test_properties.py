@@ -115,7 +115,7 @@ def test_mutate_twice_is_identity_and_non_crossing(n, depth, offsets, data):
         once = mutate(t, index)
     except InsufficientDepthError:
         return
-    assert once.arcs[index] not in t
+    assert once.arcs[index] not in t.arcs
     for i in range(len(once.arcs)):
         for j in range(i + 1, len(once.arcs)):
             assert ext1_dim(once.model, once.arcs[i], once.arcs[j]) == 0

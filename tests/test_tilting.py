@@ -262,7 +262,7 @@ def test_arc_index_names_an_arc_outside_the_tilting():
     t = build_standard_tilting(2, None, 2)
     assert t.arc_index(A((1, 0), (0, 0))) == t.names["Z1"]
     for arc in (A((0, 0), (0, 2)), A((5, 0), (6, 1))):
-        assert arc not in t
+        assert arc not in t.arcs
         with pytest.raises(ValueError, match=re.escape(f"arc {arc} is not in the tilting set")):
             t.arc_index(arc)
 
@@ -315,7 +315,7 @@ def test_exchange_pair_agrees_with_palu_relations():
                         continue
                     terms = relations[i]
                     pair = exchange_pair(t, i)
-                    assert pair.m == m and pair.m_star not in t
+                    assert pair.m == m and pair.m_star not in t.arcs
                     assert pair.b_m == tuple(t.arcs[j] for j, c in terms.items() if c == -1)
                     assert pair.b_m_star == tuple(t.arcs[j] for j, c in terms.items() if c == 1)
                     assert len(pair.b_m) + len(pair.b_m_star) == len(terms)
