@@ -4,7 +4,6 @@ from .circle import CircleModel, MarkedPoint
 from .arcs import Arc
 from .tilting import (
     ExchangePair,
-    InsufficientDepthError,
     StandardTilting,
     build_standard_tilting,
     exchange_pair,
@@ -13,7 +12,6 @@ from .tilting import (
 )
 from .snf import GroupPresentation, cokernel_presentation
 from .k0 import (
-    InsufficientWindowError,
     K0Report,
     OracleQuotient,
     VerificationError,
@@ -36,7 +34,6 @@ __all__ = [
     "MarkedPoint",
     "Arc",
     "ExchangePair",
-    "InsufficientDepthError",
     "StandardTilting",
     "build_standard_tilting",
     "exchange_pair",
@@ -44,7 +41,6 @@ __all__ = [
     "palu_relations",
     "GroupPresentation",
     "cokernel_presentation",
-    "InsufficientWindowError",
     "K0Report",
     "OracleQuotient",
     "VerificationError",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
-def check_size(name: str, value: int, minimum: int, error: type[ValueError] = ValueError) -> None:
-    """The one lower-bound rule: ValueError unless ``value`` is an int, ``error`` below ``minimum``.
+def check_size(name: str, value: int, minimum: int) -> None:
+    """The one lower-bound rule: ValueError unless ``value`` is an int at least ``minimum``.
 
     The type comes first, so None, a float, a bool or a str never reaches the comparison.
     Upper bounds go through ``check_cap``.
@@ -24,7 +24,7 @@ def check_size(name: str, value: int, minimum: int, error: type[ValueError] = Va
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an int")
     if value < minimum:
-        raise error(f"need {name} >= {minimum}, got {value}")
+        raise ValueError(f"need {name} >= {minimum}, got {value}")
 
 
 def check_cap(what: str, count: int, unit: str, cap: int) -> None:

@@ -14,7 +14,6 @@ from .circle import MarkedPoint, check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import (
-    InsufficientWindowError,
     OracleQuotient,
     _check_closed_form,
     _check_oracle_arcs,
@@ -68,11 +67,12 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     forms of the host basis unimodular and every window arc's coordinates,
     read over them, equal to ``arc_class(2n, arc)``.  A failure of the
     second names ``euler_oracle(2n, window)`` and any offending arc.
-    Returns the host oracle.  A host window of more than 34,000 arcs raises
-    ValueError up front, naming ``n`` and its 2n-segment host.
+    Returns the host oracle.  A window below 2, or a host window of more
+    than 34,000 arcs, raises ValueError up front, the latter naming ``n``
+    and its 2n-segment host.
     """
     check_size("n", n, 1)
-    check_size("window", window, 2, InsufficientWindowError)
+    check_size("window", window, 2)
     _check_oracle_arcs(f"n={n}, window={window}: its {2 * n}-segment host", 2 * n, window)
     oracle = euler_oracle(2 * n, window)
     coordinates = tuple(oracle.class_of(kernel_generator_arc(n, i)) for i in range(1, n + 1))

@@ -20,18 +20,10 @@ from dataclasses import dataclass, field
 from .circle import CircleModel, MarkedPoint, check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, _UnitEliminations, cokernel_presentation
-from .tilting import (
-    InsufficientDepthError,
-    build_standard_tilting,
-    palu_relations,
-)
+from .tilting import build_standard_tilting, palu_relations
 
 
 _MAX_ORACLE_ARCS = 34_000  # 4x euler_oracle(10, 6), checked up front
-
-
-class InsufficientWindowError(ValueError):
-    """Raised when a window does not contain the arcs a computation needs."""
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +34,10 @@ class InsufficientWindowError(ValueError):
 class K0Report:
     """The group Z^n with the class of every tilting arc, and truncation bookkeeping.
 
-    ``frontier`` lists the arcs that were too deep to have both flanking
-    triangles, so they have no exchange relation of their own.  ``basis``
-    holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1) that ``class_of``
-    reads coordinates over.
+    ``frontier`` holds the labels of the arcs that were too deep to have
+    both flanking triangles, so they have no exchange relation of their
+    own.  ``basis`` holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1)
+    that ``class_of`` reads coordinates over.
     """
 
     presentation: GroupPresentation
@@ -75,9 +67,10 @@ def compute_k0_cn(
     modulo one relation per interior arc.  The paper's theorem says it is
     free on the tilting's Y1, X2, ..., Xn (Z1 for n = 1; at default anchors
     ``standard_basis_arcs(n)``) for every depth >= 2 and any anchors; else
-    VerificationError.  ``class_of`` reads coordinates over that basis.
+    VerificationError.  ``class_of`` reads coordinates over that basis.  A
+    depth below 2 raises ValueError.
     """
-    check_size("depth", depth, 2, InsufficientDepthError)
+    check_size("depth", depth, 2)
     tilting = build_standard_tilting(n, anchor_offsets, depth)
     relations = palu_relations(tilting)
     num_arcs = len(tilting.arcs)
@@ -123,10 +116,10 @@ class OracleQuotient:
         return tuple(self._classes)
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
-        """Class of one window arc; any other arc raises InsufficientWindowError."""
+        """Class of one window arc; any other arc raises ValueError."""
         cls = self._classes.get(arc)
         if cls is None:
-            raise InsufficientWindowError(f"arc {arc} outside window {self.window}")
+            raise ValueError(f"arc {arc} outside window {self.window}")
         return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
@@ -179,7 +172,7 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
-    check_size("window", window, 2, InsufficientWindowError)
+    check_size("window", window, 2)
     model = CircleModel(n)
     _check_oracle_arcs(f"n={n}, window={window}", n, window)
     points = list(model.points_in_window(window))

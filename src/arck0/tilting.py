@@ -34,10 +34,6 @@ from .snf import VerificationError
 _MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
 
 
-class InsufficientDepthError(ValueError):
-    """Raised when an operation needs arcs beyond the truncation depth."""
-
-
 @dataclass(frozen=True)
 class StandardTilting:
     """An indexed non-crossing arc set with one leapfrog per accumulation point.
@@ -271,14 +267,14 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
 def exchange_pair(t: StandardTilting, m_index: int) -> ExchangePair:
     """The exchange pair of the arc at ``m_index``, an int in ``range(len(t.arcs))``.
 
-    Any other index raises ValueError, a frontier arc InsufficientDepthError.
+    Any other index, or a frontier arc, raises ValueError.
     """
     if type(m_index) is not int or not 0 <= m_index < len(t.arcs):
         raise ValueError(f"arc index {m_index!r} out of range [0, {len(t.arcs)})")
     m = t.arcs[m_index]
     thirds, terms = _flank(t, m_index)
     if len(thirds) < 2:
-        raise InsufficientDepthError(
+        raise ValueError(
             f"insufficient depth: arc {m} has only {len(thirds)} flanking triangle(s)"
         )
     return ExchangePair(
@@ -312,7 +308,7 @@ def mutate(t: StandardTilting, m_index: int) -> StandardTilting:
     The swap happens in place in the index order, so mutating twice at the
     same position restores the original arc set.  Labels pointing at the old
     arc are dropped and the new arc is labelled with a trailing ``*``.
-    A bad ``m_index`` or a frontier arc raises what ``exchange_pair`` raises.
+    A bad ``m_index`` or a frontier arc raises ValueError, as in ``exchange_pair``.
     """
     pair = exchange_pair(t, m_index)
     new_arcs = list(t.arcs)

@@ -43,7 +43,6 @@ from arck0 import (
     standard_basis_arcs,
     verify_f_oracle,
 )
-from arck0.tilting import InsufficientDepthError
 from geometry_reference import ext1_dim, maybe_arc, suspend
 from snf_reference import reference_snf, smith_diagonal
 
@@ -238,16 +237,20 @@ def test_criterion_6d_mutate_involution_and_6e_non_crossing():
 
     for t in tiltings:
         assert_non_crossing(t)
+    interiors = [palu_relations(t) for t in tiltings]
 
     involutions = 0
     checked_sets = len(tiltings)
     while involutions < 500:
-        t = tiltings[rng.randrange(len(tiltings))]
+        k = rng.randrange(len(tiltings))
+        t = tiltings[k]
         index = rng.randrange(len(t.arcs))
-        try:
-            once = mutate(t, index)
-        except InsufficientDepthError:
+        if index not in interiors[k]:
+            # a frontier arc has no quadrilateral to flip in
+            with pytest.raises(ValueError, match="^insufficient depth: "):
+                mutate(t, index)
             continue
+        once = mutate(t, index)
         twice = mutate(once, index)
         assert set(twice.arcs) == set(t.arcs)
         if involutions % 25 == 0:

@@ -13,7 +13,6 @@ from arck0 import (
     standard_basis_arcs,
     verify_f_oracle,
 )
-from arck0.k0 import InsufficientWindowError
 from geometry_reference import ext1_dim
 
 
@@ -175,7 +174,7 @@ def test_verify_generators_nonzero_in_oracle():
 
 
 def test_verify_rejects_small_window():
-    with pytest.raises(InsufficientWindowError):
+    with pytest.raises(ValueError, match="^need window >= 2, got 1$"):
         verify_f_oracle(1, 1)
 
 

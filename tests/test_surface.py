@@ -17,7 +17,6 @@ PUBLIC = [
     "MarkedPoint",
     "Arc",
     "ExchangePair",
-    "InsufficientDepthError",
     "StandardTilting",
     "build_standard_tilting",
     "exchange_pair",
@@ -25,7 +24,6 @@ PUBLIC = [
     "palu_relations",
     "GroupPresentation",
     "cokernel_presentation",
-    "InsufficientWindowError",
     "K0Report",
     "OracleQuotient",
     "VerificationError",
@@ -121,31 +119,29 @@ def test_traced_layer_functions_exist():
 def test_every_raise_is_a_class_the_cli_maps_to_an_exit_code():
     # cli.main turns ValueError into exit 2 and VerificationError into exit 1,
     # each with one error: line; any other class would end in a traceback.
-    # A ValueError subclass must be the package's own, and check_size's
-    # ``error`` parameter is typed as one.
+    # The package raises exactly these two, one per failure kind, and
+    # VerificationError is the only exception class it defines.
     others = []
+    defined = []
     for path in sorted(ROOT.glob("src/arck0/*.py")):
         module = importlib.import_module(
             "arck0" if path.stem == "__init__" else f"arck0.{path.stem}"
         )
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = vars(module).get(node.name)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    defined.append(f"{path.name}:{node.name}")
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             # a bare raise or a raised attribute has no name, and fails
             name = getattr(exc, "id", None)
-            if (path.name, name) == ("circle.py", "error"):
-                cls = ValueError
-            else:
-                cls = vars(module).get(name) or vars(builtins).get(name)
-            if not (
-                cls in (ValueError, arck0.VerificationError)
-                or isinstance(cls, type)
-                and issubclass(cls, ValueError)
-                and cls.__module__.startswith("arck0.")
-            ):
+            cls = vars(module).get(name) or vars(builtins).get(name)
+            if cls not in (ValueError, arck0.VerificationError):
                 others.append(f"{path.name}:{node.lineno} raises {name}")
     assert others == []
+    assert defined == ["snf.py:VerificationError"]
 
 
 def test_every_cap_goes_through_check_cap():

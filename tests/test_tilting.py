@@ -19,7 +19,6 @@ from arck0 import (
 )
 from arck0.arcs import is_degenerate_pair
 from arck0 import tilting
-from arck0.tilting import InsufficientDepthError
 from geometry_reference import ext1_dim, induced_triangles, shares_endpoint
 
 
@@ -243,8 +242,11 @@ def test_exchange_pair_frontier_raises():
     t = build_standard_tilting(2, None, 2)
     deepest = t.leapfrogs[0][-1]
     assert deepest not in palu_relations(t)
-    with pytest.raises(InsufficientDepthError):
+    with pytest.raises(ValueError) as raised:
         exchange_pair(t, deepest)
+    assert str(raised.value) == (
+        "insufficient depth: arc [[0, 2], [1, -2]] has only 1 flanking triangle(s)"
+    )
 
 
 @pytest.mark.parametrize("index", [-7, -1, 9, True, 1.0, "3", None])
@@ -310,7 +312,7 @@ def test_exchange_pair_agrees_with_palu_relations():
                 relations = palu_relations(t)
                 for i, m in enumerate(t.arcs):
                     if i not in relations:
-                        with pytest.raises(InsufficientDepthError):
+                        with pytest.raises(ValueError, match="^insufficient depth: "):
                             exchange_pair(t, i)
                         continue
                     terms = relations[i]
