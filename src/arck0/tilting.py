@@ -14,12 +14,12 @@ interval ``[a, b]`` and two arcs cross exactly when their intervals overlap
 without nesting.  One ordering and one stack pass decide a whole arc set.
 
 Exchange relations are read off a point-neighbour index: each endpoint maps
-to the other endpoint of every incident arc, and that to the arc's index.
-The triangles flanking an arc {p, q} have their third vertices among the
-points joined to both p and q, by an arc or by a boundary edge, and the same
-lex order tells the two sides of the arc apart: a third vertex lies on the
-anticlockwise side from p to q exactly when it sits strictly between p and q
-in lex order.
+the other endpoint of every incident arc to that arc's index, and its two
+adjacent points to ``None``, the boundary edges (zero objects) it lies on.
+The third vertices of the triangles flanking an arc {p, q} are then exactly
+the points both p and q map, and the same lex order tells the two sides of
+the arc apart: a third vertex lies on the anticlockwise side from p to q
+exactly when it sits strictly between p and q in lex order.
 """
 
 from __future__ import annotations
@@ -65,17 +65,21 @@ class StandardTilting:
     arcs: tuple[Arc, ...]
     names: dict[str, int]
     leapfrogs: tuple[tuple[int, ...], ...]
-    # endpoint -> {other endpoint of an incident arc: that arc's index}
-    _neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = field(init=False, repr=False)
+    # endpoint -> {neighbour: index of the arc joining them, or None for a
+    # boundary edge to an adjacent point}
+    _neighbours: dict[MarkedPoint, dict[MarkedPoint, int | None]] = field(init=False, repr=False)
     # arc index -> its first label in ``names``
     _label: dict[int, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _assert_non_crossing(self.model, self.arcs)
-        neighbours: dict[MarkedPoint, dict[MarkedPoint, int]] = {}
+        neighbours: dict[MarkedPoint, dict[MarkedPoint, int | None]] = {}
         for i, arc in enumerate(self.arcs):
             neighbours.setdefault(arc.a, {})[arc.b] = i
             neighbours.setdefault(arc.b, {})[arc.a] = i
+        # an arc never joins adjacent points, so no arc entry is overwritten
+        for (s, o), at in neighbours.items():
+            at[s, o - 1] = at[s, o + 1] = None
         object.__setattr__(self, "_neighbours", neighbours)
         label: dict[int, str] = {}
         for name, i in self.names.items():
@@ -83,7 +87,10 @@ class StandardTilting:
         object.__setattr__(self, "_label", label)
 
     def arc_index(self, arc: Arc) -> int:
-        """Index of ``arc`` in ``arcs``; an arc the tilting does not hold raises ValueError."""
+        """Index of ``arc`` in ``arcs``; an arc the tilting does not hold raises ValueError.
+
+        ``arc`` is never a boundary edge, so a ``None`` in the index means it is absent.
+        """
         index = self._neighbours.get(arc.a, {}).get(arc.b)
         if index is None:
             raise ValueError(f"arc {arc} is not in the tilting set")
@@ -220,15 +227,12 @@ class ExchangePair:
 def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[int, int]]:
     """Third vertices of the triangles flanking arc ``i`` and its exchange relation.
 
-    For m = {p, q} a vertex r qualifies when each of {p, r} and {q, r} is a
-    tilting arc or a boundary edge (adjacent points); equal points do not.
-    The thirds are the neighbours of p, and the two points adjacent to p,
-    that are neighbours of q or adjacent to q; common neighbours are read
-    off the smaller neighbour dict, as the fan vertex z1 has about n.  p and
-    q never qualify, and a neighbour of a point is never adjacent to it, so
-    no third is found twice.  Adjacent points are plain ``(segment,
-    offset)`` tuples, which hash and compare like MarkedPoints; ``Arc``
-    wraps them.
+    For m = {p, q} the thirds are the points that both ``_neighbours[p]``
+    and ``_neighbours[q]`` map, each side {p, r} and {q, r} a tilting arc or
+    a boundary edge; they are read off the smaller dict, as the fan vertex
+    z1 has about n neighbours.  Neither p nor q is a third, as no point is
+    its own neighbour.  Boundary thirds are plain ``(segment, offset)``
+    tuples, which hash and compare like MarkedPoints; ``Arc`` wraps them.
 
     With two thirds returns ``((v1, v3), terms)``, v1 strictly between
     v0 = m.a and v2 = m.b in lex order, so that ``(v0, v1, v2, v3)`` is the
@@ -236,24 +240,17 @@ def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[in
     relation {arc index: sign}, +{v1,v2} +{v3,v0} -{v0,v1} -{v2,v3} in that
     order: the middle of m -> m_star minus that of m_star -> m.  Each side
     has v0 or v2 as an endpoint, so its index is one neighbour-index lookup;
-    a side missing from the index is a boundary edge (a zero object) and
-    drops out, and the four sides are distinct arcs.  Fewer than two thirds
-    (the truncation cut off a flanking triangle) come with no terms.  The
-    tilting checked its arcs when it was made: endpoints are not re-validated,
-    and each side of m holds at most one third, as two, r then r' along it
-    from p to q, would make {p, r'} and {r, q} cross.
+    a ``None`` side is a boundary edge (a zero object) and drops out, and
+    the four sides are distinct arcs.  Fewer than two thirds (the
+    truncation cut off a flanking triangle) come with no terms.  The tilting
+    checked its arcs when it was made: endpoints are not re-validated, and
+    each side of m holds at most one third, as two, r then r' along it from
+    p to q, would make {p, r'} and {r, q} cross.
     """
     p, q = t.arcs[i]
     at_p, at_q = t._neighbours[p], t._neighbours[q]
-    (ps, po), (qs, qo) = p, q
     small, large = (at_p, at_q) if len(at_p) <= len(at_q) else (at_q, at_p)
     thirds = [r for r in small if r in large]
-    for r in ((qs, qo - 1), (qs, qo + 1)):
-        if r in at_p:
-            thirds.append(r)
-    for r in ((ps, po - 1), (ps, po + 1)):
-        if r in at_q or (r[0] == qs and abs(r[1] - qo) == 1):
-            thirds.append(r)
     if len(thirds) < 2:
         return tuple(thirds), {}
     v1, v3 = thirds if p < thirds[0] < q else thirds[::-1]

@@ -228,7 +228,9 @@ def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
     # a readout of n coordinates per arc.  The pivot rows visited (heap
     # pops), _flank's membership tests on the neighbour index and the
     # nonzero coordinates stored all stay within a constant times the arc
-    # count (28,957 coordinates over 9,997 arcs at n = 1000)
+    # count (28,957 coordinates over 9,997 arcs at n = 1000).  _flank tests
+    # each entry of the smaller neighbour dict, boundary edges included,
+    # once: 4.3 tests per arc, so two more per arc exceed the bound
     from arck0 import k0, snf
 
     visits, tests = [0], [0]
@@ -255,7 +257,7 @@ def test_compute_k0_cn_wide_shallow_work_grows_linearly(n, monkeypatch):
     assert report.presentation == GroupPresentation(n)
     num_arcs = len(report.arcs)
     assert 0 < visits[0] <= num_arcs
-    assert 0 < tests[0] <= 8 * num_arcs
+    assert 0 < tests[0] <= 5 * num_arcs
     assert 0 < sum(map(len, report._classes.values())) <= 4 * num_arcs
 
 

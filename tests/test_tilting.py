@@ -10,6 +10,7 @@ from arck0 import (
     MarkedPoint,
     StandardTilting,
     VerificationError,
+    arc_class,
     build_standard_tilting,
     compute_k0_cn,
     exchange_pair,
@@ -270,8 +271,9 @@ def test_arc_index_names_an_arc_outside_the_tilting():
 
 
 def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
-    # _flank hands plain (segment, offset) tuples to Arc for thirds adjacent
-    # to an endpoint; every arc that leaves the package wraps them
+    # the neighbour index keys boundary edges by plain (segment, offset)
+    # tuples, and _flank hands such thirds to Arc; every arc that leaves the
+    # package wraps them
     rng = random.Random(31)
     for n in range(1, 7):
         t = build_standard_tilting(n, [rng.randint(-3, 3) for _ in range(n)], 3)
@@ -490,7 +492,8 @@ def scan_thirds(t):
 def test_palu_relations_match_induced_triangles():
     # palu_relations against the exchange triangles derived arc by arc: thirds
     # from a scan, the quadrilateral and its sides from induced_triangles, on
-    # standard tiltings and on the tiltings along random mutation chains
+    # standard tiltings and on the tiltings along random mutation chains.
+    # Each relation also sums to zero under arc_class, the closed form
     rng = random.Random(4099)
     sizes = Counter()
     for n in range(1, 9):
@@ -510,6 +513,12 @@ def test_palu_relations_match_induced_triangles():
                 relations = palu_relations(t)
                 assert list(relations) == sorted(expected)
                 assert relations == expected
+                classes = [arc_class(n, a) for a in t.arcs]
+                for i, terms in relations.items():
+                    total = [
+                        sum(sign * classes[j][s] for j, sign in terms.items()) for s in range(n)
+                    ]
+                    assert not any(total), (n, depth, step, t.arcs[i], total)
                 sizes.update(len(terms) for terms in relations.values())
                 sizes["frontier"] += len(t.arcs) - len(relations)
                 if step < 4:
