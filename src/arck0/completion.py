@@ -80,5 +80,5 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
-    _check_closed_form(oracle, f"euler_oracle({2 * n}, {window})")
+    _check_closed_form(oracle)
     return oracle

@@ -6,7 +6,8 @@ the free group on the standard tilting arcs modulo their exchange relations.
 finite window as a generator and imposes the Euler relation of every triangle
 induced by a crossing pair, plus the suspension relations [shift A] = -[A].
 Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
-basis and give every arc its coordinates over them, in one helper.
+basis and give every arc its coordinates over them, in one helper, and both
+return that data in one result type, ``_ArcClasses``.
 ``arc_class`` is the closed form of every arc's class, a sum of two endpoint
 weights.  One check, ``_check_closed_form``, compares a result of either
 route with it: ``verify_exchange_route`` runs it on the first route, and
@@ -26,36 +27,50 @@ from .tilting import build_standard_tilting, palu_relations
 _MAX_ORACLE_ARCS = 34_000  # 4x euler_oracle(10, 6), checked up front
 
 
-# ---------------------------------------------------------------------------
-# exchange-relation route
-
-
 @dataclass(frozen=True)
-class K0Report:
-    """The group Z^n with the class of every tilting arc, and truncation bookkeeping.
+class _ArcClasses:
+    """The group Z^n, free on the classes of ``basis``, with the class of every arc it holds.
 
-    ``frontier`` holds the labels of the arcs that were too deep to have
-    both flanking triangles, so they have no exchange relation of their
-    own.  ``basis`` holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1)
-    that ``class_of`` reads coordinates over.
+    Both routes certify ``basis`` as a free basis or raise, so
+    ``presentation`` is read off its length.  ``source`` is the call that
+    made the result, e.g. ``euler_oracle(4, 6)``.
     """
 
-    presentation: GroupPresentation
-    frontier: tuple[str, ...]
+    source: str
     basis: tuple[Arc, ...]
-    # sparse class {basis index: coefficient} of every tilting arc, in tilting order
+    # sparse class {basis index: coefficient} of every arc, in the route's order
     _classes: dict[Arc, dict[int, int]] = field(repr=False)
+
+    @property
+    def presentation(self) -> GroupPresentation:
+        return GroupPresentation(len(self.basis))
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
         return tuple(self._classes)
 
     def class_of(self, arc: Arc) -> tuple[int, ...]:
-        """Class of one tilting arc; any other arc raises ValueError."""
+        """Coordinates of one held arc over ``basis``; any other arc raises ValueError."""
         cls = self._classes.get(arc)
         if cls is None:
-            raise ValueError(f"arc {arc} is not a tilting arc")
-        return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
+            raise ValueError(f"arc {arc} has no class in {self.source}")
+        return tuple(cls.get(t, 0) for t in range(len(self.basis)))
+
+
+# ---------------------------------------------------------------------------
+# exchange-relation route
+
+
+@dataclass(frozen=True)
+class K0Report(_ArcClasses):
+    """The group with the class of every tilting arc, and truncation bookkeeping.
+
+    ``frontier`` holds the labels of the arcs that were too deep to have
+    both flanking triangles, so they have no exchange relation of their
+    own.  ``basis`` holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1).
+    """
+
+    frontier: tuple[str, ...]
 
 
 def compute_k0_cn(
@@ -79,15 +94,14 @@ def compute_k0_cn(
         elim.absorb([(i + 1, c) for i, c in terms.items()])
     names = ["Z1"] if n == 1 else ["Y1", *(f"X{i}" for i in range(2, n + 1))]
     basis = [tilting.names[name] for name in names]
-    classes = elim.basis_classes(
-        [i + 1 for i in basis], f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})"
-    )
+    source = f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})"
+    classes = elim.basis_classes([i + 1 for i in basis], source)
     frontier = tuple(tilting.name_of(i) for i in range(num_arcs) if i not in relations)
     return K0Report(
-        GroupPresentation(n),
-        frontier,
+        source,
         tuple(tilting.arcs[i] for i in basis),
         dict(zip(tilting.arcs, classes)),
+        frontier,
     )
 
 
@@ -96,31 +110,12 @@ def compute_k0_cn(
 
 
 @dataclass(frozen=True)
-class OracleQuotient:
+class OracleQuotient(_ArcClasses):
     """Finite-window quotient group with coordinates for every window arc.
 
-    The group is free on the classes of ``basis``, the arcs
-    ``standard_basis_arcs(n)``, so ``presentation`` is Z^n; a window arc's
-    class is its n coordinates over that basis, so equal classes give equal
-    tuples at every window.
+    ``basis`` is ``standard_basis_arcs(n)``; a window arc's class is its n
+    coordinates over it, so equal classes give equal tuples at every window.
     """
-
-    window: int
-    presentation: GroupPresentation
-    basis: tuple[Arc, ...]
-    # {basis index: coefficient} of every window arc, in lex order of index pairs
-    _classes: dict[Arc, dict[int, int]] = field(repr=False)
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(self._classes)
-
-    def class_of(self, arc: Arc) -> tuple[int, ...]:
-        """Class of one window arc; any other arc raises ValueError."""
-        cls = self._classes.get(arc)
-        if cls is None:
-            raise ValueError(f"arc {arc} outside window {self.window}")
-        return tuple(cls.get(t, 0) for t in range(self.presentation.free_rank))
 
 
 def _check_oracle_arcs(what: str, n: int, window: int) -> None:
@@ -231,9 +226,10 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     basis = standard_basis_arcs(n)
     codes = [rows[points.index(arc.a)][points.index(arc.b)] for arc in basis]
-    classes = elim.basis_classes(codes, f"euler_oracle({n}, {window})")
+    source = f"euler_oracle({n}, {window})"
+    classes = elim.basis_classes(codes, source)
     arcs = (Arc(points[i], points[j]) for i, j in pairs)
-    return OracleQuotient(window, GroupPresentation(n), basis, dict(zip(arcs, classes)))
+    return OracleQuotient(source, basis, dict(zip(arcs, classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +292,8 @@ def arc_class(n: int, arc: Arc) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _check_closed_form(result: K0Report | OracleQuotient, where: str) -> None:
-    """Raise VerificationError, naming ``where``, unless ``result`` is the closed form.
+def _check_closed_form(result: _ArcClasses) -> None:
+    """Raise VerificationError, naming ``result.source``, unless ``result`` is the closed form.
 
     The closed forms M of ``result.basis`` must be unimodular
     (``cokernel_presentation(n, M)`` is the zero group), so they are a basis
@@ -308,7 +304,7 @@ def _check_closed_form(result: K0Report | OracleQuotient, where: str) -> None:
     key with the first one's class: with unimodular M, two classes read the
     same exactly when they are equal.
     """
-    n = result.presentation.free_rank
+    n, where = len(result.basis), result.source
     rows = [_closed_form(n, arc) for arc in result.basis]
     if cokernel_presentation(n, rows) != GroupPresentation(0):
         raise VerificationError(f"closed forms of the basis arcs are not unimodular in {where}")
@@ -345,5 +341,5 @@ def verify_exchange_route(
     the report.
     """
     report = compute_k0_cn(n, anchor_offsets, depth)
-    _check_closed_form(report, f"compute_k0_cn({n}, {anchor_offsets!r}, {depth})")
+    _check_closed_form(report)
     return report

@@ -141,7 +141,7 @@ def _anchor_offsets(n: int, anchor_offsets: list[int] | None) -> list[int]:
 
 
 def build_standard_tilting(
-    n: int, anchor_offsets: list[int] | None = None, depth: int = 2
+    n: int, anchor_offsets: list[int] | None, depth: int
 ) -> StandardTilting:
     """Build the standard configuration with leapfrogs truncated at 2*depth steps.
 

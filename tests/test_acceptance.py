@@ -124,8 +124,8 @@ def test_criterion_3_relation_fidelity():
 def test_criterion_4_parity():
     # the one-sided fountain W(i) from (0, -8) over i interior points:
     # [W(i)] = (i % 2)[W(1)] with [W(1)] != 0, for every i the window holds
-    oracle = euler_oracle(1, 8)
-    w = oracle.window
+    w = 8
+    oracle = euler_oracle(1, w)
     start = MarkedPoint(0, -w)
     fountain = [oracle.class_of(Arc(start, MarkedPoint(0, i + 1 - w))) for i in range(1, 2 * w)]
     w1 = fountain[0]
@@ -209,7 +209,7 @@ def test_criterion_6c_suspension_negates_oracle_class():
     rng = random.Random(603)
     oracles = [euler_oracle(1, 8), euler_oracle(2, 6)]
     pools = [
-        [a for a in o.arcs if min(a.a[1], a.b[1]) > -o.window] for o in oracles
+        [a for a in o.arcs if min(a.a[1], a.b[1]) > -w] for o, w in zip(oracles, (8, 6))
     ]
     cases = 0
     for _ in range(500):

@@ -159,7 +159,7 @@ def test_f_matrix_holds_the_completed_cap(monkeypatch):
 def test_verify_f_oracle(n, window):
     # the host oracle comes back: n = 4 runs it on the 8-segment host
     oracle = verify_f_oracle(n, window)
-    assert oracle.window == window
+    assert oracle.source == f"euler_oracle({2 * n}, {window})"
     assert oracle.presentation == GroupPresentation(2 * n)
     assert compute_k0_completed(n) == GroupPresentation(n, (2,) * (n - 1))
 

@@ -123,9 +123,7 @@ def test_sizes_below_the_least_raise(name, least, call):
 
 
 def test_size_table_covers_every_public_size_parameter():
-    # a new public entry point with a size parameter must join SIZES;
-    # OracleQuotient.window is a result field, copied from euler_oracle's
-    # checked window
+    # a new public entry point with a size parameter must join SIZES
     walked = set()
     for name in arck0.__all__:
         obj = getattr(arck0, name)
@@ -144,7 +142,7 @@ def test_size_table_covers_every_public_size_parameter():
                 for p in inspect.signature(member).parameters
                 if p in ("n", "num_segments", "depth", "window", "i")
             }
-    assert walked - {("OracleQuotient", "window")} == {(c, p) for c, p, *_ in SIZES}
+    assert walked == {(c, p) for c, p, *_ in SIZES}
 
 
 def test_compute_k0_cn_frontier_report():
@@ -154,8 +152,10 @@ def test_compute_k0_cn_frontier_report():
     assert len(report.arcs) == 15
     assert len(palu_relations(build_standard_tilting(3, None, 2))) == 12
     assert report.presentation == GroupPresentation(3)
-    with pytest.raises(ValueError, match=r"arc \[\[0, 0\], \[0, 2\]\] is not a tilting arc"):
+    assert report.source == "compute_k0_cn(3, None, 2)"
+    with pytest.raises(ValueError) as raised:
         report.class_of(A((0, 0), (0, 2)))
+    assert str(raised.value) == "arc [[0, 0], [0, 2]] has no class in compute_k0_cn(3, None, 2)"
     for n, depth in ((3, 2), (1, 5), (2, 3), (6, 4)):
         frontier = compute_k0_cn(n, None, depth).frontier
         assert sorted(frontier) == sorted(f"L{b}[{2 * depth}]" for b in range(1, n + 1))
@@ -294,7 +294,7 @@ def test_oracle_suspension_antisymmetry(n, window):
     # window 2 has the fewest suspension relations (unit columns)
     o = euler_oracle(n, window)
     for arc in o.arcs:
-        if min(arc.a[1], arc.b[1]) > -o.window:
+        if min(arc.a[1], arc.b[1]) > -window:
             assert o.class_of(suspend(arc, 1)) == tuple(-v for v in o.class_of(arc))
 
 
@@ -561,7 +561,8 @@ def test_exchange_route_rejects_a_basis_that_is_not_one(change, problem, monkeyp
 def test_oracle_rejects_out_of_window_arc(oracle_c1_w6):
     with pytest.raises(ValueError) as raised:
         oracle_c1_w6.class_of(A((0, 0), (0, 40)))
-    assert str(raised.value) == "arc [[0, 0], [0, 40]] outside window 6"
+    assert oracle_c1_w6.source == "euler_oracle(1, 6)"
+    assert str(raised.value) == "arc [[0, 0], [0, 40]] has no class in euler_oracle(1, 6)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -575,7 +576,7 @@ def test_class_of_leaves_the_oracle_unchanged(n):
     for _ in range(2):
         with pytest.raises(ValueError) as raised:
             o.class_of(A((0, 0), (0, 40)))
-        assert str(raised.value) == "arc [[0, 0], [0, 40]] outside window 4"
+        assert str(raised.value) == f"arc [[0, 0], [0, 40]] has no class in euler_oracle({n}, 4)"
     assert o == euler_oracle(n, 4)
 
 
@@ -585,7 +586,7 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
     o = oracle_c1_w6
     before = o.class_of(A((0, 0), (0, 2)))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        o.window = 0
+        o.source = "euler_oracle(1, 7)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         o.presentation = GroupPresentation(0)
     assert o.class_of(A((0, 0), (0, 2))) == before
@@ -646,20 +647,20 @@ def test_arc_class_matches_oracle(n, window):
     assert n == 1 or len(o.arcs) > len(same_segment)
 
 
-def _assert_same_segment_classes(o, n):
+def _assert_same_segment_classes(o, n, window):
     same_segment = [arc for arc in o.arcs if arc.a[0] == arc.b[0]]
-    assert len(same_segment) == n * ((2 * o.window + 1) * o.window - 2 * o.window)
+    assert len(same_segment) == n * ((2 * window + 1) * window - 2 * window)
     for arc in same_segment:
         assert o.class_of(arc) == arc_class(n, arc), arc
 
 
 def test_class_same_segment_matches_oracle(oracle_c2_w6):
-    _assert_same_segment_classes(oracle_c2_w6, 2)
+    _assert_same_segment_classes(oracle_c2_w6, 2, 6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_class_same_segment_matches_oracle_larger_n(n):
-    _assert_same_segment_classes(euler_oracle(n, 4), n)
+    _assert_same_segment_classes(euler_oracle(n, 4), n, 4)
 
 
 def test_standard_basis_arcs():

@@ -79,15 +79,18 @@ def test_quadrilateral_closure(data):
     assert len(sides) <= 4
 
 
+ORACLE_SHAPES = [(1, 8), (2, 6)]  # (n, window)
+
+
 @pytest.fixture(scope="module")
 def oracles():
-    return [euler_oracle(1, 8), euler_oracle(2, 6)]
+    return [euler_oracle(n, window) for n, window in ORACLE_SHAPES]
 
 
 def test_suspension_negates_oracle_classes(oracles):
-    for oracle in oracles:
+    for oracle, (_, window) in zip(oracles, ORACLE_SHAPES):
         for arc in oracle.arcs:
-            if min(arc.a[1], arc.b[1]) > -oracle.window:
+            if min(arc.a[1], arc.b[1]) > -window:
                 negated = tuple(-v for v in oracle.class_of(arc))
                 assert oracle.class_of(suspend(arc, 1)) == negated
 

@@ -42,8 +42,8 @@ PUBLIC = [
 # the fields of each result type, so that a dropped field cannot come back
 # unnoticed; each one is read by the package, the CLI or the benchmark
 FIELDS = {
-    "K0Report": ["presentation", "frontier", "basis", "_classes"],
-    "OracleQuotient": ["window", "presentation", "basis", "_classes"],
+    "K0Report": ["source", "basis", "_classes", "frontier"],
+    "OracleQuotient": ["source", "basis", "_classes"],
     "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
 }
@@ -59,7 +59,7 @@ TRACED = [
     ("tilting", "build_standard_tilting", ["tilting", "k0", "cli"]),
     ("tilting", "palu_relations", ["tilting", "k0"]),
     ("tilting", "mutate", ["tilting"]),
-    ("snf", "cokernel_presentation", ["snf", "completion"]),
+    ("snf", "cokernel_presentation", ["snf", "k0", "completion"]),
 ]
 
 
@@ -95,13 +95,13 @@ def test_oracle_quotient_public_attributes():
     # the tests read could be added unnoticed
     oracle = arck0.euler_oracle(1, 2)
     public = {name for name in dir(oracle) if not name.startswith("_")}
-    assert public == {"window", "presentation", "basis", "arcs", "class_of"}
+    assert public == {"source", "presentation", "basis", "arcs", "class_of"}
 
 
 def test_k0_report_public_attributes():
     report = arck0.compute_k0_cn(1, None, 2)
     public = {name for name in dir(report) if not name.startswith("_")}
-    assert public == {"presentation", "frontier", "basis", "arcs", "class_of"}
+    assert public == {"source", "presentation", "frontier", "basis", "arcs", "class_of"}
 
 
 def test_traced_layer_functions_exist():
