@@ -19,7 +19,7 @@ from .k0 import (
     compute_k0_cn,
     euler_oracle,
     standard_basis_arcs,
-    verify_exchange_route,
+    verify_closed_form,
 )
 from .completion import (
     compute_k0_completed,
@@ -48,7 +48,7 @@ __all__ = [
     "compute_k0_cn",
     "euler_oracle",
     "standard_basis_arcs",
-    "verify_exchange_route",
+    "verify_closed_form",
     "compute_k0_completed",
     "f_matrix",
     "kernel_generator_arc",

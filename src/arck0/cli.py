@@ -8,9 +8,10 @@ ValueError instead of printing usage and exiting.  An input too large to
 compute (a tilting, window or completion matrix past the library's caps) is
 bad input, rejected before any work starts.  ``verify`` has no failure
 path of its own: each of its six checks raises VerificationError unless it
-holds, so it prints six PASS lines or nothing on stdout.  Each ``_cmd_*``
-handler returns its JSON payload (None without ``--format``) and its text;
-``main`` alone picks one and writes it to stdout or to ``--out``.
+holds (lines 5 and 6 through ``verify_closed_form``), so it prints six PASS
+lines or nothing on stdout.  Each ``_cmd_*`` handler returns its JSON
+payload (None without ``--format``) and its text; ``main`` alone picks one
+and writes it to stdout or to ``--out``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .circle import CircleModel
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
 from .snf import GroupPresentation
-from .k0 import VerificationError, compute_k0_cn, euler_oracle, verify_exchange_route
+from .k0 import VerificationError, compute_k0_cn, euler_oracle, verify_closed_form
 from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
 
@@ -135,9 +136,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[None, str]:
     # it holds, so the six lines print only when all six hold.
     verify_f_oracle(n, args.window)
     for depth in (2, 3, 4):
-        verify_exchange_route(n, None, depth)
+        verify_closed_form(compute_k0_cn(n, None, depth))
     for c in (-3, 5):
-        verify_exchange_route(n, [c] * n, 3)
+        verify_closed_form(compute_k0_cn(n, [c] * n, 3))
     completed = compute_k0_completed(n)
     if completed != GroupPresentation(n, (2,) * (n - 1)):
         raise VerificationError(

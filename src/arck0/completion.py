@@ -15,10 +15,10 @@ from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import (
     OracleQuotient,
-    _check_closed_form,
     _check_oracle_arcs,
     arc_class,
     euler_oracle,
+    verify_closed_form,
 )
 
 _MAX_COMPLETED_ENTRIES = 2_000_000  # entries of the 2n x n matrix: n <= 1000
@@ -63,7 +63,7 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
     Two checks on the oracle of the 2n-segment host, each raising
     VerificationError: the coordinates of the kernel generators over the
     host basis (Y1, X2, ..., X2n) equal the columns of ``f_matrix(n)``
-    exactly, signs included; and ``k0._check_closed_form`` finds the closed
+    exactly, signs included; and ``verify_closed_form`` finds the closed
     forms of the host basis unimodular and every window arc's coordinates,
     read over them, equal to ``arc_class(2n, arc)``.  A failure of the
     second names ``euler_oracle(2n, window)`` and any offending arc.
@@ -80,5 +80,5 @@ def verify_f_oracle(n: int, window: int) -> OracleQuotient:
         raise VerificationError(
             f"oracle coordinates of the kernel generators differ from f_matrix({n}): {coordinates}"
         )
-    _check_closed_form(oracle)
+    verify_closed_form(oracle)
     return oracle

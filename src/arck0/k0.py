@@ -9,9 +9,8 @@ Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
 basis and give every arc its coordinates over them, in one helper, and both
 return that data in one result type, ``_ArcClasses``.
 ``arc_class`` is the closed form of every arc's class, a sum of two endpoint
-weights.  One check, ``_check_closed_form``, compares a result of either
-route with it: ``verify_exchange_route`` runs it on the first route, and
-``completion.verify_f_oracle`` on the second.
+weights.  One check, ``verify_closed_form``, compares a result of either
+route with it; ``completion.verify_f_oracle`` runs it on the second route.
 """
 
 from __future__ import annotations
@@ -33,9 +32,12 @@ class _ArcClasses:
 
     Both routes certify ``basis`` as a free basis or raise, so
     ``presentation`` is read off its length.  ``source`` is the call that
-    made the result, e.g. ``euler_oracle(4, 6)``.
+    made the result, e.g. ``euler_oracle(4, 6)``.  Results compare by value
+    and do not hash: ``_classes`` is a dict, and each subclass body repeats
+    ``__hash__ = None``, as a frozen dataclass would hash its fields.
     """
 
+    __hash__ = None
     source: str
     basis: tuple[Arc, ...]
     # sparse class {basis index: coefficient} of every arc, in the route's order
@@ -70,6 +72,7 @@ class K0Report(_ArcClasses):
     own.  ``basis`` holds the tilting arcs Y1, X2, ..., Xn (Z1 for n = 1).
     """
 
+    __hash__ = None
     frontier: tuple[str, ...]
 
 
@@ -116,6 +119,8 @@ class OracleQuotient(_ArcClasses):
     ``basis`` is ``standard_basis_arcs(n)``; a window arc's class is its n
     coordinates over it, so equal classes give equal tuples at every window.
     """
+
+    __hash__ = None
 
 
 def _check_oracle_arcs(what: str, n: int, window: int) -> None:
@@ -292,9 +297,11 @@ def arc_class(n: int, arc: Arc) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _check_closed_form(result: _ArcClasses) -> None:
+def verify_closed_form(result: _ArcClasses) -> None:
     """Raise VerificationError, naming ``result.source``, unless ``result`` is the closed form.
 
+    ``result`` is a ``K0Report`` from ``compute_k0_cn`` or an
+    ``OracleQuotient`` from ``euler_oracle``; a correct one returns None.
     The closed forms M of ``result.basis`` must be unimodular
     (``cokernel_presentation(n, M)`` is the zero group), so they are a basis
     too; and every class {t: c_t} of ``result``, read over them as
@@ -302,7 +309,8 @@ def _check_closed_form(result: _ArcClasses) -> None:
     only on the segments and offset parities of the endpoints, so the first
     arc of each such key is compared with it, and every later arc of the
     key with the first one's class: with unimodular M, two classes read the
-    same exactly when they are equal.
+    same exactly when they are equal.  A wrong exchange relation gives some
+    tilting arc a class other than its closed form.
     """
     n, where = len(result.basis), result.source
     rows = [_closed_form(n, arc) for arc in result.basis]
@@ -327,19 +335,3 @@ def _check_closed_form(result: _ArcClasses) -> None:
                 f"class {result.class_of(arc)} of arc {arc} is not its closed form "
                 f"{arc_class(n, arc)} in {where}"
             )
-
-
-def verify_exchange_route(
-    n: int, anchor_offsets: list[int] | None = None, depth: int = 4
-) -> K0Report:
-    """``compute_k0_cn(n, anchor_offsets, depth)``, checked against ``arc_class``.
-
-    ``_check_closed_form`` raises VerificationError, naming the shape, unless
-    the closed forms of the report's basis are unimodular and every tilting
-    arc's class, read over them, is its closed form.  A wrong exchange
-    relation gives some arc a class other than its closed form.  Returns
-    the report.
-    """
-    report = compute_k0_cn(n, anchor_offsets, depth)
-    _check_closed_form(report)
-    return report

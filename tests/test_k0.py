@@ -1,6 +1,7 @@
 import inspect
 import random
 from collections import Counter
+from collections.abc import Hashable
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from arck0 import (
     mutate,
     palu_relations,
     standard_basis_arcs,
-    verify_exchange_route,
+    verify_closed_form,
 )
 from arck0.completion import (
     compute_k0_completed,
@@ -84,8 +85,6 @@ SIZES = [
     ("euler_oracle", "window", 2, lambda v: euler_oracle(2, v)),
     ("standard_basis_arcs", "n", 1, standard_basis_arcs),
     ("arc_class", "n", 1, lambda v: arc_class(v, A((0, 0), (0, 2)))),
-    ("verify_exchange_route", "n", 1, lambda v: verify_exchange_route(v, None, 2)),
-    ("verify_exchange_route", "depth", 2, lambda v: verify_exchange_route(2, None, v)),
     ("kernel_generator_arc", "n", 1, lambda v: kernel_generator_arc(v, 1)),
     ("kernel_generator_arc", "i", 1, lambda v: kernel_generator_arc(2, v)),
     ("f_matrix", "n", 1, f_matrix),
@@ -513,8 +512,8 @@ def test_exchange_route_classes_are_closed_forms(n):
     rng = random.Random(n)
     shapes = [(None, 2), ([-3] * n, 3), ([5] * n, 4), ([rng.randint(-9, 9) for _ in range(n)], 5)]
     for anchors, depth in shapes:
-        report = verify_exchange_route(n, anchors, depth)
-        assert report == compute_k0_cn(n, anchors, depth)
+        report = compute_k0_cn(n, anchors, depth)
+        assert verify_closed_form(report) is None
         basis = [arc_class(n, arc) for arc in report.basis]
         for arc in report.arcs:
             coords = report.class_of(arc)
@@ -593,6 +592,16 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
     assert any(before)
 
 
+def test_results_compare_by_value_and_do_not_hash():
+    # both result types hold a dict of classes, so neither claims a hash
+    for make in (lambda: compute_k0_cn(1, None, 2), lambda: euler_oracle(1, 2)):
+        result = make()
+        assert result == make()
+        assert not isinstance(result, Hashable)
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(result).__name__}'$"):
+            hash(result)
+
+
 # ---------------------------------------------------------------------------
 # the closed form of every arc's class
 
@@ -642,6 +651,7 @@ def test_arc_class_matches_oracle(n, window):
     o = euler_oracle(n, window)
     for arc in o.arcs:
         assert arc_class(n, arc) == o.class_of(arc), arc
+    assert verify_closed_form(o) is None
     same_segment = [arc for arc in o.arcs if arc.a[0] == arc.b[0]]
     assert len(same_segment) == n * ((2 * window + 1) * window - 2 * window)
     assert n == 1 or len(o.arcs) > len(same_segment)

@@ -31,7 +31,7 @@ PUBLIC = [
     "compute_k0_cn",
     "euler_oracle",
     "standard_basis_arcs",
-    "verify_exchange_route",
+    "verify_closed_form",
     "compute_k0_completed",
     "f_matrix",
     "kernel_generator_arc",
