@@ -104,7 +104,7 @@ def _cmd_k0_completed(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, str]:
     oracle = euler_oracle(args.n, args.window)
     text = f"Euler oracle for n={args.n}, window={args.window}: {oracle.presentation}"
-    return oracle.presentation.to_json(), f"{text} ({len(oracle.arcs)} arcs)"
+    return oracle.presentation.to_json(), f"{text} ({len(oracle._classes)} arcs)"
 
 
 def _cmd_exchange(args: argparse.Namespace) -> tuple[dict, str]:

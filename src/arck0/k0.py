@@ -2,9 +2,11 @@
 
 Two independent routes are provided.  ``compute_k0_cn`` presents the group as
 the free group on the standard tilting arcs modulo their exchange relations.
-``euler_oracle`` is a brute-force cross-check: it takes every arc inside a
-finite window as a generator and imposes the Euler relation of every triangle
-induced by a crossing pair, plus the suspension relations [shift A] = -[A].
+``euler_oracle`` is a brute-force cross-check: it presents the group on every
+arc inside a finite window modulo the Euler relation of every triangle
+induced by a crossing pair, plus the suspension relations [shift A] = -[A],
+which hold by numbering: an arc and its shift share one generator code with
+opposite signs.
 Both certify that the basis arcs Y1, X2, ..., Xn (Z1 for n = 1) are a free
 basis and give every arc its coordinates over them, in one helper, and both
 return that data in one result type, ``_ArcClasses``.
@@ -15,6 +17,7 @@ route with it; ``completion.verify_f_oracle`` runs it on the second route.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .circle import CircleModel, MarkedPoint, check_cap, check_size
@@ -139,10 +142,13 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     Relations: both triangle relations of every crossing pair in the window
     (the quadrilateral sides reuse the pair's endpoints, so they stay in the
     window), and [shift A] + [A] = 0 whenever the shift stays in the window.
-    The generators are the window arcs, each suspension relation is a unit
-    column absorbed before the scan, and crossing pairs are enumerated up to
-    simultaneous suspension: that spans the same relation lattice, since
-    shifting a pair negates its columns.
+    The generators are the suspension orbits of window arcs: an arc with no
+    endpoint at offset -window is the shift of the arc with both endpoints
+    one point clockwise and carries minus its code, and any other arc
+    starts a new orbit.  So every suspension relation holds by numbering, a
+    Tietze move that leaves the lattice unchanged.  Crossing pairs are
+    enumerated up to simultaneous suspension: that spans the same relation
+    lattice, since shifting a pair negates its columns.
 
     Number the P window points 0..P-1 in anticlockwise order, cut at
     (0, -window); every arc is then an index pair i < j.  Two arcs with four
@@ -154,21 +160,24 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
 
     Each triangle column goes through ``snf._UnitEliminations.absorb`` as
     soon as it is produced, so only the few non-unit columns are stored.  A
-    column met before in the same reduced form is skipped, since its
-    relation is already accounted for.
+    crossing pair whose six reduced codes (the pair and the four sides) were
+    met before is skipped, since both its relations are already accounted
+    for; a column [x] + [y] - [u] - [v] with {x, y} = {u, v} is zero and is
+    not absorbed.
 
     The arcs with a top endpoint are walked by increasing index span j - i
     (a stable sort, so ties keep lex order).  A short arc's triangles have
     boundary edges (zero objects) among their sides and reduce to unit
     relations, which then shrink the columns of the longer arcs met later:
-    at (6, 6) 1,974 columns are stored instead of 17,818 in lex order.  The
+    at (6, 6) 2,174 columns are stored instead of 17,833 in lex order.  The
     walk order does not change which pairs are met, since the rule that
     skips a top partner met from the other side only compares indices, nor
     the group; it only changes which generators survive.
 
     The residual columns then certify the basis ``standard_basis_arcs(n)``
-    and give every window arc its coordinates
-    (``_UnitEliminations.basis_classes``).
+    and give every orbit its coordinates
+    (``_UnitEliminations.basis_classes``); a window arc reads its class off
+    its orbit's, with the sign of its code.
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
@@ -178,25 +187,30 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     points = list(model.points_in_window(window))
     size = len(points)
 
-    # rows[i][j] is the generator number of the arc (i, j), 1..N in pairs order
+    # rows[i][j] is the signed generator code of the arc (i, j): the shift of
+    # (i - 1, j - 1) carries minus its code, and an arc with an endpoint at
+    # offset -window starts a new orbit, numbered 1..N in pairs order
     rows = [[0] * size for _ in range(size)]
     pairs: list[tuple[int, int]] = []
+    orbits = 0
     for i, (s0, o0) in enumerate(points):
         for j in range(i + 1, size):
             s1, o1 = points[j]
             if s0 == s1 and o1 - o0 <= 1:
                 continue  # equal or adjacent points: a zero object
             pairs.append((i, j))
-            rows[i][j] = rows[j][i] = len(pairs)
+            if o0 == -window or o1 == -window:
+                orbits += 1
+                code = orbits
+            else:
+                code = -rows[i - 1][j - 1]
+            rows[i][j] = rows[j][i] = code
 
-    elim = _UnitEliminations(len(pairs))
+    elim = _UnitEliminations(orbits)
     rep, absorb = elim.rep, elim.absorb
     top = [o == window for _, o in points]
-    for i, j in pairs:
-        if not (top[i] or top[j]):
-            # [shift A] + [A] = 0: both endpoints move one point anticlockwise
-            absorb(((rows[i][j], 1), (rows[i + 1][j + 1], 1)))
-    seen: set[tuple[int, int, int, int]] = set()
+    low = [l for l in range(size) if not top[l]]  # partners l < i: a prefix
+    seen: set[tuple[int, int, int, int, int, int]] = set()
     tops = sorted((p for p in pairs if top[p[0]] or top[p[1]]), key=lambda p: p[1] - p[0])
     for i, j in tops:
         # every pair with a top endpoint, each crossing partner once: a
@@ -205,36 +219,37 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
         row_i, row_j = rows[i], rows[j]
         a = row_i[j]
         after = range(j + 1, size)
-        outside = (*after, *(l for l in range(i) if not top[l]))
+        outside = (*after, *low[: bisect_left(low, i)])
         for k in range(i + 1, j):
             row_k = rows[k]
             kj, ik = row_k[j], row_i[k]
             # read once per k: a unit move in the l loop can leave these
             # stale, but a stale code still resolves through rep to the
             # current one inside absorb, and a seen key built from it names
-            # a relation already in the lattice
+            # relations already in the lattice
             ra, rkj, rik = rep[a], rep[kj], rep[ik]
             for l in after if top[k] else outside:
-                rb = rep[row_k[l]]
+                rb, ril, rjl = rep[row_k[l]], rep[row_i[l]], rep[row_j[l]]
+                key = (ra, rb, rkj, ril, rik, rjl)
+                if key in seen:
+                    continue
+                seen.add(key)
+                # a column whose two sides are {a, b} itself is zero: not absorbed
                 # triangle a -> (+)({k,j}, {l,i}) -> b: [a] + [b] - [kj] - [li]
-                key = (ra, rb, rkj, rep[row_i[l]])
-                if key not in seen:
-                    seen.add(key)
-                    x, y, u, v = key
-                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)))
+                if not (ra == rkj and rb == ril or ra == ril and rb == rkj):
+                    absorb(((ra, 1), (rb, 1), (rkj, -1), (ril, -1)))
                 # triangle b -> (+)({i,k}, {j,l}) -> a: [a] + [b] - [ik] - [jl]
-                key = (ra, rb, rik, rep[row_j[l]])
-                if key not in seen:
-                    seen.add(key)
-                    x, y, u, v = key
-                    absorb(((x, 1), (y, 1), (u, -1), (v, -1)))
+                if not (ra == rik and rb == rjl or ra == rjl and rb == rik):
+                    absorb(((ra, 1), (rb, 1), (rik, -1), (rjl, -1)))
 
     basis = standard_basis_arcs(n)
     codes = [rows[points.index(arc.a)][points.index(arc.b)] for arc in basis]
     source = f"euler_oracle({n}, {window})"
     classes = elim.basis_classes(codes, source)
+    # the class of every signed code, laid out as rep: [0, 1..N, -N..-1]
+    signed = [{}, *classes, *({t: -v for t, v in c.items()} for c in reversed(classes))]
     arcs = (Arc(points[i], points[j]) for i, j in pairs)
-    return OracleQuotient(source, basis, dict(zip(arcs, classes)))
+    return OracleQuotient(source, basis, dict(zip(arcs, (signed[rows[i][j]] for i, j in pairs))))
 
 
 # ---------------------------------------------------------------------------

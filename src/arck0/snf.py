@@ -161,8 +161,9 @@ class _UnitEliminations:
     smaller of the two lists; eliminating a generator through a unit column
     leaves the quotient group unchanged.  A unit move is exactly one
     ``members`` pop.  The object owns ``store``, the columns that were not
-    unit relations when absorbed.  ``compute_k0_cn`` and ``euler_oracle``
-    number their arcs as the generators 1..N.
+    unit relations when absorbed.  ``compute_k0_cn`` numbers its arcs as
+    the generators 1..N; ``euler_oracle`` numbers the suspension orbits of
+    its window arcs, so each arc has a signed code.
     """
 
     def __init__(self, size: int):

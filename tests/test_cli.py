@@ -193,7 +193,7 @@ def doctored_oracle(monkeypatch, arc, cls):
 
     def doctored(n, window):
         oracle = host_oracle(n, window)
-        assert arc in oracle.arcs and cls != oracle._classes[arc]
+        assert arc in oracle._classes and cls != oracle._classes[arc]
         return dataclasses.replace(oracle, _classes={**oracle._classes, arc: cls})
 
     monkeypatch.setattr(completion, "euler_oracle", doctored)
