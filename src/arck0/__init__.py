@@ -1,6 +1,6 @@
 """Exact combinatorics of arcs on a marked circle and their Grothendieck groups."""
 
-from .circle import CircleModel, MarkedPoint
+from .circle import CircleModel
 from .arcs import Arc
 from .tilting import (
     ExchangePair,
@@ -31,7 +31,6 @@ from .render import render_svg
 
 __all__ = [
     "CircleModel",
-    "MarkedPoint",
     "Arc",
     "ExchangePair",
     "StandardTilting",

@@ -1,18 +1,18 @@
 """Combinatorial model of a circle of marked points with n accumulation points.
 
-Marked points are indexed by ``(segment, offset)``: the circle is split into
-``n`` bi-infinite runs of marked points ("segments") by the accumulation
-points, which are themselves never marked.  Within a segment, offsets grow
-anticlockwise; offset -> +inf approaches the segment's upper accumulation
-point from below and offset -> -inf approaches the lower one from above.
-Only the combinatorial order matters, so the infinite marked set is held
-lazily: operations that enumerate points take an explicit window.
+A marked point is a plain ``(segment, offset)`` tuple of ints.  The circle is
+split into ``n`` bi-infinite runs of marked points ("segments") by the
+accumulation points, which are themselves never marked.  Within a segment,
+offsets grow anticlockwise; offset -> +inf approaches the segment's upper
+accumulation point from below and offset -> -inf approaches the lower one
+from above.  Only the combinatorial order matters, so the infinite marked set
+is held lazily: operations that enumerate points take an explicit window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 def check_size(name: str, value: int, minimum: int) -> None:
@@ -37,17 +37,6 @@ def check_cap(what: str, count: int, unit: str, cap: int) -> None:
         raise ValueError(f"{what} gives {count} {unit}, more than {cap}")
 
 
-class MarkedPoint(NamedTuple):
-    segment: int
-    offset: int
-
-    def to_json(self) -> list[int]:
-        return [self.segment, self.offset]
-
-    def __str__(self) -> str:
-        return str(self.to_json())
-
-
 @dataclass(frozen=True)
 class CircleModel:
     """A circle whose marked points form ``num_segments`` bi-infinite segments."""
@@ -57,7 +46,7 @@ class CircleModel:
     def __post_init__(self) -> None:
         check_size("n", self.num_segments, 1)
 
-    def check_point(self, p: MarkedPoint) -> None:
+    def check_point(self, p: tuple[int, int]) -> None:
         """Raise ValueError unless ``p`` is a marked point of this circle."""
         segment, offset = p
         if type(segment) is not int or type(offset) is not int:
@@ -65,9 +54,9 @@ class CircleModel:
         if not 0 <= segment < self.num_segments:
             raise ValueError(f"segment {segment} out of range [0, {self.num_segments})")
 
-    def points_in_window(self, window: int) -> Iterator[MarkedPoint]:
+    def points_in_window(self, window: int) -> Iterator[tuple[int, int]]:
         """All marked points with offset in [-window, window], anticlockwise."""
         check_size("window", window, 0)
         for s in range(self.num_segments):
             for o in range(-window, window + 1):
-                yield MarkedPoint(s, o)
+                yield s, o

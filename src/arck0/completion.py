@@ -10,7 +10,7 @@ Only that cokernel is computed here; the localisation itself is not modelled.
 
 from __future__ import annotations
 
-from .circle import MarkedPoint, check_cap, check_size
+from .circle import check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, cokernel_presentation
 from .k0 import (
@@ -34,7 +34,7 @@ def kernel_generator_arc(n: int, i: int) -> Arc:
     if i > n:
         raise ValueError(f"kernel index {i} out of range [1, {n}]")
     segment = 2 * (i - 1)
-    return Arc(MarkedPoint(segment, -2), MarkedPoint(segment, 0))
+    return Arc((segment, -2), (segment, 0))
 
 
 def f_matrix(n: int) -> tuple[tuple[int, ...], ...]:

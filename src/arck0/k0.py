@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .circle import CircleModel, MarkedPoint, check_cap, check_size
+from .circle import CircleModel, check_cap, check_size
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, _UnitEliminations, cokernel_presentation
 from .tilting import build_standard_tilting, palu_relations
@@ -106,7 +106,7 @@ def compute_k0_cn(
     return K0Report(
         source,
         tuple(tilting.arcs[i] for i in basis),
-        dict(zip(tilting.arcs, classes)),
+        dict(zip(tilting.arcs, classes[1:])),
         frontier,
     )
 
@@ -175,9 +175,9 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     the group; it only changes which generators survive.
 
     The residual columns then certify the basis ``standard_basis_arcs(n)``
-    and give every orbit its coordinates
-    (``_UnitEliminations.basis_classes``); a window arc reads its class off
-    its orbit's, with the sign of its code.
+    and give every signed code its coordinates
+    (``_UnitEliminations.basis_classes``); a window arc reads its class at
+    its code.
 
     A window of more than 34,000 arcs raises ValueError up front.
     """
@@ -246,10 +246,8 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     codes = [rows[points.index(arc.a)][points.index(arc.b)] for arc in basis]
     source = f"euler_oracle({n}, {window})"
     classes = elim.basis_classes(codes, source)
-    # the class of every signed code, laid out as rep: [0, 1..N, -N..-1]
-    signed = [{}, *classes, *({t: -v for t, v in c.items()} for c in reversed(classes))]
     arcs = (Arc(points[i], points[j]) for i, j in pairs)
-    return OracleQuotient(source, basis, dict(zip(arcs, (signed[rows[i][j]] for i, j in pairs))))
+    return OracleQuotient(source, basis, dict(zip(arcs, (classes[rows[i][j]] for i, j in pairs))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +261,9 @@ def standard_basis_arcs(n: int) -> tuple[Arc, ...]:
     the basis is the arc Z1, joining the two neighbours of the anchor.
     """
     check_size("n", n, 1)
-    z = [MarkedPoint(s, 0) for s in range(n)]
     if n == 1:
-        return (Arc(MarkedPoint(0, -1), MarkedPoint(0, 1)),)
-    y1 = Arc(z[0], MarkedPoint(1, -1))
-    xs = tuple(Arc(z[0], z[i]) for i in range(1, n))
-    return (y1,) + xs
+        return (Arc((0, -1), (0, 1)),)
+    return (Arc((0, 0), (1, -1)), *(Arc((0, 0), (s, 0)) for s in range(1, n)))
 
 
 def _doubled_weight(n: int, segment: int, offset: int) -> dict[int, int]:

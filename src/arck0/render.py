@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .circle import CircleModel, MarkedPoint, check_cap, check_size
+from .circle import CircleModel, check_cap, check_size
 from .arcs import Arc
 
 SIZE = 480
@@ -22,7 +22,7 @@ SECTOR_PAD = 0.06
 _MAX_POINTS = 100_000  # one tick mark per window point
 
 
-def point_fraction(model: CircleModel, p: MarkedPoint, window: int) -> float:
+def point_fraction(model: CircleModel, p: tuple[int, int], window: int) -> float:
     """Position of a marked point along the circumference, in [0, 1)."""
     model.check_point(p)
     tau = max(window, 1) / 2.0
@@ -37,7 +37,7 @@ def _polar(fraction: float, radius: float = RADIUS) -> tuple[float, float]:
     return (CENTER + radius * math.cos(theta), CENTER - radius * math.sin(theta))
 
 
-def point_xy(model: CircleModel, p: MarkedPoint, window: int) -> tuple[float, float]:
+def point_xy(model: CircleModel, p: tuple[int, int], window: int) -> tuple[float, float]:
     return _polar(point_fraction(model, p, window))
 
 

@@ -254,7 +254,7 @@ class _UnitEliminations:
         generates iff every survivor row has pivot 1 and is free iff no tag row
         has one, else VerificationError names ``where``; then the pivot column
         of row p is survivor p plus its coordinates on the tag rows.  Returns
-        the class {basis index: coefficient} of each generator 1..N, in order.
+        the class {basis index: coefficient} of each signed code, indexed like ``rep``.
         """
         position, core = self.residual()
         num_live = len(position)
@@ -271,7 +271,7 @@ class _UnitEliminations:
         for g, p in position.items():
             classes[g] = cls = {r - num_live: v for r, v in pivots[p].items() if r >= num_live}
             classes[-g] = {t: -v for t, v in cls.items()}
-        return [classes[r] for r in self.rep[1 : len(self.rep) // 2 + 1]]
+        return [classes[r] for r in self.rep]
 
 
 def cokernel_presentation(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .circle import CircleModel, MarkedPoint, check_cap, check_size
+from .circle import CircleModel, check_cap, check_size
 from .arcs import Arc
 from .snf import VerificationError
 
@@ -67,13 +67,15 @@ class StandardTilting:
     leapfrogs: tuple[tuple[int, ...], ...]
     # endpoint -> {neighbour: index of the arc joining them, or None for a
     # boundary edge to an adjacent point}
-    _neighbours: dict[MarkedPoint, dict[MarkedPoint, int | None]] = field(init=False, repr=False)
+    _neighbours: dict[tuple[int, int], dict[tuple[int, int], int | None]] = field(
+        init=False, repr=False
+    )
     # arc index -> its first label in ``names``
     _label: dict[int, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _assert_non_crossing(self.model, self.arcs)
-        neighbours: dict[MarkedPoint, dict[MarkedPoint, int | None]] = {}
+        neighbours: dict[tuple[int, int], dict[tuple[int, int], int | None]] = {}
         for i, arc in enumerate(self.arcs):
             neighbours.setdefault(arc.a, {})[arc.b] = i
             neighbours.setdefault(arc.b, {})[arc.a] = i
@@ -159,7 +161,7 @@ def build_standard_tilting(
     check_cap(f"n={n}, depth={depth}", num_arcs, "tilting arcs", _MAX_TILTING_ARCS)
     model = CircleModel(n)
     offsets = _anchor_offsets(n, anchor_offsets)
-    anchors = tuple(MarkedPoint(s, o) for s, o in enumerate(offsets))
+    anchors = tuple(enumerate(offsets))
 
     index: dict[Arc, int] = {}  # arc -> index; its keys, in order, are the arcs
     names: dict[str, int] = {}
@@ -168,11 +170,11 @@ def build_standard_tilting(
         return index.setdefault(arc, len(index))
 
     # polygon edges Z1..Zn (for n = 2 both labels point at the single chord)
-    roots: list[tuple[MarkedPoint, MarkedPoint]] = []
+    roots: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for b in range(n):
         if n == 1:
-            below = MarkedPoint(0, anchors[0][1] + 1)
-            above = MarkedPoint(0, anchors[0][1] - 1)
+            below = (0, anchors[0][1] + 1)
+            above = (0, anchors[0][1] - 1)
         else:
             below = anchors[b]
             above = anchors[(b + 1) % n]
@@ -197,9 +199,9 @@ def build_standard_tilting(
             # approaching the accumulation point from above, even steps
             # advance the one approaching it from below
             if t % 2:
-                hi = MarkedPoint(hi[0], hi[1] - 1)
+                hi = (hi[0], hi[1] - 1)
             else:
-                lo = MarkedPoint(lo[0], lo[1] + 1)
+                lo = (lo[0], lo[1] + 1)
             ladder.append(add(Arc(lo, hi)))
         leapfrogs.append(tuple(ladder))
         acc = ((b + 1) % n) + 1
@@ -224,15 +226,14 @@ class ExchangePair:
     b_m_star: tuple[Arc, ...]
 
 
-def _flank(t: StandardTilting, i: int) -> tuple[tuple[MarkedPoint, ...], dict[int, int]]:
+def _flank(t: StandardTilting, i: int) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
     """Third vertices of the triangles flanking arc ``i`` and its exchange relation.
 
     For m = {p, q} the thirds are the points that both ``_neighbours[p]``
     and ``_neighbours[q]`` map, each side {p, r} and {q, r} a tilting arc or
     a boundary edge; they are read off the smaller dict, as the fan vertex
     z1 has about n neighbours.  Neither p nor q is a third, as no point is
-    its own neighbour.  Boundary thirds are plain ``(segment, offset)``
-    tuples, which hash and compare like MarkedPoints; ``Arc`` wraps them.
+    its own neighbour.
 
     With two thirds returns ``((v1, v3), terms)``, v1 strictly between
     v0 = m.a and v2 = m.b in lex order, so that ``(v0, v1, v2, v3)`` is the

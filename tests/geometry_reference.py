@@ -10,11 +10,11 @@ the tests use: ``maybe_arc`` and the shift functor ``suspend``.
 from dataclasses import dataclass
 from typing import Optional
 
-from arck0 import Arc, CircleModel, MarkedPoint
+from arck0 import Arc, CircleModel
 from arck0.arcs import is_degenerate_pair
 
 
-def maybe_arc(p: MarkedPoint, q: MarkedPoint) -> Optional[Arc]:
+def maybe_arc(p: tuple[int, int], q: tuple[int, int]) -> Optional[Arc]:
     """The arc {p, q}, or None when the pair is degenerate (a zero object)."""
     if is_degenerate_pair(p, q):
         return None
@@ -26,10 +26,10 @@ def suspend(arc: Arc, k: int = 1) -> Arc:
 
     Validity is translation invariant, so the result is always an arc.
     """
-    return Arc(MarkedPoint(arc.a[0], arc.a[1] - k), MarkedPoint(arc.b[0], arc.b[1] - k))
+    return Arc((arc.a[0], arc.a[1] - k), (arc.b[0], arc.b[1] - k))
 
 
-def cyclic_key(origin: MarkedPoint, p: MarkedPoint, num_segments: int) -> tuple[int, int]:
+def cyclic_key(origin: tuple[int, int], p: tuple[int, int], num_segments: int) -> tuple[int, int]:
     """Sort key for the linear order obtained by cutting the circle at ``origin``.
 
     Smaller keys come first when walking anticlockwise from ``origin``.
@@ -64,7 +64,7 @@ def ext1_dim(model: CircleModel, x: Arc, y: Arc) -> int:
 
 def quadrilateral_vertices(
     model: CircleModel, m: Arc, other: Arc
-) -> tuple[MarkedPoint, MarkedPoint, MarkedPoint, MarkedPoint]:
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The four endpoints of a crossing pair in anticlockwise order.
 
     The walk starts at the lexicographically smaller endpoint of ``m``, so

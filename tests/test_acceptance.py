@@ -31,7 +31,6 @@ import pytest
 from arck0 import (
     Arc,
     GroupPresentation,
-    MarkedPoint,
     build_standard_tilting,
     compute_k0_cn,
     compute_k0_completed,
@@ -126,8 +125,8 @@ def test_criterion_4_parity():
     # [W(i)] = (i % 2)[W(1)] with [W(1)] != 0, for every i the window holds
     w = 8
     oracle = euler_oracle(1, w)
-    start = MarkedPoint(0, -w)
-    fountain = [oracle.class_of(Arc(start, MarkedPoint(0, i + 1 - w))) for i in range(1, 2 * w)]
+    start = (0, -w)
+    fountain = [oracle.class_of(Arc(start, (0, i + 1 - w))) for i in range(1, 2 * w)]
     w1 = fountain[0]
     recurrence = any(w1) and all(
         c == tuple(i % 2 * v for v in w1) for i, c in enumerate(fountain, 1)
@@ -169,8 +168,8 @@ def test_criterion_5_formula_vs_oracle():
 
 def _random_arc(rng: random.Random, n: int, window: int = 12) -> Arc:
     while True:
-        p = MarkedPoint(rng.randrange(n), rng.randint(-window, window))
-        q = MarkedPoint(rng.randrange(n), rng.randint(-window, window))
+        p = (rng.randrange(n), rng.randint(-window, window))
+        q = (rng.randrange(n), rng.randint(-window, window))
         arc = maybe_arc(p, q)
         if arc is not None:
             return arc

@@ -1,9 +1,11 @@
+import collections
 import copy
 import pickle
+import re
 
 import pytest
 
-from arck0 import Arc, CircleModel, MarkedPoint
+from arck0 import Arc, CircleModel
 from geometry_reference import (
     ext1_dim,
     induced_triangles,
@@ -14,7 +16,7 @@ from geometry_reference import (
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def A(p, q):
@@ -41,26 +43,46 @@ def test_arc_canonical_order_and_json():
 
 
 def test_arc_wraps_plain_pairs():
-    # tuples and lists become ordered MarkedPoints; MarkedPoints are kept as given
-    arc = Arc((0, 3), [0, 1])
-    assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+    # tuple endpoints are kept as given; other pairs (JSON lists, a tuple
+    # subclass) are repacked as plain tuples, then ordered
+    arc = Arc(P(0, 3), [0, 1])
+    assert type(arc.a) is tuple and type(arc.b) is tuple
     assert (arc.a, arc.b) == (P(0, 1), P(0, 3))
     assert arc == A((0, 1), (0, 3)) and hash(arc) == hash(A((0, 1), (0, 3)))
     p, q = P(1, 0), P(0, 5)
     kept = Arc(p, q)
     assert kept.a is q and kept.b is p
+    pair = collections.namedtuple("pair", "s o")
+    assert type(Arc(pair(0, 3), pair(1, 5)).a) is tuple
     with pytest.raises(ValueError, match="degenerate arc"):
         Arc((0, 2), [0, 1])
 
 
+def test_arc_rejects_points_that_are_not_int_pairs():
+    # ValueError, as for every bad input: a coordinate that is not an int
+    # (a str, a float, a bool) is named in check_point's words, and a point
+    # of the wrong length fails to unpack
+    for a, b, bad in (
+        (("a", 0), (0, 2), "['a', 0]"),
+        ((0, 0.5), (1, 0), "[0, 0.5]"),
+        ((0, True), (1, 0), "[0, True]"),
+        ((0, 0), [1, None], "[1, None]"),
+    ):
+        message = f"marked point {bad} needs integer coordinates"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Arc(a, b)
+    for a, b in (((0, 0, 0), (1, 0)), ((0,), (1, 0)), ((0, 0), [1, 0, 2])):
+        with pytest.raises(ValueError, match="values to unpack"):
+            Arc(a, b)
+
+
 def test_arc_is_a_validated_named_tuple():
     arc = A((1, 5), (0, 3))
-    assert repr(arc) == (
-        "Arc(a=MarkedPoint(segment=0, offset=3), b=MarkedPoint(segment=1, offset=5))"
-    )
+    assert repr(arc) == "Arc(a=(0, 3), b=(1, 5))"
     # messages name arcs and points in the JSON form the CLI reads
     assert str(arc) == f"{arc}" == "[[0, 3], [1, 5]]"
-    assert str(arc.a) == "[0, 3]"
+    with pytest.raises(ValueError, match=r"^degenerate arc between \[0, 0\] and \[0, 1\]$"):
+        Arc((0, 1), (0, 0))
     assert hash(arc) == hash((arc.a, arc.b))
     assert arc == (P(0, 3), P(1, 5))
     arcs = [A((1, 0), (1, 2)), A((0, 0), (1, 0)), A((0, 0), (0, 3)), A((0, -4), (1, 7))]

@@ -4,7 +4,6 @@ import pytest
 
 from arck0 import (
     CircleModel,
-    MarkedPoint,
     build_standard_tilting,
     completion,
     compute_k0_completed,
@@ -20,7 +19,7 @@ from geometry_reference import cyclic_key
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def test_model_rejects_nonpositive_segment_count():
@@ -60,10 +59,6 @@ def test_points_in_window_order_and_count():
     assert len(pts) == 2 * 5
     assert pts[0] == P(0, -2) and pts[-1] == P(1, 2)
     assert pts == sorted(pts)
-
-
-def test_point_json():
-    assert P(1, -4).to_json() == [1, -4]
 
 
 def _tilting(n, depth):

@@ -211,9 +211,9 @@ def assert_line_5_fails(capsys, monkeypatch, n, arc, cls, message):
 
 def test_verify_wrong_same_segment_class_exits_1(capsys, monkeypatch):
     # (1, -1)-(1, 1) is no kernel generator, so only line 5 reads it
-    from arck0 import Arc, MarkedPoint
+    from arck0 import Arc
 
-    arc = Arc(MarkedPoint(1, -1), MarkedPoint(1, 1))
+    arc = Arc((1, -1), (1, 1))
     message = (
         "class (5, 0) of arc [[1, -1], [1, 1]] is not its closed form (1, -1) "
         "in euler_oracle(2, 4)"
@@ -226,9 +226,9 @@ def test_verify_wrong_cross_segment_class_exits_1(capsys, monkeypatch):
     # arc is the first with its endpoints' segments and offset parities, so
     # it is compared with the closed form itself; the same-segment arc
     # above is compared with the first arc of its key
-    from arck0 import Arc, MarkedPoint
+    from arck0 import Arc
 
-    arc = Arc(MarkedPoint(1, -4), MarkedPoint(3, -3))
+    arc = Arc((1, -4), (3, -3))
     message = (
         "class (0, 0, 0, 0) of arc [[1, -4], [3, -3]] is not its closed form (0, 1, 0, -1) "
         "in euler_oracle(4, 4)"
@@ -328,13 +328,13 @@ def test_verify_wrong_completion_exits_1(capsys, monkeypatch):
 def test_crossing_tilting_exits_1(capsys, monkeypatch):
     # a tilting with a crossing arc is an internal fault: the non-crossing
     # check raises VerificationError, not a traceback
-    from arck0 import Arc, MarkedPoint, tilting
+    from arck0 import Arc, tilting
 
     built = tilting.StandardTilting
 
     def with_crossing_arc(model, arcs, names, leapfrogs):
         # (0, 1)-(2, 0) crosses the polygon edge Z1 = (0, 0)-(1, 0)
-        crossing = Arc(MarkedPoint(0, 1), MarkedPoint(2, 0))
+        crossing = Arc((0, 1), (2, 0))
         return built(model, (*arcs, crossing), names, leapfrogs)
 
     monkeypatch.setattr(tilting, "StandardTilting", with_crossing_arc)

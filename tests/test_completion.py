@@ -4,7 +4,6 @@ from arck0 import (
     Arc,
     CircleModel,
     GroupPresentation,
-    MarkedPoint,
     VerificationError,
     arc_class,
     compute_k0_completed,
@@ -17,7 +16,7 @@ from geometry_reference import ext1_dim
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def A(p, q):
@@ -189,13 +188,17 @@ def test_completed_cokernel_invariant_under_column_changes():
         assert cokernel_presentation(2 * n, cols) == base
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_even_same_segment_classes_span_the_completion_kernel(n):
+@pytest.mark.parametrize(
+    "n, window",
+    [pytest.param(n, w, id=str(n)) for n, w in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3), (6, 3))],
+)
+def test_even_same_segment_classes_span_the_completion_kernel(n, window):
     # the kernel is spanned by the classes of all same-segment arcs on the
-    # even host segments, not only by the n generators f_matrix holds
+    # even host segments, not only by the n generators f_matrix holds; the
+    # window shrinks to 3 for the 10- and 12-segment hosts, whose oracles grow fast
     from arck0 import cokernel_presentation, euler_oracle
 
-    oracle = euler_oracle(2 * n, 4)
+    oracle = euler_oracle(2 * n, window)
     even = [arc for arc in oracle.arcs if arc.a[0] % 2 == 0 and arc.b[0] % 2 == 0]
     same = [oracle.class_of(arc) for arc in even if arc.a[0] == arc.b[0]]
     assert cokernel_presentation(2 * n, same) == compute_k0_completed(n)

@@ -11,7 +11,6 @@ from arck0 import (
     Arc,
     CircleModel,
     GroupPresentation,
-    MarkedPoint,
     VerificationError,
     arc_class,
     build_standard_tilting,
@@ -34,7 +33,7 @@ from geometry_reference import ext1_dim, induced_triangles, maybe_arc, suspend
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def A(p, q):

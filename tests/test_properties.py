@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from arck0 import (
     Arc,
     CircleModel,
-    MarkedPoint,
     build_standard_tilting,
     cokernel_presentation,
     euler_oracle,
@@ -32,9 +31,9 @@ def _draw_arc(draw, n):
         s1 = draw(st.integers(0, n - 2))
         if s1 >= s0:
             s1 += 1
-        return Arc(MarkedPoint(s0, o0), MarkedPoint(s1, draw(st.integers(-WINDOW, WINDOW))))
+        return Arc((s0, o0), (s1, draw(st.integers(-WINDOW, WINDOW))))
     gap = draw(st.integers(2, 9)) * draw(st.sampled_from((-1, 1)))
-    return Arc(MarkedPoint(s0, o0), MarkedPoint(s0, o0 + gap))
+    return Arc((s0, o0), (s0, o0 + gap))
 
 
 @st.composite

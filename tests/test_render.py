@@ -1,9 +1,9 @@
-from arck0 import Arc, CircleModel, MarkedPoint, build_standard_tilting, render_svg
+from arck0 import Arc, CircleModel, build_standard_tilting, render_svg
 from arck0.render import point_fraction, point_xy
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def test_empty_arc_list_draws_circle_ticks_markers():

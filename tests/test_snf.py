@@ -282,9 +282,9 @@ def test_hermite_reduce_reads_off_classes():
 
 def test_basis_classes_certify_a_free_basis():
     # Z^5 / <x4, x2 + x5, x1 + x2 + x3> is free on x1, x2, with x3 = -x1 - x2,
-    # x4 eliminated to zero and x5 = -x2; the classes come in generator
-    # order, and a basis that misses a generator or carries a relation
-    # raises, naming the caller
+    # x4 eliminated to zero and x5 = -x2; the classes of the signed codes
+    # are indexed like rep, [0, 1..5, -5..-1], and a basis that misses a
+    # generator or carries a relation raises, naming the caller
     from arck0.snf import VerificationError
 
     def classes(basis):
@@ -298,8 +298,14 @@ def test_basis_classes_certify_a_free_basis():
         assert elim.store == {((1, 1), (3, 1), (5, -1))}
         return elim.basis_classes(basis, "here")
 
-    assert classes([1, 2]) == [{0: 1}, {1: 1}, {0: -1, 1: -1}, {}, {1: -1}]
-    assert classes([-3, 5]) == [{0: 1, 1: 1}, {1: -1}, {0: -1}, {}, {1: 1}]
+    assert classes([1, 2]) == [
+        {}, {0: 1}, {1: 1}, {0: -1, 1: -1}, {}, {1: -1},
+        {1: 1}, {}, {0: 1, 1: 1}, {1: -1}, {0: -1},
+    ]
+    assert classes([-3, 5]) == [
+        {}, {0: 1, 1: 1}, {1: -1}, {0: -1}, {}, {1: 1},
+        {1: -1}, {}, {0: 1}, {1: 1}, {0: -1, 1: -1},
+    ]
     for basis, problem in (
         ([1], "do not generate"),
         ([1, 2, 3], "satisfy a relation"),

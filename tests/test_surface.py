@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "CircleModel",
-    "MarkedPoint",
     "Arc",
     "ExchangePair",
     "StandardTilting",

@@ -7,7 +7,6 @@ import pytest
 from arck0 import (
     Arc,
     CircleModel,
-    MarkedPoint,
     StandardTilting,
     VerificationError,
     arc_class,
@@ -24,7 +23,7 @@ from geometry_reference import ext1_dim, induced_triangles, shares_endpoint
 
 
 def P(s, o):
-    return MarkedPoint(s, o)
+    return (s, o)
 
 
 def A(p, q):
@@ -271,9 +270,8 @@ def test_arc_index_names_an_arc_outside_the_tilting():
 
 
 def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
-    # the neighbour index keys boundary edges by plain (segment, offset)
-    # tuples, and _flank hands such thirds to Arc; every arc that leaves the
-    # package wraps them
+    # every endpoint that leaves the package, a third _flank read off the
+    # neighbour index included, is a plain (segment, offset) tuple of ints
     rng = random.Random(31)
     for n in range(1, 7):
         t = build_standard_tilting(n, [rng.randint(-3, 3) for _ in range(n)], 3)
@@ -282,10 +280,10 @@ def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
             for i in interior:
                 pair = exchange_pair(t, i)
                 for arc in (pair.m, pair.m_star, *pair.b_m, *pair.b_m_star):
-                    assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+                    assert all(type(p) is tuple and list(map(type, p)) == [int, int] for p in arc)
                     assert arc.to_json() == [list(arc.a), list(arc.b)]
             for arc in t.arcs:
-                assert type(arc.a) is MarkedPoint and type(arc.b) is MarkedPoint
+                assert all(type(p) is tuple and list(map(type, p)) == [int, int] for p in arc)
             t = mutate(t, rng.choice(interior))
             interior = sorted(palu_relations(t))
 
