@@ -1,6 +1,5 @@
 """Exact combinatorics of arcs on a marked circle and their Grothendieck groups."""
 
-from .circle import CircleModel
 from .arcs import Arc
 from .tilting import (
     ExchangePair,
@@ -30,7 +29,6 @@ from .completion import (
 from .render import render_svg
 
 __all__ = [
-    "CircleModel",
     "Arc",
     "ExchangePair",
     "StandardTilting",

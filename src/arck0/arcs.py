@@ -34,16 +34,24 @@ class Arc(_Endpoints):
     __slots__ = ()
 
     def __new__(cls, a, b) -> "Arc":
-        # a point that is not a pair of ints raises ValueError; tuple
-        # endpoints are kept as given, other pairs (JSON lists) are repacked
-        (s, o), (t, u) = a, b
+        # only a tuple or a list of two ints is a point, else ValueError;
+        # a plain tuple is kept as given, others (JSON lists) are repacked
+        try:
+            (s, o), (t, u) = a, b
+        except (TypeError, ValueError):
+            bad = a if not isinstance(a, (tuple, list)) or len(a) != 2 else b
+            raise ValueError(f"marked point {bad!r} is not a pair of ints") from None
+        if type(a) is not tuple:
+            if not isinstance(a, (tuple, list)):
+                raise ValueError(f"marked point {a!r} is not a pair of ints")
+            a = s, o
+        if type(b) is not tuple:
+            if not isinstance(b, (tuple, list)):
+                raise ValueError(f"marked point {b!r} is not a pair of ints")
+            b = t, u
         if not type(s) is type(o) is type(t) is type(u) is int:
             bad = a if type(s) is not int or type(o) is not int else b
             raise ValueError(f"marked point {list(bad)} needs integer coordinates")
-        if type(a) is not tuple:
-            a = s, o
-        if type(b) is not tuple:
-            b = t, u
         if b < a:
             a, b = b, a
         if is_degenerate_pair(a, b):

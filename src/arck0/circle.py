@@ -1,17 +1,16 @@
 """Combinatorial model of a circle of marked points with n accumulation points.
 
-A marked point is a plain ``(segment, offset)`` tuple of ints.  The circle is
-split into ``n`` bi-infinite runs of marked points ("segments") by the
-accumulation points, which are themselves never marked.  Within a segment,
-offsets grow anticlockwise; offset -> +inf approaches the segment's upper
-accumulation point from below and offset -> -inf approaches the lower one
-from above.  Only the combinatorial order matters, so the infinite marked set
-is held lazily: operations that enumerate points take an explicit window.
+The circle is its segment count ``n``, a plain int, and a marked point is a
+plain ``(segment, offset)`` tuple of ints: the accumulation points, never
+marked themselves, split the circle into ``n`` bi-infinite "segments".
+Within a segment, offsets grow anticlockwise; offset -> +inf approaches the
+segment's upper accumulation point from below and offset -> -inf approaches
+the lower one from above.  Only the combinatorial order matters, so the
+infinite marked set is held lazily: ``points_in_window`` takes a window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -37,26 +36,18 @@ def check_cap(what: str, count: int, unit: str, cap: int) -> None:
         raise ValueError(f"{what} gives {count} {unit}, more than {cap}")
 
 
-@dataclass(frozen=True)
-class CircleModel:
-    """A circle whose marked points form ``num_segments`` bi-infinite segments."""
+def check_point(n: int, p: tuple[int, int]) -> None:
+    """Raise ValueError unless ``p`` is a marked point of the n-segment circle."""
+    segment, offset = p
+    if type(segment) is not int or type(offset) is not int:
+        raise ValueError(f"marked point {list(p)} needs integer coordinates")
+    if not 0 <= segment < n:
+        raise ValueError(f"segment {segment} out of range [0, {n})")
 
-    num_segments: int
 
-    def __post_init__(self) -> None:
-        check_size("n", self.num_segments, 1)
-
-    def check_point(self, p: tuple[int, int]) -> None:
-        """Raise ValueError unless ``p`` is a marked point of this circle."""
-        segment, offset = p
-        if type(segment) is not int or type(offset) is not int:
-            raise ValueError(f"marked point {list(p)} needs integer coordinates")
-        if not 0 <= segment < self.num_segments:
-            raise ValueError(f"segment {segment} out of range [0, {self.num_segments})")
-
-    def points_in_window(self, window: int) -> Iterator[tuple[int, int]]:
-        """All marked points with offset in [-window, window], anticlockwise."""
-        check_size("window", window, 0)
-        for s in range(self.num_segments):
-            for o in range(-window, window + 1):
-                yield s, o
+def points_in_window(n: int, window: int) -> Iterator[tuple[int, int]]:
+    """All marked points of the n-segment circle with offset in [-window, window], anticlockwise."""
+    check_size("window", window, 0)
+    for s in range(n):
+        for o in range(-window, window + 1):
+            yield s, o

@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .circle import CircleModel
+from .circle import check_point, check_size
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
 from .snf import GroupPresentation
@@ -47,14 +47,13 @@ def _load_json(text: str):
         raise ValueError("JSON nested too deeply") from exc
 
 
-def _parse_arc(data, model: CircleModel) -> Arc:
-    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]`` on ``model``.
+def _parse_arc(data, n: int) -> Arc:
+    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]`` on the n-segment circle.
 
     The one decoder of an arc from outside: anything but a list of two
     two-item lists raises ValueError ``malformed arc <json>``, so no string
-    or dict is read as a point; then ``model.check_point`` checks each
-    point, and only then is the Arc built, so no bool or float is read as an
-    int.
+    or dict is read as a point; then ``check_point`` checks each point in
+    its own words, before ``Arc`` rejects a degenerate pair.
     """
     if not (
         isinstance(data, list)
@@ -63,7 +62,7 @@ def _parse_arc(data, model: CircleModel) -> Arc:
     ):
         raise ValueError(f"malformed arc {json.dumps(data)}")
     for p in data:
-        model.check_point(p)
+        check_point(n, p)
     return Arc(*data)
 
 
@@ -114,7 +113,7 @@ def _cmd_exchange(args: argparse.Namespace) -> tuple[dict, str]:
         index = tilting.names[name]
     else:
         try:
-            arc = _parse_arc(_load_json(name), tilting.model)
+            arc = _parse_arc(_load_json(name), tilting.n)
         except ValueError as exc:
             raise ValueError(f"unknown arc {name!r}") from exc
         index = tilting.arc_index(arc)
@@ -158,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[None, str]:
 
 
 def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
-    model = CircleModel(args.n)
+    check_size("n", args.n, 1)
     arcs: tuple[Arc, ...] = ()
     if args.depth is not None:
         arcs = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth).arcs
@@ -168,8 +167,8 @@ def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
         items = _load_json(args.arcs)
         if not isinstance(items, list):
             raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
-        arcs = tuple(_parse_arc(item, model) for item in items)
-    return None, render_svg(model, arcs, args.window)
+        arcs = tuple(_parse_arc(item, args.n) for item in items)
+    return None, render_svg(args.n, arcs, args.window)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .circle import CircleModel, check_cap, check_size
+from .circle import check_cap, check_point, check_size, points_in_window
 from .arcs import Arc
 from .snf import GroupPresentation, VerificationError, _UnitEliminations, cokernel_presentation
 from .tilting import build_standard_tilting, palu_relations
@@ -182,9 +182,9 @@ def euler_oracle(n: int, window: int) -> OracleQuotient:
     A window of more than 34,000 arcs raises ValueError up front.
     """
     check_size("window", window, 2)
-    model = CircleModel(n)
+    check_size("n", n, 1)
     _check_oracle_arcs(f"n={n}, window={window}", n, window)
-    points = list(model.points_in_window(window))
+    points = list(points_in_window(n, window))
     size = len(points)
 
     # rows[i][j] is the signed generator code of the arc (i, j): the shift of
@@ -298,9 +298,9 @@ def arc_class(n: int, arc: Arc) -> tuple[int, ...]:
     arc by one marked point negates its class.  An endpoint off the
     n-segment circle raises ValueError.
     """
-    model = CircleModel(n)
-    model.check_point(arc.a)
-    model.check_point(arc.b)
+    check_size("n", n, 1)
+    check_point(n, arc.a)
+    check_point(n, arc.b)
     coeffs = [0] * n
     for t, v in _closed_form(n, arc).items():
         coeffs[t] = v

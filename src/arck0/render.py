@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .circle import CircleModel, check_cap, check_size
+from .circle import check_cap, check_point, check_size, points_in_window
 from .arcs import Arc
 
 SIZE = 480
@@ -22,13 +22,13 @@ SECTOR_PAD = 0.06
 _MAX_POINTS = 100_000  # one tick mark per window point
 
 
-def point_fraction(model: CircleModel, p: tuple[int, int], window: int) -> float:
-    """Position of a marked point along the circumference, in [0, 1)."""
-    model.check_point(p)
+def point_fraction(n: int, p: tuple[int, int], window: int) -> float:
+    """Position of a marked point of the n-segment circle along the circumference, in [0, 1)."""
+    check_point(n, p)
     tau = max(window, 1) / 2.0
     squash = 0.5 * (1.0 + math.tanh(p[1] / tau))
     inner = SECTOR_PAD + (1.0 - 2.0 * SECTOR_PAD) * squash
-    return (p[0] + inner) / model.num_segments
+    return (p[0] + inner) / n
 
 
 def _polar(fraction: float, radius: float = RADIUS) -> tuple[float, float]:
@@ -37,20 +37,20 @@ def _polar(fraction: float, radius: float = RADIUS) -> tuple[float, float]:
     return (CENTER + radius * math.cos(theta), CENTER - radius * math.sin(theta))
 
 
-def point_xy(model: CircleModel, p: tuple[int, int], window: int) -> tuple[float, float]:
-    return _polar(point_fraction(model, p, window))
+def point_xy(n: int, p: tuple[int, int], window: int) -> tuple[float, float]:
+    return _polar(point_fraction(n, p, window))
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
-    """Draw the circle, in-window tick marks, accumulation markers and arcs.
+def render_svg(n: int, arcs: Iterable[Arc], window: int) -> str:
+    """Draw the n-segment circle, in-window tick marks, accumulation markers and arcs.
 
     A window of more than 100,000 points raises ValueError up front.
     """
-    n = model.num_segments
+    check_size("n", n, 1)
     check_size("window", window, 1)
     check_cap(f"n={n}, window={window}", n * (2 * window + 1), "window points", _MAX_POINTS)
     lines = [
@@ -61,8 +61,8 @@ def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
         'fill="none" stroke="black" stroke-width="1.5"/>',
     ]
 
-    for p in model.points_in_window(window):
-        fraction = point_fraction(model, p, window)
+    for p in points_in_window(n, window):
+        fraction = point_fraction(n, p, window)
         x1, y1 = _polar(fraction, RADIUS - 4)
         x2, y2 = _polar(fraction, RADIUS + 4)
         lines.append(
@@ -70,16 +70,16 @@ def render_svg(model: CircleModel, arcs: Iterable[Arc], window: int) -> str:
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="black" stroke-width="1"/>'
         )
 
-    for b in range(model.num_segments):
-        x, y = _polar((b + 1) / model.num_segments)
+    for b in range(n):
+        x, y = _polar((b + 1) / n)
         lines.append(
             f'<circle class="accumulation" cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '
             'fill="white" stroke="black" stroke-width="1.5"/>'
         )
 
     for arc in arcs:
-        x1, y1 = point_xy(model, arc.a, window)
-        x2, y2 = point_xy(model, arc.b, window)
+        x1, y1 = point_xy(n, arc.a, window)
+        x2, y2 = point_xy(n, arc.b, window)
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         # pull the control point toward the centre so chords read as arcs
         cx = CENTER + (mx - CENTER) * 0.45

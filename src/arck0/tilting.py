@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .circle import CircleModel, check_cap, check_size
+from .circle import check_cap, check_point, check_size
 from .arcs import Arc
 from .snf import VerificationError
 
@@ -38,8 +38,9 @@ _MAX_TILTING_ARCS = 110_000  # 4x compute_k0_cn(400, depth=32), checked up front
 class StandardTilting:
     """An indexed non-crossing arc set with one leapfrog per accumulation point.
 
-    However it is made, it checks its arcs: an endpoint off ``model`` raises
-    ValueError, a crossing pair or a repeated arc VerificationError.
+    However it is made, it checks ``n`` and its arcs: an ``n`` below 1 or an
+    endpoint off the n-segment circle raises ValueError, a crossing pair or a
+    repeated arc VerificationError.
     Maximality is not checked, and a truncated tilting is not maximal.
 
     ``names`` maps the construction labels to arc indices.  With z1..zn the
@@ -61,7 +62,7 @@ class StandardTilting:
     after a mutation a position may hold the new arc, not a zigzag step.
     """
 
-    model: CircleModel
+    n: int
     arcs: tuple[Arc, ...]
     names: dict[str, int]
     leapfrogs: tuple[tuple[int, ...], ...]
@@ -74,7 +75,8 @@ class StandardTilting:
     _label: dict[int, str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _assert_non_crossing(self.model, self.arcs)
+        check_size("n", self.n, 1)
+        _assert_non_crossing(self.n, self.arcs)
         neighbours: dict[tuple[int, int], dict[tuple[int, int], int | None]] = {}
         for i, arc in enumerate(self.arcs):
             neighbours.setdefault(arc.a, {})[arc.b] = i
@@ -102,7 +104,7 @@ class StandardTilting:
         return self._label.get(index, f"arc{index}")
 
 
-def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
+def _assert_non_crossing(n: int, arcs: tuple[Arc, ...]) -> None:
     """Raise VerificationError naming a crossing pair or a repeated arc, if any.
 
     In lex order each arc is an interval [a, b].  Sorted by (a, -b), the arcs
@@ -114,7 +116,7 @@ def _assert_non_crossing(model: CircleModel, arcs: tuple[Arc, ...]) -> None:
     Each endpoint is validated once; sorting by -b, then stably by a, gives (a, -b).
     """
     for p in set().union(*arcs):
-        model.check_point(p)
+        check_point(n, p)
     ordered = sorted(arcs, key=itemgetter(1), reverse=True)
     ordered.sort(key=itemgetter(0))
     stack: list[Arc] = []
@@ -159,7 +161,6 @@ def build_standard_tilting(
     # diagonals, and one arc fewer for n = 2, whose two edges coincide
     num_arcs = n * (2 * depth + 1) + max(n - 3, 0) - (n == 2)
     check_cap(f"n={n}, depth={depth}", num_arcs, "tilting arcs", _MAX_TILTING_ARCS)
-    model = CircleModel(n)
     offsets = _anchor_offsets(n, anchor_offsets)
     anchors = tuple(enumerate(offsets))
 
@@ -209,7 +210,7 @@ def build_standard_tilting(
         for t, idx in enumerate(ladder):
             names[f"L{acc}[{t}]"] = idx
 
-    return StandardTilting(model, tuple(index), names, tuple(leapfrogs))
+    return StandardTilting(n, tuple(index), names, tuple(leapfrogs))
 
 
 @dataclass(frozen=True)
@@ -314,4 +315,4 @@ def mutate(t: StandardTilting, m_index: int) -> StandardTilting:
     primary = t.name_of(m_index)
     new_names = {name: i for name, i in t.names.items() if i != m_index}
     new_names[primary + "*"] = m_index
-    return StandardTilting(t.model, tuple(new_arcs), new_names, t.leapfrogs)
+    return StandardTilting(t.n, tuple(new_arcs), new_names, t.leapfrogs)

@@ -10,8 +10,9 @@ the tests use: ``maybe_arc`` and the shift functor ``suspend``.
 from dataclasses import dataclass
 from typing import Optional
 
-from arck0 import Arc, CircleModel
+from arck0 import Arc
 from arck0.arcs import is_degenerate_pair
+from arck0.circle import check_point
 
 
 def maybe_arc(p: tuple[int, int], q: tuple[int, int]) -> Optional[Arc]:
@@ -29,16 +30,16 @@ def suspend(arc: Arc, k: int = 1) -> Arc:
     return Arc((arc.a[0], arc.a[1] - k), (arc.b[0], arc.b[1] - k))
 
 
-def cyclic_key(origin: tuple[int, int], p: tuple[int, int], num_segments: int) -> tuple[int, int]:
+def cyclic_key(origin: tuple[int, int], p: tuple[int, int], n: int) -> tuple[int, int]:
     """Sort key for the linear order obtained by cutting the circle at ``origin``.
 
     Smaller keys come first when walking anticlockwise from ``origin``.
     ``p`` must differ from ``origin``.
     """
-    d = (p[0] - origin[0]) % num_segments
+    d = (p[0] - origin[0]) % n
     if d == 0 and p[1] < origin[1]:
         # same segment but clockwise of the origin: reached last, after the wrap
-        d = num_segments
+        d = n
     return (d, p[1])
 
 
@@ -46,16 +47,15 @@ def shares_endpoint(x: Arc, y: Arc) -> bool:
     return bool({x.a, x.b} & {y.a, y.b})
 
 
-def ext1_dim(model: CircleModel, x: Arc, y: Arc) -> int:
+def ext1_dim(n: int, x: Arc, y: Arc) -> int:
     """1 if the arcs cross (endpoints strictly interleave), else 0.
 
     Arcs sharing an endpoint never cross.
     """
     for p in (x.a, x.b, y.a, y.b):
-        model.check_point(p)
+        check_point(n, p)
     if shares_endpoint(x, y):
         return 0
-    n = model.num_segments
     end = cyclic_key(x.a, x.b, n)
     inside_a = cyclic_key(x.a, y.a, n) < end
     inside_b = cyclic_key(x.a, y.b, n) < end
@@ -63,16 +63,15 @@ def ext1_dim(model: CircleModel, x: Arc, y: Arc) -> int:
 
 
 def quadrilateral_vertices(
-    model: CircleModel, m: Arc, other: Arc
+    n: int, m: Arc, other: Arc
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The four endpoints of a crossing pair in anticlockwise order.
 
     The walk starts at the lexicographically smaller endpoint of ``m``, so
     the result (v0, v1, v2, v3) has m = {v0, v2} and other = {v1, v3}.
     """
-    if ext1_dim(model, m, other) != 1:
+    if ext1_dim(n, m, other) != 1:
         raise ValueError("arcs do not cross")
-    n = model.num_segments
     v0, v2 = m.a, m.b
     if cyclic_key(v0, other.a, n) < cyclic_key(v0, v2, n):
         v1, v3 = other.a, other.b
@@ -81,12 +80,12 @@ def quadrilateral_vertices(
     return v0, v1, v2, v3
 
 
-def quadrilateral_sides(model: CircleModel, m: Arc, other: Arc) -> list[Optional[Arc]]:
+def quadrilateral_sides(n: int, m: Arc, other: Arc) -> list[Optional[Arc]]:
     """Sides [{v0,v1}, {v1,v2}, {v2,v3}, {v3,v0}] of the crossing quadrilateral.
 
     Degenerate sides (adjacent endpoints) are returned as None.
     """
-    v0, v1, v2, v3 = quadrilateral_vertices(model, m, other)
+    v0, v1, v2, v3 = quadrilateral_vertices(n, m, other)
     return [maybe_arc(v0, v1), maybe_arc(v1, v2), maybe_arc(v2, v3), maybe_arc(v3, v0)]
 
 
@@ -100,7 +99,7 @@ class InducedTriangle:
 
 
 def induced_triangles(
-    model: CircleModel, m: Arc, other: Arc
+    n: int, m: Arc, other: Arc
 ) -> tuple[InducedTriangle, InducedTriangle]:
     """The two triangles induced by a crossing pair.
 
@@ -108,7 +107,7 @@ def induced_triangles(
     ({v1,v2}, {v3,v0}); the second runs other -> (+)mids -> m with the
     remaining pair.  Zero sides are dropped from the middles.
     """
-    sides = quadrilateral_sides(model, m, other)
+    sides = quadrilateral_sides(n, m, other)
     first_mid = tuple(s for s in (sides[1], sides[3]) if s is not None)
     second_mid = tuple(s for s in (sides[0], sides[2]) if s is not None)
     return (

@@ -176,30 +176,24 @@ def _random_arc(rng: random.Random, n: int, window: int = 12) -> Arc:
 
 
 def test_criterion_6a_crossing_symmetry():
-    from arck0 import CircleModel
-
     rng = random.Random(601)
     cases = 0
     for _ in range(500):
         n = rng.randint(1, 4)
-        model = CircleModel(n)
         x, y = _random_arc(rng, n), _random_arc(rng, n)
-        assert ext1_dim(model, x, y) == ext1_dim(model, y, x)
+        assert ext1_dim(n, x, y) == ext1_dim(n, y, x)
         cases += 1
     report("6a (crossing symmetry)", cases >= 500, f"{cases} random pairs")
 
 
 def test_criterion_6b_suspension_equivariance():
-    from arck0 import CircleModel
-
     rng = random.Random(602)
     cases = 0
     for _ in range(500):
         n = rng.randint(1, 4)
-        model = CircleModel(n)
         x, y = _random_arc(rng, n), _random_arc(rng, n)
         k = rng.randint(-6, 6)
-        assert ext1_dim(model, x, y) == ext1_dim(model, suspend(x, k), suspend(y, k))
+        assert ext1_dim(n, x, y) == ext1_dim(n, suspend(x, k), suspend(y, k))
         cases += 1
     report("6b (suspension equivariance)", cases >= 500, f"{cases} random pairs")
 
@@ -232,7 +226,7 @@ def test_criterion_6d_mutate_involution_and_6e_non_crossing():
         arcs = t.arcs
         for i in range(len(arcs)):
             for j in range(i + 1, len(arcs)):
-                assert ext1_dim(t.model, arcs[i], arcs[j]) == 0
+                assert ext1_dim(t.n, arcs[i], arcs[j]) == 0
 
     for t in tiltings:
         assert_non_crossing(t)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from arck0 import Arc, CircleModel
+from arck0 import Arc
 from geometry_reference import (
     ext1_dim,
     induced_triangles,
@@ -60,8 +60,9 @@ def test_arc_wraps_plain_pairs():
 
 def test_arc_rejects_points_that_are_not_int_pairs():
     # ValueError, as for every bad input: a coordinate that is not an int
-    # (a str, a float, a bool) is named in check_point's words, and a point
-    # of the wrong length fails to unpack
+    # (a str, a float, a bool) is named in check_point's words; anything but
+    # a tuple (subclasses included) or a list of two items, iterable of two
+    # ints or not, is named as not a pair
     for a, b, bad in (
         (("a", 0), (0, 2), "['a', 0]"),
         ((0, 0.5), (1, 0), "[0, 0.5]"),
@@ -71,8 +72,19 @@ def test_arc_rejects_points_that_are_not_int_pairs():
         message = f"marked point {bad} needs integer coordinates"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Arc(a, b)
-    for a, b in (((0, 0, 0), (1, 0)), ((0,), (1, 0)), ((0, 0), [1, 0, 2])):
-        with pytest.raises(ValueError, match="values to unpack"):
+    for a, b, bad in (
+        ((0, 0, 0), (1, 0), "(0, 0, 0)"),
+        ((0,), (1, 0), "(0,)"),
+        ((0, 0), [1, 0, 2], "[1, 0, 2]"),
+        (5, (1, 5), "5"),
+        ((0, 3), None, "None"),
+        ({0: "x", 3: "y"}, (1, 5), "{0: 'x', 3: 'y'}"),
+        (range(0, 6, 3), (1, 5), "range(0, 6, 3)"),
+        ((1, 5), "03", "'03'"),
+        ({"a": 0, "b": 2}, [1, 0], "{'a': 0, 'b': 2}"),
+    ):
+        message = f"marked point {bad} is not a pair of ints"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Arc(a, b)
 
 
@@ -109,15 +121,15 @@ def test_maybe_arc():
 
 
 def test_ext1_dim_examples():
-    m = CircleModel(1)
-    assert ext1_dim(m, A((0, 0), (0, 4)), A((0, 2), (0, 6))) == 1
-    assert ext1_dim(m, A((0, 0), (0, 4)), A((0, 1), (0, 3))) == 0
+    n = 1
+    assert ext1_dim(n, A((0, 0), (0, 4)), A((0, 2), (0, 6))) == 1
+    assert ext1_dim(n, A((0, 0), (0, 4)), A((0, 1), (0, 3))) == 0
     # shared endpoints never cross
-    assert ext1_dim(m, A((0, 0), (0, 4)), A((0, 4), (0, 8))) == 0
+    assert ext1_dim(n, A((0, 0), (0, 4)), A((0, 4), (0, 8))) == 0
 
 
 def test_ext1_dim_symmetry_small_sweep():
-    m = CircleModel(2)
+    n = 2
     pts = [P(s, o) for s in range(2) for o in range(-3, 4)]
     arcs = []
     for i, p in enumerate(pts):
@@ -127,7 +139,7 @@ def test_ext1_dim_symmetry_small_sweep():
                 arcs.append(arc)
     for x in arcs[::5]:
         for y in arcs[::7]:
-            assert ext1_dim(m, x, y) == ext1_dim(m, y, x)
+            assert ext1_dim(n, x, y) == ext1_dim(n, y, x)
 
 
 def test_suspend_examples():
@@ -138,22 +150,22 @@ def test_suspend_examples():
 
 
 def test_suspension_equivariance_of_crossing():
-    m = CircleModel(2)
+    n = 2
     x, y = A((0, 0), (1, 1)), A((0, 2), (1, -2))
-    base = ext1_dim(m, x, y)
+    base = ext1_dim(n, x, y)
     for k in (-4, -1, 1, 9):
-        assert ext1_dim(m, suspend(x, k), suspend(y, k)) == base
+        assert ext1_dim(n, suspend(x, k), suspend(y, k)) == base
 
 
 def test_quadrilateral_sides_examples():
-    m = CircleModel(1)
-    assert quadrilateral_sides(m, A((0, 0), (0, 2)), A((0, 1), (0, 4))) == [
+    n = 1
+    assert quadrilateral_sides(n, A((0, 0), (0, 2)), A((0, 1), (0, 4))) == [
         None,
         None,
         A((0, 2), (0, 4)),
         A((0, 0), (0, 4)),
     ]
-    assert quadrilateral_sides(m, A((0, 0), (0, 4)), A((0, 2), (0, 6))) == [
+    assert quadrilateral_sides(n, A((0, 0), (0, 4)), A((0, 2), (0, 6))) == [
         A((0, 0), (0, 2)),
         A((0, 2), (0, 4)),
         A((0, 4), (0, 6)),
@@ -164,33 +176,33 @@ def test_quadrilateral_sides_examples():
 def test_quadrilateral_sides_one_nonzero_side():
     # vertex walk starts at the smaller endpoint of the first arc, so the
     # single surviving side lands in the {v2, v3} slot here
-    m = CircleModel(1)
-    sides = quadrilateral_sides(m, A((0, -1), (0, 1)), A((0, -2), (0, 0)))
+    n = 1
+    sides = quadrilateral_sides(n, A((0, -1), (0, 1)), A((0, -2), (0, 0)))
     assert [s for s in sides if s is not None] == [A((0, 1), (0, -2))]
     assert sides == [None, None, A((0, -2), (0, 1)), None]
 
 
 def test_quadrilateral_rejects_non_crossing():
-    m = CircleModel(1)
+    n = 1
     with pytest.raises(ValueError):
-        quadrilateral_sides(m, A((0, 0), (0, 4)), A((0, 1), (0, 3)))
+        quadrilateral_sides(n, A((0, 0), (0, 4)), A((0, 1), (0, 3)))
 
 
 def test_induced_triangles_examples():
-    m = CircleModel(1)
+    n = 1
     big, small = A((0, 0), (0, 4)), A((0, 2), (0, 6))
-    t1, t2 = induced_triangles(m, big, small)
+    t1, t2 = induced_triangles(n, big, small)
     assert t1.first == big and t1.third == small
     assert set(t1.middle) == {A((0, 2), (0, 4)), A((0, 0), (0, 6))}
     assert t2.first == small and t2.third == big
     assert set(t2.middle) == {A((0, 0), (0, 2)), A((0, 4), (0, 6))}
 
     # two degenerate sides: each triangle keeps exactly one summand
-    t1, t2 = induced_triangles(m, A((0, 0), (0, 2)), A((0, 1), (0, 4)))
+    t1, t2 = induced_triangles(n, A((0, 0), (0, 2)), A((0, 1), (0, 4)))
     assert len(t1.middle) == 1 and len(t2.middle) == 1
 
     # three degenerate sides: one middle empty, the other a single arc
-    t1, t2 = induced_triangles(m, A((0, -1), (0, 1)), A((0, -2), (0, 0)))
+    t1, t2 = induced_triangles(n, A((0, -1), (0, 1)), A((0, -2), (0, 0)))
     middles = sorted([t1.middle, t2.middle], key=len)
     assert middles[0] == ()
     assert middles[1] == (A((0, -2), (0, 1)),)
@@ -199,14 +211,14 @@ def test_induced_triangles_examples():
 def test_induced_triangle_sides_close_up():
     # every middle arc shares exactly one endpoint with each diagonal and
     # crosses neither; the two middles split the four sides into opposite pairs
-    m = CircleModel(2)
+    n = 2
     x, y = A((0, 0), (1, 0)), A((0, 2), (1, 2))
-    t1, t2 = induced_triangles(m, x, y)
+    t1, t2 = induced_triangles(n, x, y)
     sides = list(t1.middle) + list(t2.middle)
     assert len(sides) == 4
     for side in sides:
         assert len({side.a, side.b} & {x.a, x.b}) == 1
         assert len({side.a, side.b} & {y.a, y.b}) == 1
-        assert ext1_dim(m, side, x) == 0
-        assert ext1_dim(m, side, y) == 0
+        assert ext1_dim(n, side, x) == 0
+        assert ext1_dim(n, side, y) == 0
     assert len(set(sides)) == 4

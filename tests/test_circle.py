@@ -3,7 +3,6 @@ import re
 import pytest
 
 from arck0 import (
-    CircleModel,
     build_standard_tilting,
     completion,
     compute_k0_completed,
@@ -15,6 +14,7 @@ from arck0 import (
     tilting,
     verify_f_oracle,
 )
+from arck0.circle import check_point, points_in_window
 from geometry_reference import cyclic_key
 
 
@@ -22,19 +22,11 @@ def P(s, o):
     return (s, o)
 
 
-def test_model_rejects_nonpositive_segment_count():
-    with pytest.raises(ValueError):
-        CircleModel(0)
-    with pytest.raises(ValueError):
-        CircleModel(-2)
-
-
 def test_check_point_rejects_bad_points():
-    m = CircleModel(2)
-    m.check_point(P(1, -7))
+    check_point(2, P(1, -7))
     for bad in (P(2, 0), P(-1, 0), P("a", 0), P(0, 0.5), P(1, True)):
         with pytest.raises(ValueError):
-            m.check_point(bad)
+            check_point(2, bad)
 
 
 def test_cyclic_trichotomy():
@@ -54,8 +46,7 @@ def test_cyclic_trichotomy():
 
 
 def test_points_in_window_order_and_count():
-    m = CircleModel(2)
-    pts = list(m.points_in_window(2))
+    pts = list(points_in_window(2, 2))
     assert len(pts) == 2 * 5
     assert pts[0] == P(0, -2) and pts[-1] == P(1, 2)
     assert pts == sorted(pts)
@@ -66,7 +57,7 @@ def _tilting(n, depth):
 
 
 def _render(n, window):
-    return render_svg(CircleModel(n), [], window)
+    return render_svg(n, [], window)
 
 
 def _entries(n):

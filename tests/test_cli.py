@@ -332,10 +332,10 @@ def test_crossing_tilting_exits_1(capsys, monkeypatch):
 
     built = tilting.StandardTilting
 
-    def with_crossing_arc(model, arcs, names, leapfrogs):
+    def with_crossing_arc(n, arcs, names, leapfrogs):
         # (0, 1)-(2, 0) crosses the polygon edge Z1 = (0, 0)-(1, 0)
         crossing = Arc((0, 1), (2, 0))
-        return built(model, (*arcs, crossing), names, leapfrogs)
+        return built(n, (*arcs, crossing), names, leapfrogs)
 
     monkeypatch.setattr(tilting, "StandardTilting", with_crossing_arc)
     code = main(["k0", "--n", "3", "--depth", "3"])

@@ -2,7 +2,6 @@ import pytest
 
 from arck0 import (
     Arc,
-    CircleModel,
     GroupPresentation,
     VerificationError,
     arc_class,
@@ -57,12 +56,11 @@ def test_kernel_generator_arc():
 
 
 def test_kernel_segments_never_cross():
-    host = CircleModel(4)
     arcs0 = [A((0, a), (0, a + g)) for a in (-2, 0) for g in (2, 3)]
     arcs2 = [A((2, a), (2, a + g)) for a in (-2, 0) for g in (2, 3)]
     for x in arcs0:
         for y in arcs2:
-            assert ext1_dim(host, x, y) == 0
+            assert ext1_dim(4, x, y) == 0
 
 
 def test_f_matrix_examples():
@@ -132,6 +130,33 @@ def test_compute_k0_completed_torsion_count():
         pres = compute_k0_completed(n)
         assert pres.free_rank == n
         assert pres.invariant_factors == (2,) * (n - 1)
+
+
+def test_explicit_basis_of_the_completion():
+    # psi: Z^2n -> Z^n x (Z/2)^(n-1) on the host basis (Y1, X2, ..., X2n):
+    # Y1 -> -e1, X(2k) (index 2k-1) -> e_k, X(2k+1) (index 2k) -> t_k with
+    # 2t_k = 0.  It is onto (each e_k and t_k is the image of one basis arc)
+    # and kills every column of f_matrix(n), so it maps the cokernel onto
+    # the target; the group has the target's shape, so, a finitely
+    # generated abelian group being Hopfian, psi is an isomorphism and
+    # names a basis of the completed group at every n
+    def psi(column):
+        n = len(column) // 2
+        free = [-column[0]] + [0] * (n - 1)
+        torsion = [0] * (n - 1)
+        for j, v in enumerate(column[1:], 1):
+            if j % 2:
+                free[j // 2] += v
+            else:
+                torsion[j // 2 - 1] = (torsion[j // 2 - 1] + v) % 2
+        return free + torsion
+
+    for n in range(1, 61):
+        images = [psi(tuple(int(i == j) for j in range(2 * n))) for i in range(2 * n)]
+        units = [[int(i == j) for j in range(2 * n - 1)] for i in range(2 * n - 1)]
+        assert all(u in images for u in units), n
+        assert all(not any(psi(column)) for column in f_matrix(n)), n
+        assert compute_k0_completed(n) == GroupPresentation(n, (2,) * (n - 1)), n
 
 
 def test_compute_k0_completed_rejects_bad_n():

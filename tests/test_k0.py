@@ -9,8 +9,8 @@ import pytest
 import arck0
 from arck0 import (
     Arc,
-    CircleModel,
     GroupPresentation,
+    StandardTilting,
     VerificationError,
     arc_class,
     build_standard_tilting,
@@ -69,13 +69,8 @@ def test_compute_k0_cn_rejects_shallow_depth():
 
 # Every public size parameter: (callable, parameter, least allowed value,
 # call with that size set to the value and every other argument valid).
-# CircleModel's num_segments is called n in messages.
 SIZES = [
-    ("CircleModel", "num_segments", 1, CircleModel),
-    (
-        "CircleModel.points_in_window", "window", 0,
-        lambda v: list(CircleModel(2).points_in_window(v)),
-    ),
+    ("StandardTilting", "n", 1, lambda v: StandardTilting(v, (), {}, ())),
     ("build_standard_tilting", "n", 1, lambda v: build_standard_tilting(v, None, 2)),
     ("build_standard_tilting", "depth", 1, lambda v: build_standard_tilting(2, None, v)),
     ("compute_k0_cn", "n", 1, lambda v: compute_k0_cn(v, None, 2)),
@@ -90,14 +85,12 @@ SIZES = [
     ("compute_k0_completed", "n", 1, compute_k0_completed),
     ("verify_f_oracle", "n", 1, lambda v: verify_f_oracle(v, 2)),
     ("verify_f_oracle", "window", 2, lambda v: verify_f_oracle(1, v)),
-    ("render_svg", "window", 1, lambda v: render_svg(CircleModel(2), [], v)),
+    ("render_svg", "n", 1, lambda v: render_svg(v, [], 2)),
+    ("render_svg", "window", 1, lambda v: render_svg(2, [], v)),
 ]
 _SIZES_PER_CALLABLE = Counter(c for c, *_ in SIZES)
 SIZE_CASES = [
-    pytest.param(
-        "n" if p == "num_segments" else p, least, call,
-        id=c.split(".")[-1] + (f"-{p}" if _SIZES_PER_CALLABLE[c] > 1 else ""),
-    )
+    pytest.param(p, least, call, id=c + (f"-{p}" if _SIZES_PER_CALLABLE[c] > 1 else ""))
     for c, p, least, call in SIZES
 ]
 
@@ -138,7 +131,7 @@ def test_size_table_covers_every_public_size_parameter():
             walked |= {
                 (qualname, p)
                 for p in inspect.signature(member).parameters
-                if p in ("n", "num_segments", "depth", "window", "i")
+                if p in ("n", "depth", "window", "i")
             }
     assert walked == {(c, p) for c, p, *_ in SIZES}
 
@@ -341,14 +334,13 @@ def test_oracle_parity_both_directions(oracle_c1_w6):
 
 def test_oracle_classes_satisfy_euler_relations(oracle_c2_w6):
     o = oracle_c2_w6
-    model = CircleModel(2)
     arcs = o.arcs
     checked = 0
     for x in arcs[::17]:
         for y in arcs[::13]:
-            if ext1_dim(model, x, y) != 1:
+            if ext1_dim(2, x, y) != 1:
                 continue
-            for tri in induced_triangles(model, x, y):
+            for tri in induced_triangles(2, x, y):
                 combo = {tri.first: 1, tri.third: 1}
                 for mid in tri.middle:
                     combo[mid] = combo.get(mid, 0) - 1
@@ -366,15 +358,14 @@ def test_oracle_matches_reference_lattice(n, window):
     # oracle's (whose generators are window-arc classes); both are finitely
     # generated with equal presentations, and a finitely generated abelian
     # group is Hopfian, so the map is an isomorphism
-    model = CircleModel(n)
     points = [P(s, o) for s in range(n) for o in range(-window, window + 1)]
     arcs = [arc for p, q in combinations(points, 2) if (arc := maybe_arc(p, q))]
     index = {arc: i for i, arc in enumerate(arcs)}
     relations = []
     for x, y in combinations(arcs, 2):
-        if ext1_dim(model, x, y) != 1:
+        if ext1_dim(n, x, y) != 1:
             continue
-        for tri in induced_triangles(model, x, y):
+        for tri in induced_triangles(n, x, y):
             rel = {tri.first: 1, tri.third: 1}
             for mid in tri.middle:
                 rel[mid] = rel.get(mid, 0) - 1

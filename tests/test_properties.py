@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from arck0 import (
     Arc,
-    CircleModel,
     build_standard_tilting,
     cokernel_presentation,
     euler_oracle,
@@ -37,43 +36,41 @@ def _draw_arc(draw, n):
 
 
 @st.composite
-def model_and_arcs(draw, count=2):
+def n_and_arcs(draw, count=2):
     n = draw(st.integers(1, 4))
-    model = CircleModel(n)
-    arcs = [_draw_arc(draw, n) for _ in range(count)]
-    return model, arcs
+    return n, [_draw_arc(draw, n) for _ in range(count)]
 
 
-@given(model_and_arcs())
+@given(n_and_arcs())
 def test_crossing_symmetry(data):
-    model, (x, y) = data
-    assert ext1_dim(model, x, y) == ext1_dim(model, y, x)
+    n, (x, y) = data
+    assert ext1_dim(n, x, y) == ext1_dim(n, y, x)
 
 
-@given(model_and_arcs(), st.integers(-6, 6))
+@given(n_and_arcs(), st.integers(-6, 6))
 def test_crossing_is_suspension_equivariant(data, k):
-    model, (x, y) = data
-    assert ext1_dim(model, x, y) == ext1_dim(model, suspend(x, k), suspend(y, k))
+    n, (x, y) = data
+    assert ext1_dim(n, x, y) == ext1_dim(n, suspend(x, k), suspend(y, k))
 
 
-@given(model_and_arcs(count=1), st.integers(-8, 8), st.integers(-8, 8))
+@given(n_and_arcs(count=1), st.integers(-8, 8), st.integers(-8, 8))
 def test_suspension_is_an_action(data, j, k):
     _, (arc,) = data
     assert suspend(arc, j + k) == suspend(suspend(arc, j), k)
 
 
-@given(model_and_arcs())
+@given(n_and_arcs())
 def test_quadrilateral_closure(data):
-    model, (x, y) = data
-    if ext1_dim(model, x, y) != 1:
+    n, (x, y) = data
+    if ext1_dim(n, x, y) != 1:
         return
-    first, second = induced_triangles(model, x, y)
+    first, second = induced_triangles(n, x, y)
     sides = list(first.middle) + list(second.middle)
     for side in sides:
         assert len({side.a, side.b} & {x.a, x.b}) == 1
         assert len({side.a, side.b} & {y.a, y.b}) == 1
-        assert ext1_dim(model, side, x) == 0
-        assert ext1_dim(model, side, y) == 0
+        assert ext1_dim(n, side, x) == 0
+        assert ext1_dim(n, side, y) == 0
     assert len(set(sides)) == len(sides)
     assert len(sides) <= 4
 
@@ -121,7 +118,7 @@ def test_mutate_twice_is_identity_and_non_crossing(n, depth, offsets, data):
     assert once.arcs[index] not in t.arcs
     for i in range(len(once.arcs)):
         for j in range(i + 1, len(once.arcs)):
-            assert ext1_dim(once.model, once.arcs[i], once.arcs[j]) == 0
+            assert ext1_dim(once.n, once.arcs[i], once.arcs[j]) == 0
     twice = mutate(once, index)
     assert set(twice.arcs) == set(t.arcs)
 
@@ -174,13 +171,13 @@ def test_snf_chain_and_reference(matrix):
     assert diag == reference_snf(matrix)
 
 
-@given(model_and_arcs())
+@given(n_and_arcs())
 def test_middles_partition_the_four_sides(data):
-    model, (x, y) = data
-    if ext1_dim(model, x, y) != 1:
+    n, (x, y) = data
+    if ext1_dim(n, x, y) != 1:
         return
-    sides = {s for s in quadrilateral_sides(model, x, y) if s is not None}
-    first, second = induced_triangles(model, x, y)
+    sides = {s for s in quadrilateral_sides(n, x, y) if s is not None}
+    first, second = induced_triangles(n, x, y)
     assert set(first.middle) | set(second.middle) == sides
     assert set(first.middle) & set(second.middle) == set()
 
@@ -195,4 +192,4 @@ def test_exchange_pairs_cross(n, depth):
                 exchange_pair(t, i)
             continue
         pair = exchange_pair(t, i)
-        assert ext1_dim(t.model, pair.m, pair.m_star) == 1
+        assert ext1_dim(t.n, pair.m, pair.m_star) == 1

@@ -1,4 +1,5 @@
-from arck0 import Arc, CircleModel, build_standard_tilting, render_svg
+from arck0 import Arc, build_standard_tilting, render_svg
+from arck0.circle import points_in_window
 from arck0.render import point_fraction, point_xy
 
 
@@ -7,8 +8,7 @@ def P(s, o):
 
 
 def test_empty_arc_list_draws_circle_ticks_markers():
-    model = CircleModel(2)
-    svg = render_svg(model, [], 3)
+    svg = render_svg(2, [], 3)
     assert svg.count('class="tick"') == 2 * 7
     assert svg.count('class="accumulation"') == 2
     assert svg.count('class="arc"') == 0
@@ -18,7 +18,7 @@ def test_empty_arc_list_draws_circle_ticks_markers():
 
 def test_standard_configuration_n4():
     t = build_standard_tilting(4, None, 2)
-    svg = render_svg(t.model, t.arcs, 6)
+    svg = render_svg(t.n, t.arcs, 6)
     assert svg.count('class="accumulation"') == 4
     assert svg.count('class="arc"') == len(t.arcs) == 4 + 1 + 16
     assert svg.count('class="tick"') == 4 * 13
@@ -26,19 +26,18 @@ def test_standard_configuration_n4():
 
 def test_render_is_deterministic():
     t = build_standard_tilting(3, None, 2)
-    a = render_svg(t.model, t.arcs, 5)
-    b = render_svg(t.model, t.arcs, 5)
+    a = render_svg(t.n, t.arcs, 5)
+    b = render_svg(t.n, t.arcs, 5)
     assert a == b
 
 
 def test_crossing_arcs_overlap_in_the_plane():
-    model = CircleModel(1)
     window = 6
     x = Arc(P(0, 0), P(0, 4))
     y = Arc(P(0, 2), P(0, 6))
 
     def bbox(arc):
-        (x1, y1), (x2, y2) = point_xy(model, arc.a, window), point_xy(model, arc.b, window)
+        (x1, y1), (x2, y2) = point_xy(1, arc.a, window), point_xy(1, arc.b, window)
         return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
     bx, by = bbox(x), bbox(y)
@@ -47,8 +46,7 @@ def test_crossing_arcs_overlap_in_the_plane():
 
 
 def test_order_preserving_embedding():
-    model = CircleModel(2)
     window = 5
-    fracs = [point_fraction(model, p, window) for p in model.points_in_window(window)]
+    fracs = [point_fraction(2, p, window) for p in points_in_window(2, window)]
     assert fracs == sorted(fracs)
     assert all(0 < f < 1 for f in fracs)

@@ -13,7 +13,6 @@ import arck0.cli  # the package does not import its CLI; the tracer wraps cli.ma
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "CircleModel",
     "Arc",
     "ExchangePair",
     "StandardTilting",
@@ -43,7 +42,7 @@ PUBLIC = [
 FIELDS = {
     "K0Report": ["source", "basis", "_classes", "frontier"],
     "OracleQuotient": ["source", "basis", "_classes"],
-    "StandardTilting": ["model", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
+    "StandardTilting": ["n", "arcs", "names", "leapfrogs", "_neighbours", "_label"],
     "ExchangePair": ["m", "m_star", "b_m", "b_m_star"],
 }
 

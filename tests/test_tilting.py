@@ -6,7 +6,6 @@ import pytest
 
 from arck0 import (
     Arc,
-    CircleModel,
     StandardTilting,
     VerificationError,
     arc_class,
@@ -119,7 +118,7 @@ def test_build_is_pairwise_non_crossing():
         t = build_standard_tilting(n, offsets, depth)
         for i in range(len(t.arcs)):
             for j in range(i + 1, len(t.arcs)):
-                assert ext1_dim(t.model, t.arcs[i], t.arcs[j]) == 0
+                assert ext1_dim(t.n, t.arcs[i], t.arcs[j]) == 0
 
 
 def test_n2_shared_edge():
@@ -412,7 +411,7 @@ def test_mutate_keeps_set_non_crossing():
         mutated = mutate(t, t.names[name])
         for i in range(len(mutated.arcs)):
             for j in range(i + 1, len(mutated.arcs)):
-                assert ext1_dim(mutated.model, mutated.arcs[i], mutated.arcs[j]) == 0
+                assert ext1_dim(mutated.n, mutated.arcs[i], mutated.arcs[j]) == 0
 
 
 def test_non_crossing_check_matches_pairwise_reference():
@@ -424,7 +423,6 @@ def test_non_crossing_check_matches_pairwise_reference():
     seen = Counter()
     for _ in range(6000):
         n = rng.randint(1, 4)
-        model = CircleModel(n)
         points = [P(s, o) for s in range(n) for o in range(-2, 3)]
         greedy = rng.random() < 0.5
         arcs: list[Arc] = []
@@ -433,27 +431,27 @@ def test_non_crossing_check_matches_pairwise_reference():
             if is_degenerate_pair(p, q):
                 continue
             arc = Arc(p, q)
-            if greedy and any(ext1_dim(model, arc, x) for x in arcs):
+            if greedy and any(ext1_dim(n, arc, x) for x in arcs):
                 continue
             arcs.append(arc)
         crossing = any(
-            ext1_dim(model, x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]
+            ext1_dim(n, x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]
         )
         repeated = len(set(arcs)) < len(arcs)
         if crossing or repeated:
             with pytest.raises(VerificationError) as info:
-                StandardTilting(model, tuple(arcs), {}, ())
+                StandardTilting(n, tuple(arcs), {}, ())
             # the message names a fault the set has: a crossing pair or a repeat
             faults = {f"repeated arc in tilting set: {x}" for x in arcs if arcs.count(x) > 1}
             faults |= {
                 f"crossing arcs in tilting set: {x} x {y}"
                 for x in arcs
                 for y in arcs
-                if ext1_dim(model, x, y)
+                if ext1_dim(n, x, y)
             }
             assert str(info.value) in faults
         else:
-            StandardTilting(model, tuple(arcs), {}, ())
+            StandardTilting(n, tuple(arcs), {}, ())
         seen["crossing" if crossing else "non-crossing"] += 1
         seen["repeated"] += repeated
         if any(shares_endpoint(x, y) for i, x in enumerate(arcs) for y in arcs[i + 1 :]):
@@ -504,7 +502,7 @@ def test_palu_relations_match_induced_triangles():
                     assert len(thirds) <= 2
                     if len(thirds) < 2:
                         continue
-                    to_star, to_m = induced_triangles(t.model, m, Arc(*thirds))
+                    to_star, to_m = induced_triangles(t.n, m, Arc(*thirds))
                     terms = {index[a]: 1 for a in to_star.middle}
                     terms.update({index[a]: -1 for a in to_m.middle})
                     expected[i] = terms
@@ -546,7 +544,7 @@ def test_sets_without_an_exchange_are_rejected_at_construction():
     ):
         arcs = tuple(A(p, q) for p, q in pairs)
         with pytest.raises(VerificationError) as info:
-            StandardTilting(CircleModel(1), arcs, {}, ())
+            StandardTilting(1, arcs, {}, ())
         assert str(info.value) == f"crossing arcs in tilting set: {crossing}"
 
 
@@ -578,13 +576,13 @@ def test_every_way_of_making_a_tilting_checks_it(monkeypatch, how, bad, error, m
     t = build_standard_tilting(3, None, 2)
     made = tilting.StandardTilting
 
-    def with_bad_arc(model, arcs, names, leapfrogs):
-        return made(model, (*arcs, bad), names, leapfrogs)
+    def with_bad_arc(n, arcs, names, leapfrogs):
+        return made(n, (*arcs, bad), names, leapfrogs)
 
     monkeypatch.setattr(tilting, "StandardTilting", with_bad_arc)
     with pytest.raises(error) as info:
         if how == "direct":
-            with_bad_arc(t.model, t.arcs, t.names, t.leapfrogs)
+            with_bad_arc(t.n, t.arcs, t.names, t.leapfrogs)
         elif how == "build":
             build_standard_tilting(3, None, 2)
         else:
