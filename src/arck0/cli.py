@@ -30,11 +30,25 @@ from .completion import compute_k0_completed, verify_f_oracle
 from .render import render_svg
 
 
+def _int(text: str) -> int:
+    """The one reader of an int option or anchor: an optional sign, then ASCII digits.
+
+    ``1_0``, `` 2`` and non-ASCII digits, all of which ``int`` reads, raise ValueError.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names it: "argument --n: invalid int value: '1_0'"
+
+
 def _parse_anchors(text: str | None) -> list[int] | None:
     if text is None:
         return None
     try:
-        return [int(part) for part in text.split(",")]
+        return [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad anchor list {text!r}") from exc
 
@@ -50,16 +64,12 @@ def _load_json(text: str):
 def _parse_arc(data, n: int) -> Arc:
     """The arc of decoded JSON ``[[segment, offset], [segment, offset]]`` on the n-segment circle.
 
-    The one decoder of an arc from outside: anything but a list of two
-    two-item lists raises ValueError ``malformed arc <json>``, so no string
-    or dict is read as a point; then ``check_point`` checks each point in
-    its own words, before ``Arc`` rejects a degenerate pair.
+    The one decoder of an arc from outside: anything but a JSON list of two
+    items raises ValueError ``malformed arc <json>``.  Then ``check_point``
+    checks each item, first to last, through ``circle.as_point``, so a
+    string or dict is no point; only then does ``Arc`` reject a degenerate pair.
     """
-    if not (
-        isinstance(data, list)
-        and len(data) == 2
-        and all(isinstance(p, list) and len(p) == 2 for p in data)
-    ):
+    if not (isinstance(data, list) and len(data) == 2):
         raise ValueError(f"malformed arc {json.dumps(data)}")
     for p in data:
         check_point(n, p)
@@ -192,31 +202,31 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, window_default: int | None = None) -> None:
         p.add_argument("--out", default=None, help="write output to this path")
         if window_default is not None:
-            p.add_argument("--window", type=int, default=window_default)
+            p.add_argument("--window", type=_int, default=window_default)
 
     p = sub.add_parser("k0", help="group of the n-point model via exchange relations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--depth", type=_int, default=4)
     p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_k0)
 
     p = sub.add_parser("k0-completed", help="group of the completed model")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_k0_completed)
 
     p = sub.add_parser("oracle", help="brute-force Euler-relation presentation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p, window_default=6)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("exchange", help="exchange pair of a named tilting arc")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--depth", type=_int, default=4)
     p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--arc", required=True, help="arc name (e.g. Z1) or JSON endpoints")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -224,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exchange)
 
     p = sub.add_parser("verify", help="cross-check formulas against the oracle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     common(p, window_default=6)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw the circle and an arc family as SVG")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     drawn = p.add_mutually_exclusive_group()  # _cmd_render draws one or the other
-    drawn.add_argument("--depth", type=int, default=None, help="render the standard tilting")
+    drawn.add_argument("--depth", type=_int, default=None, help="render the standard tilting")
     p.add_argument("--anchors", default=None, help=anchors)
     drawn.add_argument("--arcs", default=None, help="JSON list of arcs to draw")
     common(p, window_default=6)

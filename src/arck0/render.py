@@ -25,8 +25,12 @@ _MAX_POINTS = 100_000  # one tick mark per window point
 def point_fraction(n: int, p: tuple[int, int], window: int) -> float:
     """Position of a marked point of the n-segment circle along the circumference, in [0, 1)."""
     check_point(n, p)
-    tau = max(window, 1) / 2.0
-    squash = 0.5 * (1.0 + math.tanh(p[1] / tau))
+    w = max(window, 1)
+    tau = w / 2.0
+    # tanh is exactly +-1.0 from 19.1 on, so clamping the offset to +-80 tau
+    # moves no point, and a huge offset never reaches the float division
+    offset = max(-40 * w, min(p[1], 40 * w))
+    squash = 0.5 * (1.0 + math.tanh(offset / tau))
     inner = SECTOR_PAD + (1.0 - 2.0 * SECTOR_PAD) * squash
     return (p[0] + inner) / n
 

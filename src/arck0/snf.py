@@ -284,12 +284,13 @@ def cokernel_presentation(
     sparse {index: value} mapping, and hands it straight to unit
     elimination.  An ambient rank, index or entry whose type is not ``int``
     raises ValueError (a float or bool would be truncated or counted
-    silently), as do a wrong length and a nonzero entry at an index outside
-    [0, ambient_rank).  A unit move deletes one generator and one relation
-    without changing the quotient, so it is one Smith value 1.  The
-    residual core alternates normalized echelon reduction, which bounds
-    entry growth (plain elimination blows random 12x12 inputs up to
-    thousands of digits), with transposition until the matrix is diagonal.
+    silently), as do a column that is neither a sequence nor a mapping, a
+    wrong length and a nonzero entry at an index outside [0, ambient_rank).
+    A unit move deletes one generator and one relation without changing
+    the quotient, so it is one Smith value 1.  The residual core alternates
+    normalized echelon reduction, which bounds entry growth (plain
+    elimination blows random 12x12 inputs up to thousands of digits), with
+    transposition until the matrix is diagonal.
     A pivot of 1 is a Smith value 1 at once: normalization has cleared its
     row in every other column, so row operations clear its column without
     touching the rest, and it is split off before the next round.
@@ -299,6 +300,8 @@ def cokernel_presentation(
     for c in columns:
         if isinstance(c, Mapping):
             entries = c.items()
+        elif not isinstance(c, Sequence):
+            raise ValueError(f"column {c!r} is neither a sequence nor a mapping")
         elif len(c) != ambient_rank:
             raise ValueError(f"column of length {len(c)}, expected {ambient_rank}")
         else:

@@ -60,8 +60,10 @@ class StandardTilting:
     positions, fixed at construction, of the zigzag converging to the
     accumulation point between segments b and b+1; ``mutate`` keeps them, so
     after a mutation a position may hold the new arc, not a zigzag step.
+    Tiltings compare by value and do not hash, as their index fields are dicts.
     """
 
+    __hash__ = None
     n: int
     arcs: tuple[Arc, ...]
     names: dict[str, int]

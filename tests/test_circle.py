@@ -27,6 +27,11 @@ def test_check_point_rejects_bad_points():
     for bad in (P(2, 0), P(-1, 0), P("a", 0), P(0, 0.5), P(1, True)):
         with pytest.raises(ValueError):
             check_point(2, bad)
+    # anything but a list or tuple of two items is named, not unpacked
+    for bad in (5, None, (0, 1, 2), "ab"):
+        message = f"marked point {bad!r} is not a pair of ints"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_point(2, bad)
 
 
 def test_cyclic_trichotomy():

@@ -69,6 +69,33 @@ def test_library_rejects_bad_sizes(capsys, argv, message):
     assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a sign alone is no int
+        (["k0", "--n", "+"], "argument --n: invalid int value: '+'"),
+        # int() reads each of these; an int option is a sign and ASCII digits
+        (["k0", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["verify", "--n", "\u0663"], "argument --n: invalid int value: '\u0663'"),
+        (["k0", "--n", "3", "--depth", " 2"], "argument --depth: invalid int value: ' 2'"),
+        (["oracle", "--n", "1", "--window", "4 "], "argument --window: invalid int value: '4 '"),
+        (["render", "--n", "1", "--depth", "\uff12"], "argument --depth: invalid int value: '\uff12'"),
+        (["k0", "--n", "2", "--anchors=1_0,\u0663"], "bad anchor list '1_0,\u0663'"),
+        (["k0", "--n", "2", "--anchors", "1, 2"], "bad anchor list '1, 2'"),
+    ],
+)
+def test_int_options_take_a_sign_and_ascii_digits_only(capsys, argv, message):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
+def test_int_options_take_a_sign(capsys):
+    signed = run(capsys, ["k0", "--n", "+2", "--depth", "+3", "--anchors=-1,+2"])
+    assert signed == run(capsys, ["k0", "--n", "2", "--depth", "3", "--anchors=-1,2"])
+    assert signed[0] == 0
+
+
 def test_unknown_subcommand_exits_2(capsys):
     # argparse words this message, and Python 3.13.13 stopped quoting the
     # choices: the expected line comes from a plain parser with the same
@@ -516,11 +543,12 @@ def test_output_to_empty_path_is_bad_input(capsys):
         ("[5]", "malformed arc 5"),
         ("[[[0,0]]]", "malformed arc [[0, 0]]"),
         ("[[[0,0],[1,0],[2,0]]]", "malformed arc [[0, 0], [1, 0], [2, 0]]"),
-        ("[[[0],[1,0]]]", "malformed arc [[0], [1, 0]]"),
+        # an arc is a list of two items; each item is then checked as a point
+        ("[[[0],[1,0]]]", "marked point [0] is not a pair of ints"),
         ('[{"a":1}]', 'malformed arc {"a": 1}'),
         # two-item points that are no JSON lists are no points
         ('[{"ab": 1, "cd": 2}]', 'malformed arc {"ab": 1, "cd": 2}'),
-        ('[["ab", "cd"]]', 'malformed arc ["ab", "cd"]'),
+        ('[["ab", "cd"]]', "marked point 'ab' is not a pair of ints"),
         ("7", "--arcs must be a JSON list of arcs, got 7"),
         # the points are checked before the arc is built: a bool or float
         # coordinate is no int, not a degenerate arc
@@ -537,6 +565,17 @@ def test_render_rejects_malformed_arcs(capsys, arcs, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}"
+
+
+def test_render_draws_a_huge_offset_at_its_limit(capsys):
+    # an offset too large for a float sits where any far offset does
+    huge = run(capsys, ["render", "--n", "2", "--arcs", f"[[[0,0],[1,{10**400}]]]"])
+    far = run(capsys, ["render", "--n", "2", "--arcs", "[[[0,0],[1,1000000]]]"])
+    assert huge == far and huge[0] == 0
+    anchors = f"--anchors={10**400},0"
+    huge = run(capsys, ["render", "--n", "2", "--depth", "2", anchors])
+    far = run(capsys, ["render", "--n", "2", "--depth", "2", f"--anchors={10**6},0"])
+    assert huge == far and huge[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -585,8 +585,13 @@ def test_oracle_quotient_is_frozen(oracle_c1_w6):
 
 
 def test_results_compare_by_value_and_do_not_hash():
-    # both result types hold a dict of classes, so neither claims a hash
-    for make in (lambda: compute_k0_cn(1, None, 2), lambda: euler_oracle(1, 2)):
+    # both result types hold a dict of classes and a tilting holds dict
+    # indexes, so none of them claims a hash
+    for make in (
+        lambda: compute_k0_cn(1, None, 2),
+        lambda: euler_oracle(1, 2),
+        lambda: build_standard_tilting(2, None, 2),
+    ):
         result = make()
         assert result == make()
         assert not isinstance(result, Hashable)

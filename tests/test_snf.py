@@ -215,6 +215,9 @@ def test_cokernel_rejects_bad_columns():
         cokernel_presentation(3, [(1, 2)])
     with pytest.raises(ValueError):
         cokernel_presentation(2, [{5: 1}])
+    for bad in (5, None):
+        with pytest.raises(ValueError, match=f"^column {bad} is neither a sequence nor a mapping$"):
+            cokernel_presentation(2, [bad])
 
 
 def test_non_int_entries_are_rejected():

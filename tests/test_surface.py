@@ -171,3 +171,19 @@ def test_every_cap_goes_through_check_cap():
                 ):
                     stray.append(f"{path.name}:{node.lineno} raises a cap message")
     assert stray == []
+
+
+def test_every_marked_point_goes_through_as_point():
+    # one point rule: only circle.py formats a "marked point" message, so
+    # Arc, check_point and the CLI decoder all name a bad point in its words
+    stray = []
+    for path in sorted(ROOT.glob("src/arck0/*.py")):
+        if path.name == "circle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(part, ast.Constant) and "marked point" in str(part.value)
+                for part in ast.walk(node)
+            ):
+                stray.append(f"{path.name}:{node.lineno} raises a marked point message")
+    assert stray == []
