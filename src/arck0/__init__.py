@@ -26,7 +26,6 @@ from .completion import (
     kernel_generator_arc,
     verify_f_oracle,
 )
-from .render import render_svg
 
 __all__ = [
     "Arc",
@@ -50,5 +49,4 @@ __all__ = [
     "f_matrix",
     "kernel_generator_arc",
     "verify_f_oracle",
-    "render_svg",
 ]

@@ -21,13 +21,12 @@ import functools
 import json
 import sys
 
-from .circle import check_point, check_size
+from .circle import check_point
 from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
 from .snf import GroupPresentation
 from .k0 import VerificationError, compute_k0_cn, euler_oracle, verify_closed_form
 from .completion import compute_k0_completed, verify_f_oracle
-from .render import render_svg
 
 
 def _int(text: str) -> int:
@@ -166,21 +165,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[None, str]:
     return None, "\n".join(lines)
 
 
-def _cmd_render(args: argparse.Namespace) -> tuple[None, str]:
-    check_size("n", args.n, 1)
-    arcs: tuple[Arc, ...] = ()
-    if args.depth is not None:
-        arcs = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth).arcs
-    elif args.anchors is not None:
-        raise ValueError("argument --anchors: not allowed without argument --depth")
-    elif args.arcs is not None:
-        items = _load_json(args.arcs)
-        if not isinstance(items, list):
-            raise ValueError(f"--arcs must be a JSON list of arcs, got {args.arcs}")
-        arcs = tuple(_parse_arc(item, args.n) for item in items)
-    return None, render_svg(args.n, arcs, args.window)
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise ValueError; subparsers inherit the class."""
 
@@ -237,15 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int, required=True)
     common(p, window_default=6)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("render", help="draw the circle and an arc family as SVG")
-    p.add_argument("--n", type=_int, required=True)
-    drawn = p.add_mutually_exclusive_group()  # _cmd_render draws one or the other
-    drawn.add_argument("--depth", type=_int, default=None, help="render the standard tilting")
-    p.add_argument("--anchors", default=None, help=anchors)
-    drawn.add_argument("--arcs", default=None, help="JSON list of arcs to draw")
-    common(p, window_default=6)
-    p.set_defaults(func=_cmd_render)
 
     return parser
 

@@ -115,11 +115,14 @@ def _assert_non_crossing(n: int, arcs: tuple[Arc, ...]) -> None:
     (sharing an endpoint is not a crossing); it repeats an open interval iff
     it equals the innermost one, and crosses one iff it ends beyond the
     innermost one, which then is a crossing partner.
-    Each endpoint is validated once; sorting by -b, then stably by a, gives (a, -b).
+    Sorting by -b, then stably by a, gives (a, -b).  ``Arc`` has read every
+    endpoint as a point, so only the segment range is checked, on the least
+    and the greatest endpoint in lex order; if both are off, the least is named.
     """
-    for p in set().union(*arcs):
-        check_point(n, p)
     ordered = sorted(arcs, key=itemgetter(1), reverse=True)
+    if ordered:
+        check_point(n, min(arc.a for arc in ordered))
+        check_point(n, ordered[0].b)
     ordered.sort(key=itemgetter(0))
     stack: list[Arc] = []
     for arc in ordered:

@@ -9,8 +9,6 @@ from arck0 import (
     euler_oracle,
     f_matrix,
     k0,
-    render,
-    render_svg,
     tilting,
     verify_f_oracle,
 )
@@ -61,10 +59,6 @@ def _tilting(n, depth):
     return build_standard_tilting(n, None, depth)
 
 
-def _render(n, window):
-    return render_svg(n, [], window)
-
-
 def _entries(n):
     return sum(map(len, f_matrix(n)))
 
@@ -97,11 +91,6 @@ CAPS = [
         compute_k0_completed, completion, "_MAX_COMPLETED_ENTRIES", _entries,
         "n={}", "matrix entries", [(1,), (2,), (3,), (7,)],
         id="compute_k0_completed",
-    ),
-    pytest.param(
-        _render, render, "_MAX_POINTS", lambda n, w: _render(n, w).count('class="tick"'),
-        "n={}, window={}", "window points", [(1, 1), (2, 3), (3, 5)],
-        id="render_svg",
     ),
 ]
 

@@ -34,15 +34,13 @@ def test_k0_rejects_n_zero(capsys):
     assert "error" in err
 
 
-BAD_N = [["k0"], ["k0-completed"], ["oracle"], ["exchange", "--arc", "Z1"], ["verify"], ["render"]]
+BAD_N = [["k0"], ["k0-completed"], ["oracle"], ["exchange", "--arc", "Z1"], ["verify"]]
 # (subcommand and its other arguments, size flag, value, least allowed value)
 SMALL_SIZES = [
     (["oracle"], "window", "1", 2),
     (["verify"], "window", "1", 2),
-    (["render"], "window", "0", 1),
     (["k0"], "depth", "1", 2),
     (["exchange", "--arc", "Z1"], "depth", "0", 1),
-    (["render"], "depth", "0", 1),
 ]
 
 
@@ -79,7 +77,7 @@ def test_library_rejects_bad_sizes(capsys, argv, message):
         (["verify", "--n", "\u0663"], "argument --n: invalid int value: '\u0663'"),
         (["k0", "--n", "3", "--depth", " 2"], "argument --depth: invalid int value: ' 2'"),
         (["oracle", "--n", "1", "--window", "4 "], "argument --window: invalid int value: '4 '"),
-        (["render", "--n", "1", "--depth", "\uff12"], "argument --depth: invalid int value: '\uff12'"),
+        (["exchange", "--n", "1", "--arc", "Z1", "--depth", "\uff12"], "argument --depth: invalid int value: '\uff12'"),
         (["k0", "--n", "2", "--anchors=1_0,\u0663"], "bad anchor list '1_0,\u0663'"),
         (["k0", "--n", "2", "--anchors", "1, 2"], "bad anchor list '1, 2'"),
     ],
@@ -102,7 +100,7 @@ def test_unknown_subcommand_exits_2(capsys):
     # subcommands on the running Python
     plain = argparse.ArgumentParser(exit_on_error=False)
     sub = plain.add_subparsers(dest="command", required=True)
-    for name in ("k0", "k0-completed", "oracle", "exchange", "verify", "render"):
+    for name in ("k0", "k0-completed", "oracle", "exchange", "verify"):
         sub.add_parser(name)
     with pytest.raises(argparse.ArgumentError) as raised:
         plain.parse_args(["frobnicate"])
@@ -110,6 +108,15 @@ def test_unknown_subcommand_exits_2(capsys):
     code = main(["frobnicate"])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"error: {raised.value}\n")
+
+
+def test_render_cli(capsys):
+    # there is no render subcommand: it fails as any unknown one does
+    code = main(["render", "--n", "1"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: argument command: invalid choice: 'render' (choose")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -443,17 +450,13 @@ def test_anchors_starting_with_a_minus_need_the_equals_form(capsys):
 def test_bad_anchor_count(capsys):
     code, out, err = run(capsys, ["k0", "--n", "2", "--anchors", "1,2,3"])
     assert (code, out, err) == (2, "", "error: expected 2 anchor offsets, got 3")
-    for argv, got in (
-        (["exchange", "--n", "2", "--arc", "Z1", "--anchors", "1"], 1),
-        (["render", "--n", "2", "--depth", "2", "--anchors", "1,2,3"], 3),
-    ):
-        code, out, err = run(capsys, argv)
-        assert (code, out, err) == (2, "", f"error: expected 2 anchor offsets, got {got}"), argv
+    code, out, err = run(capsys, ["exchange", "--n", "2", "--arc", "Z1", "--anchors", "1"])
+    assert (code, out, err) == (2, "", "error: expected 2 anchor offsets, got 1")
 
 
-@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_format_only_where_the_handler_reads_it(capsys, command):
-    # verify always prints its PASS lines and render always SVG
+    # verify always prints its PASS lines
     code = main([command, "--n", "1", "--format", "json"])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", "error: unrecognized arguments: --format json\n")
@@ -476,7 +479,6 @@ def test_output_file(tmp_path, capsys):
         ["oracle", "--n", "2", "--window", "2"],
         ["exchange", "--n", "3", "--arc", "Z1", "--format", "json"],
         ["verify", "--n", "1", "--window", "4"],
-        ["render", "--n", "2", "--depth", "2"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -487,38 +489,6 @@ def test_out_file_gets_exactly_what_stdout_gets(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8") == stdout
-
-
-def test_render_cli(tmp_path, capsys):
-    target = tmp_path / "fig.svg"
-    code, _, _ = run(
-        capsys, ["render", "--n", "4", "--depth", "2", "--window", "6", "--out", str(target)]
-    )
-    assert code == 0
-    text = target.read_text()
-    assert text.startswith("<?xml")
-    assert text.count('class="accumulation"') == 4
-
-
-@pytest.mark.parametrize("first,second", [("depth", "arcs"), ("arcs", "depth")])
-def test_render_takes_depth_or_arcs_not_both(capsys, first, second):
-    # render draws one of the two; the other must not be dropped without a word
-    values = {"depth": "2", "arcs": "[[[0,0],[0,2]]]"}
-    argv = ["render", "--n", "2", f"--{first}", values[first], f"--{second}", values[second]]
-    code = main(argv)
-    out = capsys.readouterr()
-    message = f"error: argument --{second}: not allowed with argument --{first}\n"
-    assert (code, out.out, out.err) == (2, "", message)
-
-
-@pytest.mark.parametrize("drawn", [[], ["--arcs", "[[[0,0],[0,2]]]"]], ids=["alone", "arcs"])
-def test_render_anchors_need_depth(capsys, drawn):
-    # the anchors place the tilting of --depth; without it they are bad
-    # input, not dropped without a word
-    code = main(["render", "--n", "2", "--anchors", "7,7,7,7", *drawn])
-    out = capsys.readouterr()
-    message = "error: argument --anchors: not allowed without argument --depth\n"
-    assert (code, out.out, out.err) == (2, "", message)
 
 
 def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
@@ -537,77 +507,56 @@ def test_output_to_empty_path_is_bad_input(capsys):
     assert err == "error: cannot write : No such file or directory"
 
 
-@pytest.mark.parametrize(
-    "arcs,message",
-    [
-        ("[5]", "malformed arc 5"),
-        ("[[[0,0]]]", "malformed arc [[0, 0]]"),
-        ("[[[0,0],[1,0],[2,0]]]", "malformed arc [[0, 0], [1, 0], [2, 0]]"),
-        # an arc is a list of two items; each item is then checked as a point
-        ("[[[0],[1,0]]]", "marked point [0] is not a pair of ints"),
-        ('[{"a":1}]', 'malformed arc {"a": 1}'),
-        # two-item points that are no JSON lists are no points
-        ('[{"ab": 1, "cd": 2}]', 'malformed arc {"ab": 1, "cd": 2}'),
-        ('[["ab", "cd"]]', "marked point 'ab' is not a pair of ints"),
-        ("7", "--arcs must be a JSON list of arcs, got 7"),
-        # the points are checked before the arc is built: a bool or float
-        # coordinate is no int, not a degenerate arc
-        ('[[["a",0],[0,2]]]', "marked point ['a', 0] needs integer coordinates"),
-        ("[[[true,0],[1,0]]]", "marked point [True, 0] needs integer coordinates"),
-        ("[[[0,0],[0,1.0]]]", "marked point [0, 1.0] needs integer coordinates"),
-        ("{}", "--arcs must be a JSON list of arcs, got {}"),
-        ('[[["a",0],["b",1]]]', "marked point ['a', 0] needs integer coordinates"),
-        pytest.param("[" * 100000 + "]" * 100000, "JSON nested too deeply", id="too-deep"),
-    ],
-)
-def test_render_rejects_malformed_arcs(capsys, arcs, message):
-    code, out, err = run(capsys, ["render", "--n", "2", "--arcs", arcs])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}"
+# --arc arguments that are no arc of the 3-segment circle, each with the
+# message that cli's decoder, _parse_arc after _load_json, raises for it;
+# exchange prints "unknown arc ..." instead
+BAD_ARCS = [
+    ("[5]", "malformed arc [5]"),
+    ("5", "malformed arc 5"),
+    ("7", "malformed arc 7"),
+    ("{}", "malformed arc {}"),
+    ("[[0,0]]", "malformed arc [[0, 0]]"),
+    ("[[0,0],[1,0],[2,0]]", "malformed arc [[0, 0], [1, 0], [2, 0]]"),
+    ('{"a":1}', 'malformed arc {"a": 1}'),
+    # two items that are no JSON list are no arc
+    ('{"ab": 1, "cd": 2}', 'malformed arc {"ab": 1, "cd": 2}'),
+    ('[[["a",0],[0,2]]]', 'malformed arc [[["a", 0], [0, 2]]]'),
+    # an arc is a list of two items; each item is then checked as a point,
+    # first to last, before the arc is built: a bool or float coordinate is
+    # no int, not a degenerate arc
+    ("[[0],[1,0]]", "marked point [0] is not a pair of ints"),
+    ('["ab", "cd"]', "marked point 'ab' is not a pair of ints"),
+    ('[["a",0],[0,2]]', "marked point ['a', 0] needs integer coordinates"),
+    ('[["a",0],["b",1]]', "marked point ['a', 0] needs integer coordinates"),
+    ("[[true,0],[1,0]]", "marked point [True, 0] needs integer coordinates"),
+    ("[[0,0],[0,1.0]]", "marked point [0, 1.0] needs integer coordinates"),
+    ("[[0,0.5],[1,0]]", "marked point [0, 0.5] needs integer coordinates"),
+    ("[[5,0],[0,3]]", "segment 5 out of range [0, 3)"),
+    ("[[0,0],[5,1]]", "segment 5 out of range [0, 3)"),
+    ("[[0,0],[0,1]]", "degenerate arc between [0, 0] and [0, 1]"),
+    ("nope", "Expecting value: line 1 column 1 (char 0)"),
+    # an empty --arc is no JSON
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+]
 
 
-def test_render_draws_a_huge_offset_at_its_limit(capsys):
-    # an offset too large for a float sits where any far offset does
-    huge = run(capsys, ["render", "--n", "2", "--arcs", f"[[[0,0],[1,{10**400}]]]"])
-    far = run(capsys, ["render", "--n", "2", "--arcs", "[[[0,0],[1,1000000]]]"])
-    assert huge == far and huge[0] == 0
-    anchors = f"--anchors={10**400},0"
-    huge = run(capsys, ["render", "--n", "2", "--depth", "2", anchors])
-    far = run(capsys, ["render", "--n", "2", "--depth", "2", f"--anchors={10**6},0"])
-    assert huge == far and huge[0] == 0
+def _arc_id(arc):
+    return "empty" if not arc else "too-deep" if len(arc) > 200 else arc
 
 
 @pytest.mark.parametrize(
-    "arcs,message",
-    [
-        ("nope", "Expecting value: line 1 column 1 (char 0)"),
-        # an empty --arcs is no JSON, not an empty list
-        ("", "Expecting value: line 1 column 1 (char 0)"),
-        ("[[[5,0],[0,3]]]", "segment 5 out of range [0, 2)"),
-        ("[[[0,0],[0,1]]]", "degenerate arc between [0, 0] and [0, 1]"),
-    ],
+    "arc,message", [pytest.param(arc, message, id=_arc_id(arc)) for arc, message in BAD_ARCS]
 )
-def test_render_arc_errors_keep_their_message(capsys, arcs, message):
-    code, out, err = run(capsys, ["render", "--n", "2", "--arcs", arcs])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}"
+def test_arc_decoder_names_what_is_wrong(arc, message):
+    from arck0 import cli
+
+    with pytest.raises(ValueError) as raised:
+        cli._parse_arc(cli._load_json(arc), 3)
+    assert str(raised.value) == message
 
 
-@pytest.mark.parametrize(
-    "arc",
-    [
-        "[5]",
-        "7",
-        '[[["a",0],[0,2]]]',
-        "{}",
-        "[[0,0],[0,1]]",
-        "[[0,0.5],[1,0]]",  # a non-int offset is no marked point
-        "[[0,0],[5,1]]",  # nor is a segment beyond n
-        pytest.param("[" * 100000 + "]" * 100000, id="too-deep"),
-    ],
-)
+@pytest.mark.parametrize("arc", [pytest.param(arc, id=_arc_id(arc)) for arc, _ in BAD_ARCS])
 def test_exchange_malformed_arc_is_unknown(capsys, arc):
     code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
     assert code == 2
@@ -638,7 +587,6 @@ DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
         pytest.param(
             ["exchange", "--n", "1", "--depth", "100000000", "--arc", "Z1"], DEEP, id="exchange"
         ),
-        pytest.param(["render", "--n", "1", "--depth", "100000000"], DEEP, id="render-depth"),
         pytest.param(
             ["k0", "--n", "100000000"],
             "n=100000000, depth=4 gives 999999997 tilting arcs, more than 110000",
@@ -658,11 +606,6 @@ DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"
             ["verify", "--n", "30", "--window", "2"],
             "n=30, window=2: its 60-segment host gives 44610 window arcs, more than 34000",
             id="verify-n",
-        ),
-        pytest.param(
-            ["render", "--n", "1", "--window", "100000000000"],
-            "n=1, window=100000000000 gives 200000000001 window points, more than 100000",
-            id="render-window",
         ),
     ],
 )
@@ -691,21 +634,39 @@ def _cut(prefix):
     "argv,message",
     [
         (["k0", "--n", "2", "--anchors", LONG], _cut("bad anchor list '")),
+        # a message of 201 to 2,000 characters is cut too
+        (["k0", "--n", "2", "--anchors", "x" * 500], _cut("bad anchor list '")),
         (
-            ["render", "--n", "2", "--arcs", json.dumps({"a": LONG})],
-            _cut('--arcs must be a JSON list of arcs, got {"a": "'),
+            ["exchange", "--n", "2", "--arc", json.dumps({"a": LONG})],
+            _cut("unknown arc '{\"a\": \""),
         ),
         (
-            ["render", "--n", "2", "--arcs", json.dumps([[[0, LONG], [1, 0]]])],
-            _cut("marked point [0, '"),
+            ["exchange", "--n", "2", "--arc", json.dumps([[0, LONG], [1, 0]])],
+            _cut("unknown arc '[[0, \""),
         ),
-        (["render", "--n", "2", "--arcs", "{\n}"], "--arcs must be a JSON list of arcs, got { }"),
+        # exchange quotes a multi-line --arc, so its error is one line
+        (["exchange", "--n", "2", "--arc", "{\n}"], "unknown arc '{\\n}'"),
+        # a newline in the message, here in an --out path under a missing
+        # directory, becomes a space
+        (
+            ["k0", "--n", "2", "--out", "missing/a\nb.json"],
+            "cannot write missing/a b.json: No such file or directory",
+        ),
         # the parser's own errors take the same path
         (["k0", "--n", LONG], _cut("argument --n: invalid int value: '")),
     ],
-    ids=["long-anchors", "long-arcs-object", "long-coordinate", "multi-line-arcs", "long-bad-n"],
+    ids=[
+        "long-anchors",
+        "mid-anchors",
+        "long-arcs-object",
+        "long-coordinate",
+        "multi-line-arcs",
+        "multi-line-out",
+        "long-bad-n",
+    ],
 )
-def test_error_is_one_short_line(capsys, argv, message):
+def test_error_is_one_short_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # so a relative --out path lies in the test's own directory
     code = main(argv)
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"error: {message}\n")

@@ -28,7 +28,6 @@ from arck0.completion import (
     kernel_generator_arc,
     verify_f_oracle,
 )
-from arck0.render import render_svg
 from geometry_reference import ext1_dim, induced_triangles, maybe_arc, suspend
 
 
@@ -85,8 +84,6 @@ SIZES = [
     ("compute_k0_completed", "n", 1, compute_k0_completed),
     ("verify_f_oracle", "n", 1, lambda v: verify_f_oracle(v, 2)),
     ("verify_f_oracle", "window", 2, lambda v: verify_f_oracle(1, v)),
-    ("render_svg", "n", 1, lambda v: render_svg(v, [], 2)),
-    ("render_svg", "window", 1, lambda v: render_svg(2, [], v)),
 ]
 _SIZES_PER_CALLABLE = Counter(c for c, *_ in SIZES)
 SIZE_CASES = [

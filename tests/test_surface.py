@@ -34,7 +34,6 @@ PUBLIC = [
     "f_matrix",
     "kernel_generator_arc",
     "verify_f_oracle",
-    "render_svg",
 ]
 
 # the fields of each result type, so that a dropped field cannot come back
@@ -186,4 +185,20 @@ def test_every_marked_point_goes_through_as_point():
                 for part in ast.walk(node)
             ):
                 stray.append(f"{path.name}:{node.lineno} raises a marked point message")
+    assert stray == []
+
+
+def test_no_float_code():
+    # README: "There are no floats and no tolerances".  The package computes
+    # in exact integers, so no module holds a float constant, a float(...)
+    # call or a true division
+    stray = []
+    for path in sorted(ROOT.glob("src/arck0/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                stray.append(f"{path.name}:{node.lineno} holds {node.value!r}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                stray.append(f"{path.name}:{node.lineno} calls float")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                stray.append(f"{path.name}:{node.lineno} divides with /")
     assert stray == []

@@ -566,6 +566,13 @@ def test_sets_without_an_exchange_are_rejected_at_construction():
         pytest.param(
             A((5, 0), (5, 2)), ValueError, "segment 5 out of range [0, 3)", id="off-circle"
         ),
+        pytest.param(
+            A((-1, 0), (-1, 2)), ValueError, "segment -1 out of range [0, 3)", id="below-circle"
+        ),
+        pytest.param(
+            # with both ends off the circle, the least endpoint is named
+            A((5, 0), (-1, 0)), ValueError, "segment -1 out of range [0, 3)", id="both-ends-off"
+        ),
     ],
 )
 @pytest.mark.parametrize("how", ["direct", "build", "mutate"])
