@@ -21,8 +21,6 @@ import functools
 import json
 import sys
 
-from .circle import check_point
-from .arcs import Arc
 from .tilting import build_standard_tilting, exchange_pair
 from .snf import GroupPresentation
 from .k0 import VerificationError, compute_k0_cn, euler_oracle, verify_closed_form
@@ -50,29 +48,6 @@ def _parse_anchors(text: str | None) -> list[int] | None:
         return [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad anchor list {text!r}") from exc
-
-
-def _load_json(text: str):
-    """Decoded JSON of a command-line value; nesting too deep raises ValueError."""
-    try:
-        return json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("JSON nested too deeply") from exc
-
-
-def _parse_arc(data, n: int) -> Arc:
-    """The arc of decoded JSON ``[[segment, offset], [segment, offset]]`` on the n-segment circle.
-
-    The one decoder of an arc from outside: anything but a JSON list of two
-    items raises ValueError ``malformed arc <json>``.  Then ``check_point``
-    checks each item, first to last, through ``circle.as_point``, so a
-    string or dict is no point; only then does ``Arc`` reject a degenerate pair.
-    """
-    if not (isinstance(data, list) and len(data) == 2):
-        raise ValueError(f"malformed arc {json.dumps(data)}")
-    for p in data:
-        check_point(n, p)
-    return Arc(*data)
 
 
 def _one_line(exc: Exception) -> str:
@@ -117,16 +92,9 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_exchange(args: argparse.Namespace) -> tuple[dict, str]:
     tilting = build_standard_tilting(args.n, _parse_anchors(args.anchors), args.depth)
-    name = args.arc
-    if name in tilting.names:
-        index = tilting.names[name]
-    else:
-        try:
-            arc = _parse_arc(_load_json(name), tilting.n)
-        except ValueError as exc:
-            raise ValueError(f"unknown arc {name!r}") from exc
-        index = tilting.arc_index(arc)
-    pair = exchange_pair(tilting, index)
+    if args.arc not in tilting.names:
+        raise ValueError(f"unknown arc {args.arc!r}")
+    pair = exchange_pair(tilting, tilting.names[args.arc])
     payload = {
         "m": pair.m.to_json(),
         "m_star": pair.m_star.to_json(),
@@ -212,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--depth", type=_int, default=4)
     p.add_argument("--anchors", default=None, help=anchors)
-    p.add_argument("--arc", required=True, help="arc name (e.g. Z1) or JSON endpoints")
+    p.add_argument("--arc", required=True, help="arc label: Z1, X3, Y2 or L1[4]")
     p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=_cmd_exchange)

@@ -56,10 +56,12 @@ class StandardTilting:
       and zi, rooted at ``L<i>[0]`` = Z(i-1).
     - ``Y1..Yn``, the first zigzag steps: Y(i-1) is ``L<i>[1]``.
 
-    Several labels may share an index.  ``leapfrogs[b]`` records the
-    positions, fixed at construction, of the zigzag converging to the
-    accumulation point between segments b and b+1; ``mutate`` keeps them, so
-    after a mutation a position may hold the new arc, not a zigzag step.
+    Every arc of a built or mutated tilting has at least one label (``mutate``
+    labels the arc it makes), and several labels may share an index.
+    ``leapfrogs[b]`` records the positions, fixed at construction, of the
+    zigzag converging to the accumulation point between segments b and b+1;
+    ``mutate`` keeps them, so after a mutation a position may hold the new
+    arc, not a zigzag step.
     Tiltings compare by value and do not hash, as their index fields are dicts.
     """
 
@@ -91,16 +93,6 @@ class StandardTilting:
         for name, i in self.names.items():
             label.setdefault(i, name)
         object.__setattr__(self, "_label", label)
-
-    def arc_index(self, arc: Arc) -> int:
-        """Index of ``arc`` in ``arcs``; an arc the tilting does not hold raises ValueError.
-
-        ``arc`` is never a boundary edge, so a ``None`` in the index means it is absent.
-        """
-        index = self._neighbours.get(arc.a, {}).get(arc.b)
-        if index is None:
-            raise ValueError(f"arc {arc} is not in the tilting set")
-        return index
 
     def name_of(self, index: int) -> str:
         return self._label.get(index, f"arc{index}")

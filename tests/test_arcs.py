@@ -91,7 +91,7 @@ def test_arc_rejects_points_that_are_not_int_pairs():
 def test_arc_is_a_validated_named_tuple():
     arc = A((1, 5), (0, 3))
     assert repr(arc) == "Arc(a=(0, 3), b=(1, 5))"
-    # messages name arcs and points in the JSON form the CLI reads
+    # messages name arcs and points in the JSON form the CLI prints
     assert str(arc) == f"{arc}" == "[[0, 3], [1, 5]]"
     with pytest.raises(ValueError, match=r"^degenerate arc between \[0, 0\] and \[0, 1\]$"):
         Arc((0, 1), (0, 0))

@@ -154,26 +154,17 @@ def test_exchange_text_output(capsys):
     ]
 
 
-def test_exchange_by_json_arc(capsys):
-    code, out, _ = run(
-        capsys,
-        ["exchange", "--n", "1", "--depth", "3", "--arc", "[[0,-1],[0,1]]", "--format", "json"],
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["m_star"] == [[0, -2], [0, 0]]
-
-
 def test_exchange_unknown_arc(capsys):
     code, _, err = run(capsys, ["exchange", "--n", "3", "--depth", "3", "--arc", "Q7"])
     assert code == 2 and "error" in err
-    # a valid arc outside the tilting is named as such, in its JSON form
+    # --arc takes a label only: JSON endpoints, here of an arc outside the
+    # tilting, are quoted as given
     code, _, err = run(capsys, ["exchange", "--n", "2", "--arc", "[[0,0],[0,2]]"])
-    assert code == 2 and err == "error: arc [[0, 0], [0, 2]] is not in the tilting set"
+    assert code == 2 and err == "error: unknown arc '[[0,0],[0,2]]'"
 
 
 def test_exchange_frontier_is_bad_input(capsys):
-    # the arc is named in its JSON form, as --arc reads it
+    # the arc is named in its JSON form
     for depth, anchors, arc in ((2, "0", "[[0, -3], [0, 3]]"), (12, "5", "[[0, -8], [0, 18]]")):
         argv = ["exchange", "--n", "1", "--depth", str(depth), "--anchors", anchors]
         code, out, err = run(capsys, [*argv, "--arc", f"L1[{2 * depth}]"])
@@ -507,37 +498,33 @@ def test_output_to_empty_path_is_bad_input(capsys):
     assert err == "error: cannot write : No such file or directory"
 
 
-# --arc arguments that are no arc of the 3-segment circle, each with the
-# message that cli's decoder, _parse_arc after _load_json, raises for it;
-# exchange prints "unknown arc ..." instead
+# --arc arguments that no label of the 3-segment tilting spells; exchange
+# names each as unknown
 BAD_ARCS = [
-    ("[5]", "malformed arc [5]"),
-    ("5", "malformed arc 5"),
-    ("7", "malformed arc 7"),
-    ("{}", "malformed arc {}"),
-    ("[[0,0]]", "malformed arc [[0, 0]]"),
-    ("[[0,0],[1,0],[2,0]]", "malformed arc [[0, 0], [1, 0], [2, 0]]"),
-    ('{"a":1}', 'malformed arc {"a": 1}'),
-    # two items that are no JSON list are no arc
-    ('{"ab": 1, "cd": 2}', 'malformed arc {"ab": 1, "cd": 2}'),
-    ('[[["a",0],[0,2]]]', 'malformed arc [[["a", 0], [0, 2]]]'),
-    # an arc is a list of two items; each item is then checked as a point,
-    # first to last, before the arc is built: a bool or float coordinate is
-    # no int, not a degenerate arc
-    ("[[0],[1,0]]", "marked point [0] is not a pair of ints"),
-    ('["ab", "cd"]', "marked point 'ab' is not a pair of ints"),
-    ('[["a",0],[0,2]]', "marked point ['a', 0] needs integer coordinates"),
-    ('[["a",0],["b",1]]', "marked point ['a', 0] needs integer coordinates"),
-    ("[[true,0],[1,0]]", "marked point [True, 0] needs integer coordinates"),
-    ("[[0,0],[0,1.0]]", "marked point [0, 1.0] needs integer coordinates"),
-    ("[[0,0.5],[1,0]]", "marked point [0, 0.5] needs integer coordinates"),
-    ("[[5,0],[0,3]]", "segment 5 out of range [0, 3)"),
-    ("[[0,0],[5,1]]", "segment 5 out of range [0, 3)"),
-    ("[[0,0],[0,1]]", "degenerate arc between [0, 0] and [0, 1]"),
-    ("nope", "Expecting value: line 1 column 1 (char 0)"),
-    # an empty --arc is no JSON
-    ("", "Expecting value: line 1 column 1 (char 0)"),
-    ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+    "[5]",
+    "5",
+    "7",
+    "{}",
+    "[[0,0]]",
+    "[[0,0],[1,0],[2,0]]",
+    '{"a":1}',
+    '{"ab": 1, "cd": 2}',
+    '[[["a",0],[0,2]]]',
+    "[[0],[1,0]]",
+    '["ab", "cd"]',
+    '[["a",0],[0,2]]',
+    '[["a",0],["b",1]]',
+    "[[true,0],[1,0]]",
+    "[[0,0],[0,1.0]]",
+    "[[0,0.5],[1,0]]",
+    "[[5,0],[0,3]]",
+    "[[0,0],[5,1]]",
+    "[[0,0],[0,1]]",
+    "nope",
+    "",
+    "[" * 100000 + "]" * 100000,
+    # JSON endpoints are no label, not even of an arc the tilting holds (Z1)
+    "[[0,0],[1,0]]",
 ]
 
 
@@ -545,18 +532,7 @@ def _arc_id(arc):
     return "empty" if not arc else "too-deep" if len(arc) > 200 else arc
 
 
-@pytest.mark.parametrize(
-    "arc,message", [pytest.param(arc, message, id=_arc_id(arc)) for arc, message in BAD_ARCS]
-)
-def test_arc_decoder_names_what_is_wrong(arc, message):
-    from arck0 import cli
-
-    with pytest.raises(ValueError) as raised:
-        cli._parse_arc(cli._load_json(arc), 3)
-    assert str(raised.value) == message
-
-
-@pytest.mark.parametrize("arc", [pytest.param(arc, id=_arc_id(arc)) for arc, _ in BAD_ARCS])
+@pytest.mark.parametrize("arc", [pytest.param(arc, id=_arc_id(arc)) for arc in BAD_ARCS])
 def test_exchange_malformed_arc_is_unknown(capsys, arc):
     code, out, err = run(capsys, ["exchange", "--n", "3", "--arc", arc])
     assert code == 2
@@ -566,15 +542,6 @@ def test_exchange_malformed_arc_is_unknown(capsys, arc):
         assert err == "error: unknown arc '" + "[" * 187 + "..."
     else:
         assert err == f"error: unknown arc {arc!r}"
-
-
-def test_exchange_names_a_padded_arc_in_json_form(capsys):
-    # padded with spaces, a valid arc outside the tilting is named as decoded
-    arc = "[[0,0]," + " " * 100000 + "[0,2]]"
-    code, out, err = run(capsys, ["exchange", "--n", "2", "--arc", arc])
-    assert code == 2
-    assert out == ""
-    assert err == "error: arc [[0, 0], [0, 2]] is not in the tilting set"
 
 
 DEEP = "n=1, depth=100000000 gives 200000001 tilting arcs, more than 110000"

@@ -291,20 +291,30 @@ def test_oracle_stores_few_columns(monkeypatch):
     # numbered as one generator per suspension orbit, the triangle columns
     # come out short: at (4, 4) 506 are stored, 2,267 with one generator per
     # arc and no suspension relations; the count is read as the scan ends,
-    # before the residual re-absorbs them
+    # before the residual re-absorbs them.  The absorb calls, scan and
+    # residual together, pin the scan's work: without the seen probe they
+    # were 1,550, 4,273, 34,569 and 5,021, and with a top k scanning its
+    # outside partners too, 1,253 at (4, 2)
     from arck0 import snf
 
-    stored = []
-    basis_classes = snf._UnitEliminations.basis_classes
+    stored, absorbed = [], []
+    absorb, basis_classes = snf._UnitEliminations.absorb, snf._UnitEliminations.basis_classes
+
+    def counting_absorb(self, column):
+        absorbed[-1] += 1
+        return absorb(self, column)
 
     def counting(self, basis, where):
         stored.append(len(self.store))
         return basis_classes(self, basis, where)
 
+    monkeypatch.setattr(snf._UnitEliminations, "absorb", counting_absorb)
     monkeypatch.setattr(snf._UnitEliminations, "basis_classes", counting)
-    for n, window in (2, 4), (3, 3), (4, 4):
+    for n, window in (2, 4), (3, 3), (4, 4), (4, 2):
+        absorbed.append(0)
         euler_oracle(n, window)
-    assert stored == [72, 169, 506]
+    assert stored == [72, 169, 506, 285]
+    assert absorbed == [255, 649, 1856, 1241]
 
 
 def test_oracle_rank_stabilizes_immediately():

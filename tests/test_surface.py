@@ -174,7 +174,7 @@ def test_every_cap_goes_through_check_cap():
 
 def test_every_marked_point_goes_through_as_point():
     # one point rule: only circle.py formats a "marked point" message, so
-    # Arc, check_point and the CLI decoder all name a bad point in its words
+    # Arc and check_point both name a bad point in its words
     stray = []
     for path in sorted(ROOT.glob("src/arck0/*.py")):
         if path.name == "circle.py":

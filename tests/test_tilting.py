@@ -30,7 +30,7 @@ def A(p, q):
 
 
 def names_of(t, arcs):
-    return sorted(t.name_of(t.arc_index(a)) for a in arcs)
+    return sorted(t.name_of(t.arcs.index(a)) for a in arcs)
 
 
 def zigzag_arcs(n, offsets, depth):
@@ -178,7 +178,8 @@ def test_leapfrog_endpoints_monotone():
 def test_labels_follow_the_docstring():
     # with label numbers mod n: Zi joins zi and z(i+1), L<i>[0] is Z(i-1),
     # Y(i-1) is L<i>[1], and leapfrogs[b] is the zigzag L<i> converging
-    # between segments b and b+1, i.e. i = b+2
+    # between segments b and b+1, i.e. i = b+2; every arc has a label, which
+    # is how exchange --arc reaches it
     for n in range(1, 9):
         label = lambda i: (i - 1) % n + 1
         for depth in (1, 2, 3):
@@ -197,11 +198,13 @@ def test_labels_follow_the_docstring():
             assert t.leapfrogs == tuple(
                 tuple(t.names[f"L{label(b + 2)}[{s}]"] for s in steps) for b in range(n)
             )
+            assert set(t.names.values()) == set(range(len(t.arcs)))
     # mutate keeps the positions recorded at construction
     t = build_standard_tilting(3, None, 2)
     m = mutate(t, 4)
     assert m.leapfrogs == t.leapfrogs and 4 in t.leapfrogs[0]
     assert m.arcs[4] == A((0, 0), (1, -2)) and m.name_of(4) == "L2[2]*"
+    assert set(m.names.values()) == set(range(len(m.arcs)))
 
 
 def test_exchange_pair_n3():
@@ -231,8 +234,8 @@ def test_exchange_pair_fan_arcs():
     t = build_standard_tilting(6, None, 3)
     for i in (3, 4, 5):
         pair = exchange_pair(t, t.names[f"X{i}"])
-        got_b_m = {t.arc_index(a) for a in pair.b_m}
-        got_b_m_star = {t.arc_index(a) for a in pair.b_m_star}
+        got_b_m = {t.arcs.index(a) for a in pair.b_m}
+        got_b_m_star = {t.arcs.index(a) for a in pair.b_m_star}
         assert got_b_m == {t.names[f"Z{i}"], t.names[f"X{i-1}"]}
         assert got_b_m_star == {t.names[f"X{i+1}"], t.names[f"Z{i-1}"]}
 
@@ -257,15 +260,6 @@ def test_exchange_pair_and_mutate_reject_a_bad_index(index):
     for call in (exchange_pair, mutate):
         with pytest.raises(ValueError, match=message):
             call(t, index)
-
-
-def test_arc_index_names_an_arc_outside_the_tilting():
-    t = build_standard_tilting(2, None, 2)
-    assert t.arc_index(A((1, 0), (0, 0))) == t.names["Z1"]
-    for arc in (A((0, 0), (0, 2)), A((5, 0), (6, 1))):
-        assert arc not in t.arcs
-        with pytest.raises(ValueError, match=re.escape(f"arc {arc} is not in the tilting set")):
-            t.arc_index(arc)
 
 
 def test_exchange_and_mutation_arcs_have_marked_point_endpoints():
