@@ -11,7 +11,7 @@ path of its own: each of its six checks raises VerificationError unless it
 holds (lines 5 and 6 through ``verify_closed_form``), so it prints six PASS
 lines or nothing on stdout.  Each ``_cmd_*`` handler returns its JSON
 payload (None without ``--format``) and its text; ``main`` alone picks one
-and writes it to stdout or to ``--out``.
+and prints it to stdout, the one output, where a failed write is bad input.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .tilting import build_standard_tilting, exchange_pair
@@ -54,19 +55,6 @@ def _one_line(exc: Exception) -> str:
     """The message of ``exc`` on one line, cut after 200 characters with ``...``."""
     text = " ".join(str(exc).splitlines())
     return text if len(text) <= 200 else f"{text[:200]}..."
-
-
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text``, ending in one newline, to the file ``out`` or else to stdout."""
-    text = text if text.endswith("\n") else text + "\n"
-    if out is not None:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_k0(args: argparse.Namespace) -> tuple[dict, str]:
@@ -148,32 +136,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # argparse reads "--anchors -3,0,5" as a missing value and a new option
     anchors = "comma-separated offsets, one per segment; --anchors=-3,0,5 if the first is negative"
-
-    # every subcommand takes --out; --format is added only where the handler
-    # returns a JSON payload
-    def common(p: argparse.ArgumentParser, window_default: int | None = None) -> None:
-        p.add_argument("--out", default=None, help="write output to this path")
-        if window_default is not None:
-            p.add_argument("--window", type=_int, default=window_default)
+    # --format is added only where the handler returns a JSON payload
 
     p = sub.add_parser("k0", help="group of the n-point model via exchange relations")
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--depth", type=_int, default=4)
     p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    common(p)
     p.set_defaults(func=_cmd_k0)
 
     p = sub.add_parser("k0-completed", help="group of the completed model")
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    common(p)
     p.set_defaults(func=_cmd_k0_completed)
 
     p = sub.add_parser("oracle", help="brute-force Euler-relation presentation")
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    common(p, window_default=6)
+    p.add_argument("--window", type=_int, default=6)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("exchange", help="exchange pair of a named tilting arc")
@@ -182,12 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", default=None, help=anchors)
     p.add_argument("--arc", required=True, help="arc label: Z1, X3, Y2 or L1[4]")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    common(p)
     p.set_defaults(func=_cmd_exchange)
 
     p = sub.add_parser("verify", help="cross-check formulas against the oracle")
     p.add_argument("--n", type=_int, required=True)
-    common(p, window_default=6)
+    p.add_argument("--window", type=_int, default=6)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -204,7 +183,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         payload, text = args.func(args)
-        _emit(text if payload is None or args.format == "text" else json.dumps(payload), args.out)
+        text = text if payload is None or args.format == "text" else json.dumps(payload)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            if sys.stdout is sys.__stdout__:  # a replaced stdout is its owner's
+                # fd 1 to os.devnull: else the flush at exit fails again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
     except (ValueError, VerificationError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -453,49 +454,48 @@ def test_format_only_where_the_handler_reads_it(capsys, command):
     assert (code, out.out, out.err) == (2, "", "error: unrecognized arguments: --format json\n")
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    code, _, _ = run(
-        capsys, ["k0", "--n", "2", "--depth", "3", "--format", "json", "--out", str(target)]
-    )
-    assert code == 0
-    assert json.loads(target.read_text()) == {"free_rank": 2, "invariant_factors": []}
+def test_out_is_no_option(tmp_path, capsys):
+    # stdout is the one output; the shell's > writes it to a file
+    target = tmp_path / "x"
+    code = main(["k0", "--n", "1", "--out", str(target)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: unrecognized arguments: --out {target}\n")
+    assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["k0", "--n", "2", "--depth", "3"],
-        ["k0-completed", "--n", "2", "--format", "json"],
-        ["oracle", "--n", "2", "--window", "2"],
-        ["exchange", "--n", "3", "--arc", "Z1", "--format", "json"],
-        ["verify", "--n", "1", "--window", "4"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_out_file_gets_exactly_what_stdout_gets(tmp_path, capsys, argv):
-    assert main(argv) == 0
-    stdout = capsys.readouterr().out
-    target = tmp_path / "out"
-    assert main([*argv, "--out", str(target)]) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_text(encoding="utf-8") == stdout
+def test_stdout_closed_before_the_write_is_bad_input():
+    # no traceback and no "Exception ignored" at exit: one error: line, exit 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arck0.cli", "verify", "--n", "1", "--window", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
-def test_output_into_missing_directory_is_bad_input(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, ["k0", "--n", "2", "--out", str(target)])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: cannot write {target}: No such file or directory"
-    assert not target.parent.exists()
+class _FullStdout:
+    """A stdout without a file descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
 
 
-def test_output_to_empty_path_is_bad_input(capsys):
-    # an empty --out names no file; it is not read as "no --out"
-    code, out, err = run(capsys, ["k0", "--n", "2", "--out", ""])
-    assert (code, out) == (2, "")
-    assert err == "error: cannot write : No such file or directory"
+def test_failed_write_to_a_replaced_stdout_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["verify", "--n", "1", "--window", "4"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "error: cannot write stdout: No space left on device\n")
 
 
 # --arc arguments that no label of the 3-segment tilting spells; exchange
@@ -613,12 +613,9 @@ def _cut(prefix):
         ),
         # exchange quotes a multi-line --arc, so its error is one line
         (["exchange", "--n", "2", "--arc", "{\n}"], "unknown arc '{\\n}'"),
-        # a newline in the message, here in an --out path under a missing
-        # directory, becomes a space
-        (
-            ["k0", "--n", "2", "--out", "missing/a\nb.json"],
-            "cannot write missing/a b.json: No such file or directory",
-        ),
+        # a newline in the message, here in an argument argparse does not
+        # read and joins unquoted, becomes a space
+        (["k0", "--n", "2", "a\nb"], "unrecognized arguments: a b"),
         # the parser's own errors take the same path
         (["k0", "--n", LONG], _cut("argument --n: invalid int value: '")),
     ],
@@ -628,12 +625,11 @@ def _cut(prefix):
         "long-arcs-object",
         "long-coordinate",
         "multi-line-arcs",
-        "multi-line-out",
+        "multi-line-unrecognized",
         "long-bad-n",
     ],
 )
-def test_error_is_one_short_line(tmp_path, monkeypatch, capsys, argv, message):
-    monkeypatch.chdir(tmp_path)  # so a relative --out path lies in the test's own directory
+def test_error_is_one_short_line(capsys, argv, message):
     code = main(argv)
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"error: {message}\n")

@@ -54,10 +54,9 @@ def subcommands() -> list[str]:
 
 
 @pytest.mark.parametrize("command,shown", [pytest.param(*e, id=e[0]) for e in cli_examples()])
-def test_cli_example(command, shown, tmp_path, monkeypatch, capsys):
+def test_cli_example(command, shown, capsys):
     argv = shlex.split(command)
     assert argv[0] == "arck0"
-    monkeypatch.chdir(tmp_path)  # an example with --out would write here, not into the checkout
     code = cli.main(argv[1:])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (0, shown, "")

@@ -202,3 +202,14 @@ def test_no_float_code():
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 stray.append(f"{path.name}:{node.lineno} divides with /")
     assert stray == []
+
+
+def test_package_opens_no_file():
+    # stdout is the one output of the CLI, and the library reads and writes
+    # no file, so no module calls the builtin open
+    stray = []
+    for path in sorted(ROOT.glob("src/arck0/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                stray.append(f"{path.name}:{node.lineno} calls open")
+    assert stray == []
